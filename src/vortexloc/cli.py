@@ -48,6 +48,8 @@ _CONFIG_KEYS: dict[tuple[str, str], tuple[str, type]] = {
     ("medium", "c6"): ("c6_mhz_um6", float),
 }
 
+_MAX_THREADS = 64
+
 _QUAD_KEYS = {"spacing": float, "extent": float}
 _NOISE_KEYS = {"kind": str, "std": float, "trajectories": int, "seed": int}
 
@@ -134,6 +136,16 @@ def _echo_quad(params: dict, quad: QuadratureSpec | None) -> None:
         params["quad_spacing_z_um"] = quad.spacing_z
 
 
+def _parse_threads(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: '{text}'") from exc
+    if not 1 <= value <= _MAX_THREADS:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {_MAX_THREADS}, got {value}")
+    return value
+
+
 def _parse_l_values(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(tok) for tok in text.split(",") if tok.strip())
@@ -149,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="FILE", help="INI parameter file")
     common.add_argument("--out", metavar="FILE", help="result path (default vortex-<cmd>.<fmt>)")
     common.add_argument("--format", choices=("csv", "json"), default="csv", help="result file format")
-    common.add_argument("--threads", type=int, default=1, help="worker threads (results are identical)")
+    common.add_argument("--threads", type=_parse_threads, default=1, help="worker threads (results are identical)")
     common.add_argument("--seed", type=int, default=None, help="master seed for stochastic runs")
     common.add_argument("--kappa", type=float, default=None, help="control/probe amplitude ratio")
     common.add_argument("--omega-p0-mhz", type=float, default=None, help="probe Rabi amplitude (MHz)")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from vortexloc import make_config
+from vortexloc import cli, make_config, meanfield, noise, parallel
 from vortexloc.bloch import LocalDrive, steady_sigma_rr
 from vortexloc.cli import main, parse_config
 from vortexloc.config import TWO_PI, Position
@@ -255,6 +255,25 @@ def test_argparse_rejects_bad_invocations(capsys):
             main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "65"])
+def test_out_of_range_threads_are_rejected_before_any_work(threads, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no worker may start and no handler may run")
+
+    monkeypatch.setattr(parallel, "map_ordered", forbidden)
+    monkeypatch.setattr(meanfield, "map_ordered", forbidden)
+    monkeypatch.setattr(noise, "map_ordered", forbidden)
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", forbidden)
+    monkeypatch.setattr(cli, "_HANDLERS", {name: forbidden for name in cli._HANDLERS})
+    with pytest.raises(SystemExit) as exc:
+        main(["noise", "--s0-mhz", "0.4", "--trajectories", "2000", "--threads", threads])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    message = err.strip().splitlines()[-1]
+    assert "--threads" in message
+    assert "between 1 and 64" in message
 
 
 def test_runtime_errors_name_the_failing_operation(tmp_path, capsys):

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vortexloc import make_config
 from vortexloc.bloch import linewidth_from
 from vortexloc.config import TWO_PI, Position
+from vortexloc.fields import control_envelope, detuning_profile
 from vortexloc.meanfield import (
     MASK_ATOM,
     MASK_LOCAL,
@@ -37,6 +40,105 @@ S0_FAST = {
     180.0: 2.619036,
     500.0: 0.389405,
 }
+
+
+# small lattices for the brute-force oracle: at most 1e6 cells
+LAM = CFG.beam.wavelength_c
+COARSE = QuadratureSpec.scaled(LAM, 0.1)  # 1000 x 1000
+ODD = QuadratureSpec(100.0 * LAM, 60.0 * LAM, 0.09 * LAM, 0.11 * LAM)  # 1111 x 545
+
+
+def _oracle_kernel(atom_pos, config, quad, mask):
+    """The whole lattice as one array, with the per-cell two-branch B."""
+    ip = config.probe.omega_p0**2
+    gamma = config.medium.gamma
+    dp = config.probe.delta_p
+    dr, dz = quad.spacing_r, quad.spacing_z
+    n_r = int(round(quad.extent_r / dr))
+    n_z = int(round(quad.extent_z / dz))
+    r = ((np.arange(n_r) + 0.5) * dr)[:, None]
+    z = (atom_pos.z - 0.5 * quad.extent_z + (np.arange(n_z) + 0.5) * dz)[None, :]
+
+    def profiles(radius):
+        ic = control_envelope(radius, config.beam) ** 2
+        w = linewidth_from(ip, ic, dp, gamma)
+        return ic, (config.medium.c6 / w) ** (1.0 / 6.0)
+
+    ic, rb = profiles(r)
+    nsa_ip = 4.0 * math.pi / 3.0 * rb**3 * config.medium.density_rho * ip
+    dc = np.asarray(detuning_profile(z, config.detuning), dtype=float)
+    if dp == 0.0:
+        b = ic + nsa_ip + (gamma * gamma + 2.0 * ip) * dc**2 / (ip + ic)
+    else:
+        two_photon = dp + dc
+        total = ip + ic
+        extra = (-2.0 * dp * two_photon * ic + (gamma * gamma + dp * dp + 2.0 * ip) * two_photon**2) / total
+        b = total + extra + (nsa_ip - ip)
+    rb2 = rb**2 if mask == MASK_LOCAL else float(profiles(abs(atom_pos.r))[1]) ** 2
+    d2 = (r - atom_pos.r) ** 2 + (z - atom_pos.z) ** 2
+    return np.where(d2 >= rb2, r / (d2**3 * b), 0.0).sum() * dr * dz
+
+
+# (r_j, z_j) in lambda_c, kappa, mask, Delta_p/2pi MHz, delta_shift/2pi MHz, lattice
+ORACLE_POINTS = [
+    (0.0, 0.75, 10.0, MASK_LOCAL, 0.0, None, COARSE),
+    (0.0, 0.75, 180.0, MASK_ATOM, 0.0, None, COARSE),
+    (0.0, 0.75, 500.0, MASK_LOCAL, 0.0, 30.063, COARSE),
+    (0.3, 0.75, 180.0, MASK_LOCAL, 2.5, None, COARSE),
+    (0.3, 0.61, 10.0, MASK_ATOM, -4.0, 37.77, ODD),
+    (1.2345, 0.75, 500.0, MASK_ATOM, 0.0, None, ODD),
+    (0.5173, 1.093, 180.0, MASK_LOCAL, 0.0, 31.0, ODD),
+    (2.0, 0.2, 500.0, MASK_LOCAL, 1.0, None, COARSE),
+    (0.0, 0.4, 10.0, MASK_LOCAL, 0.0, None, ODD),
+]
+
+
+@pytest.mark.parametrize("r_j, z_j, kappa, mask, delta_p, delta_shift, quad", ORACLE_POINTS)
+def test_kernel_matches_the_brute_force_oracle(r_j, z_j, kappa, mask, delta_p, delta_shift, quad):
+    cfg = make_config(kappa=kappa, delta_p_mhz=delta_p, delta_shift_mhz=delta_shift)
+    pos = Position(r=r_j * LAM, phi=0.0, z=z_j * LAM)
+    fast = masked_kernel_sum(pos, cfg, quad, mask=mask)
+    assert fast > 0.0
+    assert fast == pytest.approx(_oracle_kernel(pos, cfg, quad, mask), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("mask", [MASK_LOCAL, MASK_ATOM])
+def test_kernel_masks_the_atoms_own_cell(mask):
+    # binary-exact spacings put the atom on a cell centre, so that cell has
+    # d2 = 0 and an infinite integrand that the mask must drop
+    quad = QuadratureSpec(24.0, 24.0625, 0.0625, 0.0625)  # 384 x 385
+    pos = Position(r=10.5 * 0.0625, phi=0.0, z=0.375)
+    with np.errstate(divide="ignore"):
+        fast = masked_kernel_sum(pos, CFG, quad, mask=mask)
+        expected = _oracle_kernel(pos, CFG, quad, mask)
+    assert math.isfinite(fast)
+    assert fast == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=3.0),
+    st.floats(min_value=0.0, max_value=2.0),
+    st.floats(min_value=10.0, max_value=500.0),
+    st.floats(min_value=-5.0, max_value=5.0),
+)
+def test_kernel_matches_the_oracle_at_random_points(r_j, z_j, kappa, delta_p):
+    quad = QuadratureSpec.scaled(LAM, 0.2)
+    cfg = make_config(kappa=kappa, delta_p_mhz=delta_p)
+    pos = Position(r=r_j * LAM, phi=0.0, z=z_j * LAM)
+    for mask in (MASK_LOCAL, MASK_ATOM):
+        expected = _oracle_kernel(pos, cfg, quad, mask)
+        assert masked_kernel_sum(pos, cfg, quad, mask=mask) == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("mask", [MASK_LOCAL, MASK_ATOM])
+def test_kernel_is_bit_identical_for_any_thread_count(mask):
+    # 1111 rows end in a partial 256-row block, and at 545 columns the last
+    # sub-block of every full block is partial too
+    cfg = make_config(kappa=180.0, delta_p_mhz=1.5)
+    pos = Position(r=0.41 * LAM, phi=0.0, z=0.75 * LAM)
+    sums = [masked_kernel_sum(pos, cfg, ODD, mask=mask, threads=t) for t in (1, 2, 3)]
+    assert sums[0] == sums[1] == sums[2]
 
 
 def _core_linewidth(config):
