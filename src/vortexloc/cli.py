@@ -74,7 +74,10 @@ def parse_config(path: str) -> dict:
     multiples of the control wavelength. Unknown sections or keys are errors.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"config file '{path}' is malformed: {exc}") from exc
     if not read:
         raise ValueError(f"config file '{path}' not found or unreadable")
     out: dict = {"config": {}, "quadrature": {}, "noise": {}}
@@ -707,7 +710,9 @@ def main(argv=None) -> int:
         output.write_table(out_path, manifest, columns, summary, file_format=args.format)
         if args.command == "map3d":
             output.write_sidecar(out_path + ".summary.json", manifest, summary)
-    except Exception as exc:  # surfaced uniformly with the failing operation named
+    except (ValueError, RuntimeError, OSError) as exc:
+        # Bad input, failed numerical guards and file I/O: one line naming the
+        # failing operation. Any other exception is a bug and keeps its traceback.
         print(f"vortex-localize {args.command}: error in {op}: {exc}", file=sys.stderr)
         return 2
     duration = time.perf_counter() - started

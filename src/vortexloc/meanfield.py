@@ -107,13 +107,14 @@ class BlockadeBoundary:
     points: np.ndarray  # (n, 2) rows (r, z); r is signed across the axis
 
 
-def blockade_radius(w: float, c6: float) -> float:
-    """Blockade radius (C6/w)^(1/6) in um."""
-    if w <= 0:
+def blockade_radius(w, c6: float):
+    """Blockade radius (C6/w)^(1/6) in um; elementwise over an array of linewidths."""
+    if np.any(np.asarray(w) <= 0):
         raise ValueError("linewidth w must be positive; w=0 gives an unbounded blockade radius")
     if c6 < 0:
         raise ValueError("c6 must be nonnegative")
-    return float((c6 / w) ** (1.0 / 6.0))
+    r_b = (c6 / w) ** (1.0 / 6.0)
+    return float(r_b) if np.ndim(r_b) == 0 else r_b
 
 
 def superatom_count(r_b: float, rho: float) -> float:
@@ -440,8 +441,11 @@ def blockade_boundary(
 
     A neighbor at planar offset d blocks the atom while d < R_b(w(r_neighbor));
     the returned polyline is star-shaped around the atom by construction. The
-    linewidth model can be overridden through `local_w_fn(radius) -> w` (a
-    uniform control field then yields a sphere).
+    linewidth model can be overridden through `local_w_fn(radii) -> w`, which
+    takes an array of radii and returns an array of linewidths (or a scalar
+    that broadcasts: a uniform control field then yields a sphere). Every
+    direction marches over the same 1024-point grid in one array call, and
+    the first crossings are then bisected together to `refine_tol`.
     """
     if resolution < 8:
         raise ValueError("resolution must be at least 8 directions")
@@ -452,42 +456,36 @@ def blockade_boundary(
     if local_w_fn is None:
         ip = config.probe.omega_p0 ** 2
 
-        def local_w_fn(radius: float) -> float:
+        def local_w_fn(radius):
             env = control_envelope(radius, config.beam)
-            return float(linewidth_from(ip, env * env, config.probe.delta_p, config.medium.gamma))
+            return linewidth_from(ip, env * env, config.probe.delta_p, config.medium.gamma)
 
-    def rb_at(radius: float) -> float:
-        return blockade_radius(local_w_fn(abs(radius)), c6)
+    angles = TWO_PI * np.arange(resolution) / resolution
+    cos_t = np.cos(angles)
+
+    def outside(d, cos):
+        radius = np.abs(atom_pos.r + d * cos)
+        return d >= blockade_radius(np.broadcast_to(local_w_fn(radius), radius.shape), c6)
 
     # w is smallest (R_b largest) where the control vanishes; cap the march there.
-    cap = 1.5 * max(rb_at(atom_pos.r), rb_at(0.0))
-    angles = TWO_PI * np.arange(resolution) / resolution
-    distances = np.empty(resolution)
+    cap = 1.5 * float(np.max(blockade_radius(local_w_fn(np.abs([atom_pos.r, 0.0])), c6)))
     march = np.linspace(0.0, cap, 1024)
-    for k, theta in enumerate(angles):
-        cos_t, sin_t = math.cos(theta), math.sin(theta)
-
-        def outside(d: float) -> bool:
-            return d >= rb_at(atom_pos.r + d * cos_t)
-
-        crossing = None
-        for lo, hi in zip(march[:-1], march[1:]):
-            if outside(hi):
-                crossing = (lo, hi)
-                break
-        if crossing is None:
-            raise RuntimeError("no blockade crossing found within the march cap")
-        lo, hi = crossing
-        while hi - lo > refine_tol:
-            mid = 0.5 * (lo + hi)
-            if outside(mid):
-                hi = mid
-            else:
-                lo = mid
-        distances[k] = 0.5 * (lo + hi)
+    crossed = outside(march[1:], cos_t[:, np.newaxis])
+    if not crossed.any(axis=1).all():
+        raise RuntimeError("no blockade crossing found within the march cap")
+    first = crossed.argmax(axis=1)
+    lo, hi = march[first], march[first + 1]
+    active = hi - lo > refine_tol
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        out = outside(mid, cos_t)
+        hi = np.where(active & out, mid, hi)
+        lo = np.where(active & ~out, mid, lo)
+        active = hi - lo > refine_tol
+    distances = 0.5 * (lo + hi)
 
     points = np.column_stack(
-        (atom_pos.r + distances * np.cos(angles), atom_pos.z + distances * np.sin(angles))
+        (atom_pos.r + distances * cos_t, atom_pos.z + distances * np.sin(angles))
     )
     return BlockadeBoundary(
         atom_r=atom_pos.r, atom_z=atom_pos.z, angles=angles, distances=distances, points=points

@@ -120,8 +120,20 @@ def render_csv(manifest: RunManifest, columns: dict[str, object], summary: dict 
         if arr.shape[0] != length:
             raise ValueError("all columns must have equal length")
     lines.append(",".join(names))
-    for i in range(length):
-        lines.append(",".join(fmt_number(arr[i]) for arr in arrays))
+    # One printf template per row, chosen by column dtype; each field renders
+    # exactly as fmt_number would render it. Other dtypes go through fmt_number.
+    fields, cells = [], []
+    for arr in arrays:
+        if arr.dtype.kind == "f":
+            fields.append("%.10g")
+            cells.append(arr.tolist())
+        elif arr.dtype.kind in "iub":
+            fields.append("%d")
+            cells.append(arr.tolist())
+        else:
+            fields.append("%s")
+            cells.append([fmt_number(v) for v in arr])
+    lines.extend(map(",".join(fields).__mod__, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 

@@ -10,8 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from vortexloc import make_config
+from vortexloc import bloch, make_config
 from vortexloc.bloch import (
     BlochState,
     LocalDrive,
@@ -354,3 +356,101 @@ def test_steady_time_input_validation():
         steady_time(drive, t_budget=-1.0)
     with pytest.raises(RuntimeError, match="no steady entry"):
         steady_time(drive_at_intensity_ratio(180.0), rel_tol=0.01, t_budget=0.5)
+
+
+def _probed_generator(drive):
+    """Columns of A in x' = A x, probed from bloch_rhs one unit vector at a time."""
+    cols = []
+    for j in range(9):
+        vec = np.zeros(9)
+        vec[j] = 1.0
+        cols.append(bloch_rhs(BlochState.from_vector(vec), drive).as_vector())
+    return np.array(cols).T
+
+
+def _stepwise_rk4(x0, drive, n_steps, dt, sample_every):
+    """Oracle: the per-step four-stage RK4 loop, sampled where evolve samples."""
+    a = _probed_generator(drive)
+    x = np.array(x0, dtype=float)
+    steps, states = [0], [x]
+    half, sixth = 0.5 * dt, dt / 6.0
+    for step in range(1, n_steps + 1):
+        k1 = a @ x
+        k2 = a @ (x + half * k1)
+        k3 = a @ (x + half * k2)
+        k4 = a @ (x + dt * k3)
+        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if step % sample_every == 0 or step == n_steps:
+            steps.append(step)
+            states.append(x)
+    return np.array(steps), np.array(states)
+
+
+def _stepwise_steady_time(drive, rel_tol, t_budget):
+    """Oracle: steady_time's band-exit rule over the per-step RK4 loop."""
+    dt = 0.04 / bloch._fastest_scale(drive)
+    n_steps = int(math.ceil(t_budget / dt - 1e-12))
+    steps, states = _stepwise_rk4(ground_state().as_vector(), drive, n_steps, dt, 1)
+    target = steady_sigma_rr(drive)
+    outside = np.flatnonzero(np.abs(states[:, 2] - target) > rel_tol * target)
+    assert outside[-1] < n_steps
+    return (int(steps[outside[-1]]) + 1) * dt
+
+
+def _random_pure_state(rng):
+    """A physical starting point: the projector onto a random normalised ket."""
+    psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+    psi /= np.linalg.norm(psi)
+    rho = np.outer(psi, psi.conj())
+    return BlochState(
+        float(rho[0, 0].real), float(rho[1, 1].real), float(rho[2, 2].real),
+        complex(rho[0, 1]), complex(rho[1, 2]), complex(rho[0, 2]),
+    )
+
+
+def test_the_equations_of_motion_have_no_constant_term():
+    rng = np.random.default_rng(404)
+    zero = BlochState.from_vector(np.zeros(9))
+    for k in range(30):
+        drive = _random_drive(rng, with_decay_chain=(k % 2 == 0))
+        assert np.all(bloch_rhs(zero, drive).as_vector() == 0.0)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_steps=st.integers(1, 5000),
+    sample_every=st.sampled_from([1, 1, 3, 7, 250]),
+)
+@example(seed=7, n_steps=2 * bloch._SAMPLE_BLOCK + 17, sample_every=1)  # three sample blocks
+@example(seed=8, n_steps=2 * bloch._SAMPLE_BLOCK + 405, sample_every=2)  # two blocks and a partial last step
+def test_evolve_matches_the_stepwise_rk4_oracle(seed, n_steps, sample_every):
+    rng = np.random.default_rng(seed)
+    drive = _random_drive(rng, with_decay_chain=bool(seed % 2))
+    initial = _random_pure_state(rng)
+    dt = 0.04 / _fastest(drive)
+    traj = evolve(initial, drive, t_end=(n_steps - 0.5) * dt, dt=dt, sample_every=sample_every)
+    steps, states = _stepwise_rk4(initial.as_vector(), drive, n_steps, dt, sample_every)
+    np.testing.assert_array_equal(traj.times, steps * dt)
+    got = np.column_stack(
+        [traj.sigma_gg, traj.sigma_ee, traj.sigma_rr]
+        + [part for c in (traj.sigma_ge, traj.sigma_er, traj.sigma_gr) for part in (c.real, c.imag)]
+    )
+    assert np.max(np.abs(got - states)) <= 1e-10
+
+
+@pytest.mark.parametrize("kappa, t_budget", [(10.0, 5.0), (180.0, 30.0), (500.0, 100.0)])
+def test_steady_time_equals_the_stepwise_oracle(kappa, t_budget):
+    drive = drive_at_intensity_ratio(kappa)
+    want = _stepwise_steady_time(drive, 0.01, t_budget)
+    assert steady_time(drive, rel_tol=0.01, t_budget=t_budget) == want
+
+
+def test_infinite_horizons_are_rejected():
+    drive = drive_at_intensity_ratio(10.0)
+    with pytest.raises(ValueError, match="t_budget must be positive and finite"):
+        steady_time(drive, t_budget=math.inf)
+    with pytest.raises(ValueError, match="t_end must be positive and finite"):
+        evolve(ground_state(), drive, t_end=math.inf, dt=1e-4)
+    with pytest.raises(ValueError, match="sample_every"):
+        evolve(ground_state(), drive, t_end=1.0, dt=1e-4, sample_every=0)

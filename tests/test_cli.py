@@ -291,3 +291,24 @@ def test_runtime_errors_name_the_failing_operation(tmp_path, capsys):
     code, _, err = run(["steady-time", "--kappa", "10", "--intensity-ratio", "-1"], capsys)
     assert code == 2
     assert "intensity ratio must be positive" in err
+
+
+def test_internal_errors_propagate_with_their_traceback(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise KeyError("sigma_rr")
+
+    monkeypatch.setitem(cli._HANDLERS, "steady", broken)
+    with pytest.raises(KeyError, match="sigma_rr"):
+        main(["steady", "--kappa", "10"])
+    assert capsys.readouterr().out == ""
+
+
+def test_malformed_config_file_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "broken.ini"
+    path.write_text("kappa = 10\n")
+    with pytest.raises(ValueError, match="malformed"):
+        parse_config(str(path))
+    code, out, err = run(["steady", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error in parse_config" in err

@@ -378,6 +378,59 @@ def test_boundary_grows_with_saturation_along_the_axes():
     assert along_z == sorted(along_z)
 
 
+def _scalar_march_boundary(atom_pos, config, resolution, local_w_fn=None, refine_tol=1e-3):
+    """Oracle: one direction at a time, a scalar march to the first crossing, then bisection."""
+    c6 = config.medium.c6
+    if local_w_fn is None:
+        ip = config.probe.omega_p0 ** 2
+
+        def local_w_fn(radius):
+            env = control_envelope(radius, config.beam)
+            return float(linewidth_from(ip, env * env, config.probe.delta_p, config.medium.gamma))
+
+    def rb_at(radius):
+        return blockade_radius(local_w_fn(abs(radius)), c6)
+
+    cap = 1.5 * max(rb_at(atom_pos.r), rb_at(0.0))
+    angles = TWO_PI * np.arange(resolution) / resolution
+    march = np.linspace(0.0, cap, 1024)
+    distances = np.empty(resolution)
+    for k, theta in enumerate(angles):
+        cos_t = math.cos(theta)
+
+        def outside(d):
+            return d >= rb_at(atom_pos.r + d * cos_t)
+
+        lo, hi = next((a, b) for a, b in zip(march[:-1], march[1:]) if outside(b))
+        while hi - lo > refine_tol:
+            mid = 0.5 * (lo + hi)
+            if outside(mid):
+                hi = mid
+            else:
+                lo = mid
+        distances[k] = 0.5 * (lo + hi)
+    return distances
+
+
+@pytest.mark.parametrize(
+    "kappa, r_um, resolution",
+    [(10.0, 0.0, 16), (180.0, 0.0, 64), (500.0, 0.0, 256), (150.0, 0.71, 64), (300.0, 1.37, 16), (500.0, 0.3, 16)],
+)
+def test_boundary_equals_the_scalar_march_oracle(kappa, r_um, resolution):
+    config = make_config(kappa=kappa)
+    pos = Position(r_um, 0.0, 0.75 * config.beam.wavelength_c)
+    got = blockade_boundary(pos, config, resolution=resolution)
+    assert np.array_equal(got.distances, _scalar_march_boundary(pos, config, resolution))
+
+
+@pytest.mark.parametrize("r_um", [0.0, 0.5])
+def test_uniform_linewidth_boundary_equals_the_scalar_march_oracle(r_um):
+    pos = Position(r_um, 0.0, 0.75 * CFG.beam.wavelength_c)
+    got = blockade_boundary(pos, CFG, resolution=32, local_w_fn=lambda r: 5.0)
+    want = _scalar_march_boundary(pos, CFG, 32, local_w_fn=lambda r: 5.0)
+    assert np.array_equal(got.distances, want)
+
+
 def test_boundary_input_validation():
     pos = localized_point(CFG)
     with pytest.raises(ValueError, match="resolution"):

@@ -113,3 +113,23 @@ def test_sidecar_holds_manifest_and_summary(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["summary"]["peak"] == 0.5
     assert payload["manifest"]["subcommand"] == "map3d"
+
+
+def test_render_csv_equals_the_per_cell_oracle():
+    floats = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 1e16, 1.0 / 3.0, -2.5e-11, 123456789012.0])
+    columns = {
+        "f": floats,
+        "f32": floats.astype(np.float32),
+        "i": np.arange(-5, 5),
+        "u": np.arange(10, dtype=np.uint64) * (2**61),
+        "b": np.arange(10) % 3 == 0,
+        "o": np.array([1.5, 2, True, np.float64(-0.0), np.int64(7), 1e16, np.nan, -np.inf, 1e-300, False],
+                      dtype=object),
+        "lst": [0.1 * k for k in range(10)],
+    }
+    manifest = RunManifest("map3d", CFG, params={})
+    arrays = [np.atleast_1d(np.asarray(v)) for v in columns.values()]
+    rows = [",".join(fmt_number(arr[i]) for arr in arrays) for i in range(10)]
+    want = "\n".join(manifest.header_lines() + [",".join(columns)] + rows) + "\n"
+    assert render_csv(manifest, columns, None) == want
+    assert "nan,nan" in want and "-inf" in want and "1e-300" in want and "1e+16" in want
