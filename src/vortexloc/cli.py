@@ -696,7 +696,9 @@ def main(argv=None) -> int:
     try:
         file_data = parse_config(args.config) if args.config else {}
         default_kappa = 180.0 if args.command == "noise" else None
+        op = "make_config"
         config = _build_config(args, file_data, default_kappa=default_kappa)
+        op = "QuadratureSpec.scaled"
         quad = _resolve_quad(args, file_data, config)
         op = _OP_NAMES[args.command]
         handler = _HANDLERS[args.command]
@@ -707,8 +709,10 @@ def main(argv=None) -> int:
             subcommand=args.command, config=config, params=params, seed=seed
         )
         out_path = args.out if args.out else f"vortex-{args.command}.{args.format}"
+        op = "write_table"
         output.write_table(out_path, manifest, columns, summary, file_format=args.format)
         if args.command == "map3d":
+            op = "write_sidecar"
             output.write_sidecar(out_path + ".summary.json", manifest, summary)
     except (ValueError, RuntimeError, OSError) as exc:
         # Bad input, failed numerical guards and file I/O: one line naming the

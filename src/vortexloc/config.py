@@ -199,6 +199,11 @@ def make_config(
         _require_finite(k, "kappa")
         _require(k > 0, "kappa must be positive")
         omega_p0_mhz = omega_c0_mhz / k
+        omega_p0 = angular_from_mhz(omega_p0_mhz)
+        _require(
+            not math.isfinite(omega_c0_mhz) or math.isfinite(omega_p0 * omega_p0),
+            f"kappa = {k!r} is too small: the probe amplitude omega_c0/kappa squared overflows",
+        )
     if delta_shift_mhz is None:
         delta_shift_mhz = delta_c0_mhz
     if period_um is None:

@@ -323,6 +323,10 @@ def shift_profile(
     if axis not in ("radial", "longitudinal"):
         raise ValueError("axis must be 'radial' or 'longitudinal'")
     positions = np.asarray(positions, dtype=float)
+    if positions.ndim != 1 or positions.size == 0:
+        raise ValueError(f"positions must be a non-empty 1-D sequence, got shape {positions.shape}")
+    if not np.all(np.isfinite(positions)):
+        raise ValueError("positions must be finite")
     z_loc = 0.75 * config.beam.wavelength_c
 
     def eval_at(p: float) -> float:

@@ -284,7 +284,10 @@ def test_runtime_errors_name_the_failing_operation(tmp_path, capsys):
     assert "r_max" in err
     code, _, err = run(["steady", "--kappa", "-3"], capsys)
     assert code == 2
-    assert "kappa must be positive" in err
+    assert "error in make_config: kappa must be positive" in err
+    code, _, err = run(["shift", "--grid-spacing", "-1"], capsys)
+    assert code == 2
+    assert "error in QuadratureSpec.scaled: " in err
     code, _, err = run(["steady-time", "--kappa", "10", "--intensity-ratio", "19"], capsys)
     assert code == 2
     assert "exceeds the envelope maximum" in err
@@ -312,3 +315,48 @@ def test_malformed_config_file_is_bad_input(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "error in parse_config" in err
+
+
+def test_write_failures_name_the_writer(tmp_path, capsys):
+    code, out, err = run(["steady", "--kappa", "10", "--out", str(tmp_path / "missing" / "x.csv")], capsys)
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("vortex-localize steady: error in write_table: ")
+    assert "No such file or directory" in lines[0]
+
+    ini = tmp_path / "run.ini"
+    ini.write_text("[detuning]\ndelta_c0 = 1\n")
+    out_file = tmp_path / "map.csv"
+    (tmp_path / "map.csv.summary.json").mkdir()
+    code, out, err = run(
+        ["map3d", "--samples-per-axis", "9", "--kappa", "10", "--s0-mhz", "3", "--xy-half-um", "0.2",
+         "--config", str(ini), "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines()[-1].startswith("vortex-localize map3d: error in write_sidecar: ")
+    assert out_file.exists()
+
+
+def test_overflowing_kappa_is_bad_input(capsys):
+    code, out, err = run(["blockade", "--kappa", "1e-300"], capsys)
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("vortex-localize blockade: error in make_config: kappa = 1e-300 is too small")
+
+
+def test_shift_without_samples_is_bad_input(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no quadrature may run")
+
+    monkeypatch.setattr(meanfield, "shift_at", forbidden)
+    code, out, err = run(["shift", "--samples", "0", "--grid-spacing", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    message = err.strip().splitlines()[-1]
+    assert message.startswith("vortex-localize shift: error in shift_profile: positions must be a non-empty")

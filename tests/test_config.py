@@ -57,6 +57,11 @@ def test_kappa_is_derived_from_the_amplitude_ratio(omega_p0, expected):
     assert make_config(omega_p0_mhz=omega_p0).kappa == pytest.approx(expected)
 
 
+def test_small_but_finite_kappas_keep_their_probe_amplitude():
+    for kappa in (1e-150, 10.0, 100.0, 180.0, 333.3, 500.0):
+        assert make_config(kappa=kappa).probe.omega_p0 == angular_from_mhz(80.0 / kappa)
+
+
 def test_kappa_and_omega_p0_are_mutually_exclusive():
     with pytest.raises(ValueError, match="either kappa or omega_p0"):
         make_config(kappa=10.0, omega_p0_mhz=8.0)
@@ -77,6 +82,8 @@ def test_kappa_and_omega_p0_are_mutually_exclusive():
         ({"wavelength_c_um": -1.0}, "wavelength must be positive"),
         ({"detuning_mode": "ramp"}, "unknown detuning mode"),
         ({"delta_p_mhz": math.inf}, "must be finite"),
+        ({"kappa": 1e-300}, "kappa = 1e-300 is too small"),
+        ({"kappa": 1e-160}, "kappa = 1e-160 is too small"),
     ],
 )
 def test_invalid_parameters_name_the_offending_field(kwargs, message):

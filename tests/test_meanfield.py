@@ -339,6 +339,21 @@ def test_shift_profile_rejects_unknown_axis():
         shift_profile("azimuthal", np.array([0.0]), CFG, quad=FAST)
 
 
+@pytest.mark.parametrize(
+    "positions, message",
+    [
+        (np.array([]), "non-empty 1-D"),
+        (np.zeros((2, 2)), "non-empty 1-D"),
+        (0.0, "non-empty 1-D"),
+        (np.array([0.0, np.nan]), "finite"),
+        (np.array([np.inf]), "finite"),
+    ],
+)
+def test_shift_profile_rejects_empty_or_non_finite_positions(positions, message):
+    with pytest.raises(ValueError, match=message):
+        shift_profile("radial", positions, CFG, quad=FAST)
+
+
 def test_localized_point_sits_at_the_node():
     pos = localized_point(CFG)
     assert (pos.r, pos.phi) == (0.0, 0.0)

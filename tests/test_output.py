@@ -4,12 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vortexloc import make_config
+from vortexloc import cli, make_config, output
 from vortexloc.output import (
     PACKAGE_NAME,
     PACKAGE_VERSION,
     RunManifest,
+    _jsonable,
     config_echo,
     fmt_number,
     render_csv,
@@ -115,21 +118,177 @@ def test_sidecar_holds_manifest_and_summary(tmp_path):
     assert payload["manifest"]["subcommand"] == "map3d"
 
 
-def test_render_csv_equals_the_per_cell_oracle():
-    floats = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 1e16, 1.0 / 3.0, -2.5e-11, 123456789012.0])
-    columns = {
+def oracle_csv(manifest, columns, summary):
+    """render_csv cell by cell through fmt_number."""
+    lines = manifest.header_lines()
+    for key in sorted(summary or {}):
+        lines.append(f"# summary.{key} = {render_value(summary[key])}")
+    arrays = [np.atleast_1d(np.asarray(v)) for v in columns.values()]
+    length = arrays[0].shape[0] if arrays else 0
+    rows = [",".join(fmt_number(arr[i]) for arr in arrays) for i in range(length)]
+    return "\n".join(lines + [",".join(columns)] + rows) + "\n"
+
+
+def oracle_json(manifest, columns, summary):
+    """render_json as one json.dumps over the whole payload."""
+    payload = {
+        "manifest": manifest.to_dict(),
+        "summary": _jsonable(summary or {}),
+        "columns": {
+            name: [_jsonable(v) for v in np.atleast_1d(np.asarray(values)).tolist()]
+            for name, values in columns.items()
+        },
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+NAN_WITH_PAYLOAD = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0])
+SPECIAL_FLOATS = [
+    0.0, -0.0, np.nan, -np.nan, NAN_WITH_PAYLOAD, np.inf, -np.inf, 5e-324, 2.2250738585072e-308,
+    1e-300, 1e16, 1.0 / 3.0, -2.5e-11, 123456789012.0,
+]
+
+
+def explicit_columns(n=12):
+    floats = np.array((SPECIAL_FLOATS * n)[:n])
+    return {
         "f": floats,
         "f32": floats.astype(np.float32),
-        "i": np.arange(-5, 5),
-        "u": np.arange(10, dtype=np.uint64) * (2**61),
-        "b": np.arange(10) % 3 == 0,
-        "o": np.array([1.5, 2, True, np.float64(-0.0), np.int64(7), 1e16, np.nan, -np.inf, 1e-300, False],
+        "f_big_endian": floats.astype(">f8"),
+        "f_long": floats.astype(np.longdouble),
+        "signed_zeros": np.array([0.0, -0.0, 0.0, 0.0, -0.0, 1.0] * (n // 6) + [-0.0] * (n % 6)),
+        "grid": np.meshgrid(np.linspace(-1.0, 1.0, 3), np.arange(n // 3), indexing="ij")[0].ravel(),
+        "i": np.arange(-5, n - 5),
+        "u": np.arange(n, dtype=np.uint64) * (2**60),
+        "b": np.arange(n) % 3 == 0,
+        "o": np.array(([1.5, 2, True, np.float64(-0.0), np.int64(7), 1e16, np.nan, -np.inf, 1e-300, False] * n)[:n],
                       dtype=object),
-        "lst": [0.1 * k for k in range(10)],
+        "lst": [0.1 * k for k in range(n)],
     }
+
+
+def test_render_csv_equals_the_per_cell_oracle():
+    columns = explicit_columns()
     manifest = RunManifest("map3d", CFG, params={})
-    arrays = [np.atleast_1d(np.asarray(v)) for v in columns.values()]
-    rows = [",".join(fmt_number(arr[i]) for arr in arrays) for i in range(10)]
-    want = "\n".join(manifest.header_lines() + [",".join(columns)] + rows) + "\n"
+    want = oracle_csv(manifest, columns, None)
     assert render_csv(manifest, columns, None) == want
     assert "nan,nan" in want and "-inf" in want and "1e-300" in want and "1e+16" in want
+    assert ",-0," in want and ",0," in want
+    summary = {"peak": 1.0, "iso_x_um": (-0.5, 0.5), "absent": None}
+    assert render_csv(manifest, columns, summary) == oracle_csv(manifest, columns, summary)
+    assert render_csv(manifest, {}, None) == oracle_csv(manifest, {}, None)
+    empty = {"a": np.array([]), "b": np.array([], dtype=np.int64)}
+    assert render_csv(manifest, empty, None) == oracle_csv(manifest, empty, None)
+
+
+def test_render_json_equals_the_dumps_oracle_on_explicit_columns():
+    columns = explicit_columns()
+    columns["nested"] = [[1.0, -0.0], [np.nan, 2]]
+    columns["empty"] = np.array([])
+    columns["empty_list"] = []
+    columns["text"] = np.array(["a", "b\nc"])
+    columns["naïve \"name\""] = np.array([1.0, 1.0])
+    manifest = RunManifest("map3d", CFG, params={"samples": 3, "axes": ("x", "y")}, seed=2)
+    summary = {"peak": np.float64(1.0), "iso_x_um": np.array([-0.5, 0.5]), "absent": None, "n": np.int64(3)}
+    for cols, summ in ((columns, summary), (columns, None), ({}, None), ({}, summary)):
+        assert render_json(manifest, cols, summ) == oracle_json(manifest, cols, summ)
+    text = render_json(manifest, columns, summary)
+    assert "NaN" in text and "-Infinity" in text and "5e-324" in text and "1e+16" in text
+    assert "-0.0" in text and "true" in text
+
+
+def test_renderers_raise_what_the_oracles_raise():
+    manifest = RunManifest("steady", CFG, params={})
+    with pytest.raises(TypeError):
+        oracle_csv(manifest, {"m": np.zeros((2, 2))}, None)
+    with pytest.raises(TypeError):
+        render_csv(manifest, {"m": np.zeros((2, 2))}, None)
+    for columns in ({"c": np.array([1 + 2j])}, {"o": np.array([object()], dtype=object)}):
+        with pytest.raises(TypeError):
+            oracle_json(manifest, columns, None)
+        with pytest.raises(TypeError):
+            render_json(manifest, columns, None)
+    for render in (render_csv, render_json):
+        with pytest.raises(TypeError):
+            render(manifest, {0: np.array([1.0])}, None)
+
+
+SOME_FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+
+
+@st.composite
+def column(draw, length, nested=True):
+    """A column of one of the shapes the renderers distinguish, often with repeats."""
+    kind = draw(st.sampled_from(["f8", "f4", "i8", "u8", "bool", "object", "list"] + ["nested"] * nested))
+    if kind in ("f8", "f4", "list"):
+        floats = st.floats(width=32) if kind == "f4" else SOME_FLOATS
+        pool = draw(st.lists(floats, min_size=1, max_size=4))
+        values = draw(st.lists(st.sampled_from(pool) | floats, min_size=length, max_size=length))
+        return values if kind == "list" else np.array(values, dtype=kind)
+    if kind == "i8":
+        ints = st.integers(-(2**63), 2**63 - 1)
+        return np.array(draw(st.lists(ints, min_size=length, max_size=length)), dtype=np.int64)
+    if kind == "u8":
+        ints = st.integers(0, 2**64 - 1)
+        return np.array(draw(st.lists(ints, min_size=length, max_size=length)), dtype=np.uint64)
+    if kind == "bool":
+        return np.array(draw(st.lists(st.booleans(), min_size=length, max_size=length)), dtype=bool)
+    if kind == "object":
+        cell = SOME_FLOATS | st.integers(-(2**70), 2**70) | st.booleans()
+        return np.array(draw(st.lists(cell, min_size=length, max_size=length)), dtype=object)
+    return [draw(st.lists(SOME_FLOATS, min_size=2, max_size=2)) for _ in range(length)]
+
+
+@st.composite
+def json_tables(draw):
+    names = draw(st.lists(st.text(max_size=6), max_size=5, unique=True))
+    columns = {name: draw(column(draw(st.integers(0, 40)))) for name in names}
+    summary = draw(st.none() | st.dictionaries(st.text(max_size=6), SOME_FLOATS | st.text(max_size=4), max_size=3))
+    return columns, summary
+
+
+@st.composite
+def csv_tables(draw):
+    names = draw(st.lists(st.text(alphabet="abcxyz_", min_size=1, max_size=6), max_size=5, unique=True))
+    length = draw(st.integers(0, 40))
+    return {name: draw(column(length, nested=False)) for name in names}
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_tables())
+def test_render_json_equals_the_dumps_oracle(table):
+    columns, summary = table
+    manifest = RunManifest("scan-r", CFG, params={"samples": 3})
+    assert render_json(manifest, columns, summary) == oracle_json(manifest, columns, summary)
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_tables())
+def test_render_csv_equals_the_per_cell_oracle_on_random_tables(columns):
+    manifest = RunManifest("scan-r", CFG, params={"samples": 3})
+    assert render_csv(manifest, columns, None) == oracle_csv(manifest, columns, None)
+
+
+@pytest.mark.parametrize("file_format", ["csv", "json"])
+def test_map3d_files_equal_the_oracle_renderers(file_format, tmp_path, monkeypatch):
+    calls = {}
+    real = getattr(output, f"render_{file_format}")
+
+    def spy(manifest, columns, summary):
+        calls["args"] = (manifest, columns, summary)
+        return real(manifest, columns, summary)
+
+    monkeypatch.setattr(output, f"render_{file_format}", spy)
+    ini = tmp_path / "run.ini"
+    ini.write_text("[detuning]\ndelta_c0 = 1\n")
+    out = tmp_path / f"map.{file_format}"
+    argv = ["map3d", "--samples-per-axis", "9", "--kappa", "10", "--s0-mhz", "3", "--xy-half-um", "0.2",
+            "--config", str(ini), "--format", file_format, "--out", str(out)]
+    assert cli.main(argv) == 0
+    manifest, columns, summary = calls["args"]
+    assert len(columns["sigma_rr"]) == 9**3
+    oracle = oracle_csv if file_format == "csv" else oracle_json
+    assert out.read_text(encoding="utf-8") == oracle(manifest, columns, summary)
+    sidecar = {"manifest": manifest.to_dict(), "summary": _jsonable(summary)}
+    want = json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / f"map.{file_format}.summary.json").read_text(encoding="utf-8") == want
