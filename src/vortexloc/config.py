@@ -71,6 +71,10 @@ class ProbeConfig:
     def __post_init__(self) -> None:
         _require_finite(self.omega_p0, "omega_p0")
         _require(self.omega_p0 > 0, "omega_p0 must be positive")
+        _require(
+            math.isfinite(self.omega_p0 * self.omega_p0),
+            f"omega_p0 = {self.omega_p0!r} rad/us is too large: the probe intensity omega_p0 squared overflows",
+        )
         _require_finite(self.delta_p, "delta_p")
 
 
@@ -199,11 +203,6 @@ def make_config(
         _require_finite(k, "kappa")
         _require(k > 0, "kappa must be positive")
         omega_p0_mhz = omega_c0_mhz / k
-        omega_p0 = angular_from_mhz(omega_p0_mhz)
-        _require(
-            not math.isfinite(omega_c0_mhz) or math.isfinite(omega_p0 * omega_p0),
-            f"kappa = {k!r} is too small: the probe amplitude omega_c0/kappa squared overflows",
-        )
     if delta_shift_mhz is None:
         delta_shift_mhz = delta_c0_mhz
     if period_um is None:
@@ -215,7 +214,12 @@ def make_config(
         winding_l=winding_l,
         wavelength_c=wavelength_c_um,
     )
-    probe = ProbeConfig(omega_p0=angular_from_mhz(omega_p0_mhz), delta_p=angular_from_mhz(delta_p_mhz))
+    try:
+        probe = ProbeConfig(omega_p0=angular_from_mhz(omega_p0_mhz), delta_p=angular_from_mhz(delta_p_mhz))
+    except ValueError as exc:
+        if kappa is None or "overflows" not in str(exc):  # an amplitude derived from kappa names kappa
+            raise
+        raise ValueError(f"kappa = {kappa!r} is too small: the probe amplitude omega_c0/kappa squared overflows") from exc
     detuning = DetuningModulation(
         mode=detuning_mode,
         delta_c_const=angular_from_mhz(delta_c_const_mhz),

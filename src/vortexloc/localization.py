@@ -28,11 +28,6 @@ OFFSET_DETUNED = "detuned"  # delta - Delta_c0 = 2 s_0
 
 HALF_MAX = 0.5
 
-# shift_at results keyed by everything they depend on; the quadrature is
-# deterministic, so reuse across scans and modes is safe.
-_SHIFT_CACHE: dict[tuple, float] = {}
-
-
 @dataclass(frozen=True)
 class ScanProfile:
     """One 1D profile of the steady excitation with its extracted width."""
@@ -64,32 +59,6 @@ class Map3D:
     lambda_c: float
     config_fingerprint: str
     iso_level: float = HALF_MAX
-
-
-def _cached_shift(
-    pos: Position,
-    config: SystemConfig,
-    quad: QuadratureSpec,
-    mask: str,
-    threads: int,
-    tail_tol: float,
-) -> float:
-    key = (
-        config.fingerprint(),
-        quad.extent_r,
-        quad.extent_z,
-        quad.spacing_r,
-        quad.spacing_z,
-        mask,
-        tail_tol,
-        pos.r,
-        pos.z,
-    )
-    if key not in _SHIFT_CACHE:
-        _SHIFT_CACHE[key] = shift_at(
-            pos, config, quad=quad, mask=mask, threads=threads, tail_tol=tail_tol
-        )
-    return _SHIFT_CACHE[key]
 
 
 def _bisect_to(fn, lo: float, hi: float, xtol: float) -> float:
@@ -146,12 +115,18 @@ def transverse_scan(
         if quad is None:
             quad = QuadratureSpec.fast(lambda_c)
 
-        def s_of(radius: float) -> float:
-            return _cached_shift(
-                Position(r=float(radius), phi=0.0, z=z_loc), config, quad, mask, threads, tail_tol
-            )
+        kwargs = dict(quad=quad, mask=mask, threads=threads, tail_tol=tail_tol)
+        # the grid is one batched quadrature; it seeds the shifts the
+        # bisection reads back, and each new bisection radius adds one
+        s_grid = shift_at([Position(r=float(rj), phi=0.0, z=z_loc) for rj in r], config, **kwargs)
+        known = dict(zip(r.tolist(), s_grid.tolist()))
 
-        s_grid = np.array([s_of(rj) for rj in r])
+        def s_of(radius: float) -> float:
+            radius = float(radius)
+            if radius not in known:
+                known[radius] = shift_at(Position(r=radius, phi=0.0, z=z_loc), config, **kwargs)
+            return known[radius]
+
         s0 = float(s_grid[0])
         two_photon = dp + (s0 - s_grid)
 
@@ -413,21 +388,15 @@ def map3d(
                 "coarsen the grid or use the frozen-s0 mode"
             )
         field_grid = np.empty((x.size, y.size, z.size))
+        # one batched quadrature per z plane, over that plane's distinct radii
+        radii, where = np.unique(r_xy, return_inverse=True)
         for k, zk in enumerate(z):
+            plane = [Position(r=float(rr), phi=0.0, z=float(zk)) for rr in radii]
+            s_here = shift_at(plane, config, quad=quad, mask=mask, threads=threads, tail_tol=tail_tol)
             tp_base = tp_z[k] + s0  # undo the frozen shift, re-subtract per voxel
-            for i in range(x.size):
-                for j in range(y.size):
-                    s_here = _cached_shift(
-                        Position(r=float(r_xy[i, j]), phi=0.0, z=float(zk)),
-                        config,
-                        quad,
-                        mask,
-                        threads,
-                        tail_tol,
-                    )
-                    field_grid[i, j, k] = sigma_rr_steady(
-                        ip, ic_xy[i, j], dp, tp_base - s_here, gamma
-                    )
+            field_grid[:, :, k] = sigma_rr_steady(
+                ip, ic_xy, dp, tp_base - s_here[where].reshape(r_xy.shape), gamma
+            )
     else:
         field_grid = np.asarray(
             sigma_rr_steady(ip, ic_xy[:, :, None], dp, tp_z[None, None, :], gamma), dtype=float

@@ -12,12 +12,18 @@ I_p / B, with B quadratic in the two-photon detuning t = Delta_p + Delta_c(z):
     R = (gamma^2 + Delta_p^2 + 2 I_p) / (I_p + I_c(r))
 
 A resonant probe has Q = 0. All frequencies are rad/us, lengths um.
+
+`masked_kernel_sum` and `shift_at` take one Position, giving a float, or a
+sequence of Positions that share one z, giving a 1-D array: the atoms of a
+batch share one lattice and one B, and each entry is bit-identical to the
+single-position call at any thread count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -35,10 +41,11 @@ MASK_ATOM = "atom"
 _MASKS = (MASK_LOCAL, MASK_ATOM)
 
 _BLOCK_ROWS = 256  # fixed row partition; never depends on worker count
-# Each block is walked in sub-blocks of about this many cells, small enough
-# that the sub-block buffers stay in L2. The buffers are allocated once per
-# block and filled in place: fresh block-sized temporaries would each be
-# mmapped and page-faulted anew.
+# Each block is walked in sub-blocks, its rows spread evenly over them, whose
+# float buffers (B, d2 and, for a batch, one chain buffer) hold at most twice
+# this many cells together, small enough to stay in L2. The buffers are
+# allocated once per block and filled in place: fresh block-sized
+# temporaries would each be mmapped and page-faulted anew.
 _SUB_BLOCK_CELLS = 1 << 16
 FOUR_THIRDS_PI = 4.0 * math.pi / 3.0
 
@@ -172,25 +179,33 @@ def _b_values(b_p, b_q, b_r, t, out: np.ndarray) -> np.ndarray:
 
 
 def masked_kernel_sum(
-    atom_pos: Position,
+    atom_pos: Position | Sequence[Position],
     config: SystemConfig,
     quad: QuadratureSpec,
     mask: str = MASK_LOCAL,
     threads: int = 1,
-) -> float:
+) -> float | np.ndarray:
     """The bare lattice sum K = sum r / (D^6_planar * B) * dr * dz over unblocked cells.
 
     The physical shift is 2 pi C6 rho I_p K, so linearity of s in the C6 and
     rho prefactors is exact by construction once B is fixed. Each row is
     summed over z, the r-weighted rows are summed per fixed 256-row block,
     and the blocks combine in a fixed pairwise tree, so the result is
-    bit-identical for any `threads`.
+    bit-identical for any `threads`. One Position gives a float; a sequence
+    of Positions sharing one z gives a 1-D array, each entry bit-identical
+    to its single-position call: every sub-block fills B once, and each atom
+    runs the single-position chain on it.
     """
     if mask not in _MASKS:
         raise ValueError(f"unknown blockade mask '{mask}'")
+    atoms = [atom_pos] if isinstance(atom_pos, Position) else list(atom_pos)
+    if not atoms or any(atom.z != atoms[0].z for atom in atoms):
+        raise ValueError("atom positions must be one Position or a non-empty sequence sharing one z")
+    n_atoms = len(atoms)
     ip = config.probe.omega_p0 ** 2
     rho = config.medium.density_rho
-    r_j, z_j = atom_pos.r, atom_pos.z
+    z_j = atoms[0].z
+    r_atoms = np.array([atom.r for atom in atoms])
 
     dr, dz = quad.spacing_r, quad.spacing_z
     n_r = int(round(quad.extent_r / dr))
@@ -201,56 +216,62 @@ def masked_kernel_sum(
     ic, w, rb = _radial_profiles(config, r)
     b_p, b_q, b_r = _b_coefficients(config, ip, ic, FOUR_THIRDS_PI * rb**3 * rho * ip)
     t_col = config.probe.delta_p + np.asarray(detuning_profile(z, config.detuning), dtype=float)
-    dr2_row = (r - r_j) ** 2
     dz2_col = (z - z_j) ** 2
 
-    if mask == MASK_ATOM:
-        _, w_atom, rb_atom = _radial_profiles(config, np.array([abs(r_j)]))
-        rb_min = float(rb_atom[0])
-        rb2_row = np.full(n_r, rb_min * rb_min)
-    else:
-        rb_min = float(rb.min())
-        rb2_row = rb**2
+    if mask == MASK_ATOM:  # one radius per atom, shape (atoms, 1)
+        rb_rows = np.array([_radial_profiles(config, np.array([abs(r_j)]))[2] for r_j in r_atoms])
+    else:  # one radius per row, shape (1, rows)
+        rb_rows = rb[None, :]
+    rb_min = float(rb_rows.min())
+    rb2 = np.broadcast_to(rb_rows**2, (n_atoms, n_r))  # per (atom, row); a view, no copy
     spacing = max(dr, dz)
     if rb_min < 2.0 * spacing:
         raise ValueError(
             f"blockade radius {rb_min:.3g} um is below twice the lattice spacing "
             f"{spacing:.3g} um; the masked kernel is not resolved"
         )
-    sub_rows = min(_BLOCK_ROWS, max(1, _SUB_BLOCK_CELLS // n_z))
-    # d2 >= dr2, so only rows with dr2 < rb2 can hold blocked cells. The mask
-    # is built and applied only in sub-blocks that contain such a row; all
-    # rows then take a plain sum, which is several times cheaper than
-    # np.sum(..., where=mask).
-    near_rows = dr2_row < rb2_row
+    n_buffers = min(n_atoms, 2) + 1
+    fit = max(1, 2 * _SUB_BLOCK_CELLS // (n_buffers * n_z))
+    sub_rows = math.ceil(_BLOCK_ROWS / math.ceil(_BLOCK_ROWS / fit))
 
-    def one_block(bounds: tuple[int, int]) -> float:
+    def one_block(bounds: tuple[int, int]) -> np.ndarray:
         i0, i1 = bounds
         rows = min(sub_rows, i1 - i0)
-        d2, term = np.empty((2, rows, n_z))
+        b, d2, *term = np.empty((n_buffers, rows, n_z))
         blocked = np.empty((rows, n_z), dtype=bool)
-        row_sums = np.empty(i1 - i0)
+        row_sums = np.empty((n_atoms, i1 - i0))
         for a in range(i0, i1, rows):
             e = min(a + rows, i1)
-            d2_s, term_s, blocked_s = d2[: e - a], term[: e - a], blocked[: e - a]
-            np.add(dr2_row[a:e, None], dz2_col, out=d2_s)
-            _b_values(b_p[a:e, None], b_q[a:e, None], b_r[a:e, None], t_col, out=term_s)
-            for _ in range(3):
-                np.multiply(term_s, d2_s, out=term_s)
-            np.reciprocal(term_s, out=term_s)  # 1 / (d2^3 B)
-            if near_rows[a:e].any():
-                np.less(d2_s, rb2_row[a:e, None], out=blocked_s)
-                np.copyto(term_s, 0.0, where=blocked_s)
-            np.sum(term_s, axis=1, out=row_sums[a - i0 : e - i0])
+            n, lo, hi = e - a, a - i0, e - i0
+            b_s, d2_s, blocked_s = b[:n], d2[:n], blocked[:n]
+            _b_values(b_p[a:e, None], b_q[a:e, None], b_r[a:e, None], t_col, out=b_s)
+            dr2 = (r[a:e] - r_atoms[:, None]) ** 2
+            # d2 >= dr2, so only rows with dr2 < rb2 can hold blocked cells.
+            # The mask is built and applied only where an atom has such a
+            # row; all rows then take a plain sum, which is several times
+            # cheaper than np.sum(..., where=mask).
+            near_rows = dr2 < rb2[:, a:e]
+            for k in range(n_atoms):
+                term_s = b_s if k == n_atoms - 1 else term[0][:n]  # the last chain runs in place in B
+                np.add(dr2[k, :, None], dz2_col, out=d2_s)
+                np.multiply(b_s, d2_s, out=term_s)
+                for _ in range(2):
+                    np.multiply(term_s, d2_s, out=term_s)
+                np.reciprocal(term_s, out=term_s)  # 1 / (d2^3 B)
+                if near_rows[k].any():
+                    np.less(d2_s, rb2[k, a:e, None], out=blocked_s)
+                    np.copyto(term_s, 0.0, where=blocked_s)
+                np.sum(term_s, axis=1, out=row_sums[k, lo:hi])
         np.multiply(row_sums, r[i0:i1], out=row_sums)
-        return float(row_sums.sum())
+        return row_sums.sum(axis=1)
 
     block_sums = map_ordered(one_block, block_ranges(n_r, _BLOCK_ROWS), threads=threads)
-    return pairwise_sum(block_sums) * dr * dz
+    total = pairwise_sum(block_sums) * dr * dz
+    return float(total[0]) if isinstance(atom_pos, Position) else total
 
 
-def _tail_fraction(config: SystemConfig, quad: QuadratureSpec, s_value: float) -> float:
-    """Estimated missing fraction from truncating the quadrature domain.
+def _tail_fraction(config: SystemConfig, quad: QuadratureSpec, s_values: np.ndarray) -> np.ndarray:
+    """Estimated missing fraction of each shift from truncating the quadrature domain.
 
     Everything outside the lattice is bounded by a uniform far-field
     excitation density rho * I_p * <1/B>_z (phase-averaged over one detuning
@@ -268,46 +289,52 @@ def _tail_fraction(config: SystemConfig, quad: QuadratureSpec, s_value: float) -
     f_cap = ip * float(np.mean(1.0 / b_far))
     radius = min(quad.extent_r, 0.5 * quad.extent_z)
     tail = config.medium.c6 * config.medium.density_rho * f_cap * FOUR_THIRDS_PI / radius**3
-    return tail / (abs(s_value) + tail)
+    return tail / (np.abs(s_values) + tail)
 
 
 def shift_at(
-    atom_pos: Position,
+    atom_pos: Position | Sequence[Position],
     config: SystemConfig,
     quad: QuadratureSpec | None = None,
     mask: str = MASK_LOCAL,
     threads: int = 1,
     tail_tol: float = 0.01,
     verify_convergence: bool = False,
-) -> float:
+) -> float | np.ndarray:
     """Mean-field shift s(r_j, z_j) in rad/us by blockade-masked midpoint quadrature.
 
-    `verify_convergence` re-evaluates on a half-spacing lattice and rejects
-    the spec if the two results disagree by more than 5%. The truncation
-    tail estimate must stay below `tail_tol` of the result.
+    One Position gives a float; a sequence of Positions sharing one z gives
+    a 1-D array from one batched `masked_kernel_sum`, each entry
+    bit-identical to its single-position call. `verify_convergence`
+    re-evaluates on a half-spacing lattice and rejects the spec if the two
+    results disagree by more than 5%. The truncation tail estimate must stay
+    below `tail_tol` of every result.
     """
+    single = isinstance(atom_pos, Position)
+    atoms = [atom_pos] if single else atom_pos
     if config.medium.c6 == 0.0:
-        return 0.0
+        return 0.0 if single else np.zeros(len(atoms))
     if quad is None:
         quad = QuadratureSpec.paper_default(config.beam.wavelength_c)
-    kernel = masked_kernel_sum(atom_pos, config, quad, mask=mask, threads=threads)
     ip = config.probe.omega_p0 ** 2
-    s = TWO_PI * config.medium.c6 * config.medium.density_rho * ip * kernel
-    fraction = _tail_fraction(config, quad, s)
+    prefactor = TWO_PI * config.medium.c6 * config.medium.density_rho * ip
+    s = prefactor * masked_kernel_sum(atoms, config, quad, mask=mask, threads=threads)
+    fraction = float(_tail_fraction(config, quad, s).max())
     if fraction > tail_tol:
         raise RuntimeError(
             f"quadrature domain too small: estimated truncation tail {fraction:.2%} "
             f"exceeds the allowed {tail_tol:.2%}"
         )
     if verify_convergence:
-        fine = masked_kernel_sum(atom_pos, config, quad.halved(), mask=mask, threads=threads)
-        s_fine = TWO_PI * config.medium.c6 * config.medium.density_rho * ip * fine
-        if abs(s - s_fine) > 0.05 * abs(s_fine):
+        s_fine = prefactor * masked_kernel_sum(atoms, config, quad.halved(), mask=mask, threads=threads)
+        off = np.abs(s - s_fine) > 0.05 * np.abs(s_fine)
+        if off.any():
+            k = int(off.argmax())
             raise RuntimeError(
-                f"quadrature spacing too coarse: {s:.6g} vs {s_fine:.6g} rad/us "
+                f"quadrature spacing too coarse: {s[k]:.6g} vs {s_fine[k]:.6g} rad/us "
                 "on the half-spacing lattice (>5%)"
             )
-    return s
+    return float(s[0]) if single else s
 
 
 def shift_profile(
@@ -328,25 +355,24 @@ def shift_profile(
     if not np.all(np.isfinite(positions)):
         raise ValueError("positions must be finite")
     z_loc = 0.75 * config.beam.wavelength_c
-
-    def eval_at(p: float) -> float:
-        if axis == "radial":
-            pos = Position(r=float(p), phi=0.0, z=z_loc)
-        else:
-            pos = Position(r=0.0, phi=0.0, z=float(p))
-        return shift_at(pos, config, quad=quad, mask=mask, threads=threads, tail_tol=tail_tol)
-
-    values = np.array([eval_at(p) for p in positions])
+    kwargs = dict(quad=quad, mask=mask, threads=threads, tail_tol=tail_tol)
 
     flatness = None
     if axis == "radial":
+        # one batched quadrature at z_loc, with the r = 0 flatness reference
+        # appended when the positions lack it
         near = positions <= 0.1 * config.beam.wavelength_c
+        add_zero = near.any() and 0.0 not in positions[near]
+        radii = np.append(positions, 0.0) if add_zero else positions
+        batch = shift_at([Position(r=float(p), phi=0.0, z=z_loc) for p in radii], config, **kwargs)
+        values = batch[: positions.size]
         if near.any():
-            s0 = values[near][positions[near].argmin()] if 0.0 in positions[near] else None
-            if s0 is None:
-                s0 = eval_at(0.0)
+            s0 = batch[-1] if add_zero else values[near][positions[near].argmin()]
             if s0 > 0:
                 flatness = float(np.max(np.abs(values[near] - s0)) / s0)
+    else:
+        # each z_j centres its own lattice, so these stay one quadrature each
+        values = np.array([shift_at(Position(r=0.0, phi=0.0, z=float(p)), config, **kwargs) for p in positions])
 
     return ShiftGrid(
         axis=axis,

@@ -350,6 +350,18 @@ def test_overflowing_kappa_is_bad_input(capsys):
     assert lines[0].startswith("vortex-localize blockade: error in make_config: kappa = 1e-300 is too small")
 
 
+def test_overflowing_probe_amplitude_is_bad_input(tmp_path, capsys):
+    out_file = tmp_path / "steady.csv"
+    code, out, err = run(["steady", "--omega-p0-mhz", "1e200", "--out", str(out_file)], capsys)
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("vortex-localize steady: error in make_config: omega_p0 = ")
+    assert "squared overflows" in lines[0]
+    assert not out_file.exists()
+
+
 def test_shift_without_samples_is_bad_input(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("no quadrature may run")

@@ -10,6 +10,7 @@ from vortexloc import make_config
 from vortexloc.config import (
     STANDING_WAVE,
     Position,
+    ProbeConfig,
     angular_from_mhz,
     mhz_from_angular,
     with_delta_shift,
@@ -84,11 +85,22 @@ def test_kappa_and_omega_p0_are_mutually_exclusive():
         ({"delta_p_mhz": math.inf}, "must be finite"),
         ({"kappa": 1e-300}, "kappa = 1e-300 is too small"),
         ({"kappa": 1e-160}, "kappa = 1e-160 is too small"),
+        ({"omega_p0_mhz": 1e200}, "omega_p0 = 6.28.*e\\+200 rad/us is too large"),
+        ({"kappa": 10.0, "delta_p_mhz": math.nan}, "delta_p must be finite"),
     ],
 )
 def test_invalid_parameters_name_the_offending_field(kwargs, message):
     with pytest.raises(ValueError, match=message):
         make_config(**kwargs)
+
+
+def test_probe_config_rejects_an_amplitude_whose_square_overflows():
+    with pytest.raises(ValueError, match="omega_p0 squared overflows"):
+        ProbeConfig(omega_p0=1e200)
+    assert ProbeConfig(omega_p0=1e150).omega_p0 == 1e150
+    # the same check guards a probe replaced after construction
+    with pytest.raises(ValueError, match="omega_p0 squared overflows"):
+        with_probe_amplitude(make_config(), 1e200)
 
 
 def test_position_normalizes_the_azimuthal_angle():

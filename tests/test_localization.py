@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from vortexloc import make_config
-from vortexloc.bloch import linewidth_from
+from vortexloc.bloch import linewidth_from, sigma_rr_steady
+from vortexloc.config import TWO_PI, Position
+from vortexloc.fields import control_envelope
 from vortexloc.localization import (
     MODE_NONE,
     MODE_PARTIAL,
@@ -88,6 +90,63 @@ def test_partial_compensation_pins_the_core():
     assert partial.s0 is not None and partial.s0 > 0.0
     # at a 1 um waist the shift profile is flat enough to stay within 2%
     assert np.max(np.abs(partial.sigma - none.sigma) / none.sigma) < 0.02
+
+
+# a 500 x 500 lattice keeps the per-position oracles below a second
+TINY = QuadratureSpec.scaled(CFG.beam.wavelength_c, 0.2)
+
+
+def _partial_scan_oracle(config, n_samples, quad):
+    """Partial-mode sigma, s0 and FWHM with one shift_at call per radius, grid and bisection alike."""
+    ip, dp, gamma = config.probe.omega_p0**2, config.probe.delta_p, config.medium.gamma
+    z_loc = 0.75 * config.beam.wavelength_c
+    r = np.linspace(0.0, 1.5 * config.beam.waist_w0, n_samples)
+
+    def s_of(radius):
+        return shift_at(Position(r=float(radius), phi=0.0, z=z_loc), config, quad=quad)
+
+    s_grid = np.array([s_of(x) for x in r])
+    s0 = float(s_grid[0])
+    env = control_envelope(r, config.beam)
+    sigma = sigma_rr_steady(ip, env * env, dp, dp + (s0 - s_grid), gamma)
+
+    def excess(radius):
+        env = control_envelope(radius, config.beam)
+        return float(sigma_rr_steady(ip, env * env, dp, dp + (s0 - s_of(radius)), gamma)) - 0.5
+
+    i = int(np.nonzero(sigma < 0.5)[0][0])
+    lo, hi = r[i - 1], r[i]
+    f_lo = excess(lo)
+    while hi - lo > 1e-4 * config.beam.wavelength_c:
+        mid = 0.5 * (lo + hi)
+        if (excess(mid) > 0.0) == (f_lo > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return sigma, s0, 2.0 * (0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("kappa", [10.0, 180.0])
+def test_partial_scan_equals_the_per_position_oracle(kappa):
+    cfg = make_config(kappa=kappa)
+    scan = transverse_scan(cfg, mode=MODE_PARTIAL, n_samples=100, quad=TINY)
+    sigma, s0, fwhm = _partial_scan_oracle(cfg, 100, TINY)
+    assert np.array_equal(scan.sigma, sigma)
+    assert scan.s0 == s0
+    assert scan.fwhm == fwhm
+
+
+def test_partial_scans_leave_no_state_behind():
+    a, b = make_config(kappa=180.0), make_config(kappa=250.0)
+
+    def scans(configs):
+        return [transverse_scan(c, mode=MODE_PARTIAL, n_samples=100, quad=TINY) for c in configs]
+
+    first = scans((a, b))
+    second = scans((b, a))[::-1]
+    for x, y in zip(first, second):
+        assert np.array_equal(x.sigma, y.sigma)
+        assert (x.s0, x.fwhm) == (y.s0, y.fwhm)
 
 
 def test_transverse_scan_input_validation():
@@ -205,6 +264,25 @@ def test_per_voxel_shifts_stay_close_to_the_frozen_core_value():
     # the shift profile is flat across this window, so freezing it at the
     # core value is a sub-2% approximation of the exact field
     assert np.max(np.abs(exact.field - frozen.field)) < 0.02
+
+
+def test_per_voxel_field_equals_the_per_position_oracle():
+    ext = ((-0.02, 0.02), (-0.02, 0.02), (0.35, 0.37))
+    spacing = (0.005, 0.005, 0.002)
+    s0 = 2.6
+    exact = map3d(CFG, extents=ext, spacing=spacing, s0=s0, quad=TINY, per_voxel_exact=True)
+    ip, dp, gamma = CFG.probe.omega_p0**2, CFG.probe.delta_p, CFG.medium.gamma
+    mod = CFG.detuning
+    tp_z = dp + mod.delta_c0 * (np.sin(TWO_PI * exact.z / mod.period) + 1.0)
+    oracle = np.empty_like(exact.field)
+    for i, x in enumerate(exact.x):
+        for j, y in enumerate(exact.y):
+            r = float(np.hypot(x, y))
+            env = control_envelope(r, CFG.beam)
+            for k, z in enumerate(exact.z):
+                s_here = shift_at(Position(r=r, phi=0.0, z=float(z)), CFG, quad=TINY)
+                oracle[i, j, k] = sigma_rr_steady(ip, env * env, dp, tp_z[k] + s0 - s_here, gamma)
+    assert np.array_equal(exact.field, oracle)
 
 
 def test_per_voxel_mode_is_exact_when_the_shift_is_uniform():

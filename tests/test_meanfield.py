@@ -141,6 +141,91 @@ def test_kernel_is_bit_identical_for_any_thread_count(mask):
     assert sums[0] == sums[1] == sums[2]
 
 
+def _at_node(*radii_in_lam, z=0.75 * LAM):
+    return [Position(r=x * LAM, phi=0.0, z=z) for x in radii_in_lam]
+
+
+# K = 1 and K = 2-7 atoms at one z: a repeated radius, off-grid radii, an atom
+# beyond its blockade radius from the axis and one beyond the lattice's edge
+BATCHES = [
+    _at_node(0.41),
+    _at_node(0.0, 0.0),
+    _at_node(0.0, 0.123456, 0.41),
+    _at_node(0.41, 0.0, 0.41, 2.5),
+    _at_node(30.0, 0.123456, 0.0, 0.987654321, 45.0),
+    _at_node(0.0, 0.05, 0.1, 0.41, 0.41, 25.0),
+    _at_node(130.0, 7.7, 0.0, 0.3, 0.3, 0.6, 99.9),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("mask", [MASK_LOCAL, MASK_ATOM])
+def test_batched_kernel_equals_the_per_position_loop(mask, threads):
+    # on the odd lattice the last 256-row block is partial, and so is its last sub-block
+    cfg = make_config(kappa=180.0, delta_p_mhz=1.5)
+    for atoms in BATCHES:
+        oracle = np.array([masked_kernel_sum(p, cfg, ODD, mask=mask) for p in atoms])
+        got = masked_kernel_sum(atoms, cfg, ODD, mask=mask, threads=threads)
+        assert isinstance(got, np.ndarray) and got.shape == (len(atoms),)
+        assert np.array_equal(got, oracle)
+
+
+def test_one_position_gives_a_float_and_a_batch_of_one_an_array():
+    pos = _at_node(0.41)[0]
+    single = masked_kernel_sum(pos, CFG, ODD)
+    assert type(single) is float
+    assert np.array_equal(masked_kernel_sum((pos,), CFG, ODD), [single])
+    assert type(shift_at(pos, CFG, quad=ODD, tail_tol=1.0)) is float
+
+
+@pytest.mark.parametrize("fn", [masked_kernel_sum, shift_at])
+def test_batches_need_one_shared_z_and_at_least_one_atom(fn):
+    mixed = [Position(r=0.0, phi=0.0, z=0.75 * LAM), Position(r=0.0, phi=0.0, z=0.5 * LAM)]
+    with pytest.raises(ValueError, match="non-empty sequence sharing one z"):
+        fn(mixed, CFG, COARSE)
+    with pytest.raises(ValueError, match="non-empty"):
+        fn([], CFG, COARSE)
+
+
+def test_batched_shift_equals_the_per_position_loop():
+    cfg = make_config(kappa=180.0)
+    atoms = _at_node(0.0, 0.4, 0.4, 5.0)
+    oracle = [shift_at(p, cfg, quad=COARSE, verify_convergence=True) for p in atoms]
+    got = shift_at(atoms, cfg, quad=COARSE, verify_convergence=True)
+    assert np.array_equal(got, oracle)
+    assert np.array_equal(shift_at(atoms, make_config(c6_mhz_um6=0.0), quad=COARSE), np.zeros(4))
+
+
+@pytest.mark.parametrize("tail_tol", [0.001, 0.01, 0.05])
+def test_batched_tail_guard_fails_when_any_position_fails(tail_tol):
+    # the far atom's truncation tail is about 3%, the core's about 0.3%
+    cfg = make_config(kappa=180.0)
+    atoms = _at_node(0.0, 30.0)
+
+    def fails(arg):
+        try:
+            shift_at(arg, cfg, quad=COARSE, tail_tol=tail_tol)
+        except RuntimeError as exc:
+            assert "quadrature domain too small" in str(exc)
+            return True
+        return False
+
+    assert fails(atoms) == any(fails(p) for p in atoms)
+    if tail_tol == 0.01:
+        assert [fails(p) for p in atoms] == [False, True]
+
+
+def test_batched_convergence_check_fails_when_any_position_fails():
+    # on a 0.4 lambda_c lattice the core agrees with the half-spacing rerun
+    # to about 1%, the far atom only to about 13%
+    quad = QuadratureSpec.scaled(LAM, 0.4)
+    core, far = _at_node(0.0, 30.0)
+    shift_at(core, CFG, quad=quad, tail_tol=1.0, verify_convergence=True)
+    for batch in ([core, far], [far, core]):
+        with pytest.raises(RuntimeError, match="quadrature spacing too coarse"):
+            shift_at(batch, CFG, quad=quad, tail_tol=1.0, verify_convergence=True)
+
+
 def _core_linewidth(config):
     ip = config.probe.omega_p0**2
     return linewidth_from(ip, 0.0, config.probe.delta_p, config.medium.gamma)
@@ -321,6 +406,22 @@ def test_radial_shift_drops_with_saturation_pointwise():
     ]
     assert np.all(rows[0] > rows[1])
     assert np.all(rows[1] > rows[2])
+
+
+@pytest.mark.parametrize("radii", [[0.0, 0.03, 0.08, 0.5], [0.08, 0.03, 0.5], [0.5, 0.7]])
+def test_radial_profile_equals_the_per_position_shifts(radii):
+    # the second case lacks r = 0 among its near-core points, the third has
+    # no near-core point at all
+    positions = np.array(radii) * LAM
+    grid = shift_profile("radial", positions, CFG, quad=COARSE)
+    oracle = np.array([shift_at(p, CFG, quad=COARSE) for p in _at_node(*radii)])
+    assert np.array_equal(grid.s_values, oracle)
+    near = positions <= 0.1 * LAM
+    if not near.any():
+        assert grid.near_core_flatness is None
+        return
+    s0 = shift_at(_at_node(0.0)[0], CFG, quad=COARSE)
+    assert grid.near_core_flatness == float(np.max(np.abs(oracle[near] - s0)) / s0)
 
 
 def test_longitudinal_profile_is_periodic_and_nearly_flat():
