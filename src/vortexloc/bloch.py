@@ -309,17 +309,36 @@ def evolve(
     )
 
 
-def sigma_rr_steady(ip, ic, delta_p, two_photon, gamma):
-    """Closed-form steady Rydberg population from intensities and detunings.
+def b_coefficients(ip, ic, nsa_ip, delta_p, gamma):
+    """(P, Q, R) of the steady-state denominator B = P + t (Q + R t) in the two-photon detuning t.
 
+    P = I_c + N_sa I_p, Q = -2 Delta_p I_c / (I_p + I_c) and
+    R = (gamma^2 + Delta_p^2 + 2 I_p) / (I_p + I_c), with `nsa_ip` = N_sa I_p.
+    Elementwise over arrays; plain floats raise ZeroDivisionError when I_p + I_c = 0.
+    """
+    total = ip + ic
+    return ic + nsa_ip, -2.0 * delta_p * ic / total, (gamma * gamma + delta_p * delta_p + 2.0 * ip) / total
+
+
+def b_values(b_p, b_q, b_r, t, out=None):
+    """B = P + t (Q + R t); written into `out` when given, coefficients broadcasting against t."""
+    if out is None:
+        return b_p + t * (b_q + b_r * t)
+    np.multiply(b_r, t, out=out)
+    np.add(out, b_q, out=out)
+    np.multiply(out, t, out=out)
+    return np.add(out, b_p, out=out)
+
+
+def sigma_rr_steady(ip, ic, delta_p, two_photon, gamma):
+    """Closed-form steady Rydberg population I_p / B, with B at N_sa = 1.
+
+    B is the full steady-state denominator divided by I_p + I_c, so nothing
+    is squared beyond I_p itself and the result stays finite while 2 I_p is.
     Vectorized over any mix of array arguments; `two_photon` is
     Delta_p + Delta_c - s.
     """
-    total = ip + ic
-    denom = total * total - 2.0 * delta_p * two_photon * ic + (
-        gamma * gamma + delta_p * delta_p + 2.0 * ip
-    ) * two_photon * two_photon
-    return ip * total / denom
+    return ip / b_values(*b_coefficients(ip, ic, ip, delta_p, gamma), two_photon)
 
 
 def steady_sigma_rr(drive: LocalDrive) -> float:

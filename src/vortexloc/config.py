@@ -72,8 +72,9 @@ class ProbeConfig:
         _require_finite(self.omega_p0, "omega_p0")
         _require(self.omega_p0 > 0, "omega_p0 must be positive")
         _require(
-            math.isfinite(self.omega_p0 * self.omega_p0),
-            f"omega_p0 = {self.omega_p0!r} rad/us is too large: the probe intensity omega_p0 squared overflows",
+            math.isfinite(2.0 * self.omega_p0 * self.omega_p0),
+            f"omega_p0 = {self.omega_p0!r} rad/us is too large: "
+            "the probe intensity omega_p0 squared overflows when doubled",
         )
         _require_finite(self.delta_p, "delta_p")
 
@@ -219,7 +220,9 @@ def make_config(
     except ValueError as exc:
         if kappa is None or "overflows" not in str(exc):  # an amplitude derived from kappa names kappa
             raise
-        raise ValueError(f"kappa = {kappa!r} is too small: the probe amplitude omega_c0/kappa squared overflows") from exc
+        raise ValueError(
+            f"kappa = {kappa!r} is too small: the probe amplitude omega_c0/kappa squared overflows when doubled"
+        ) from exc
     detuning = DetuningModulation(
         mode=detuning_mode,
         delta_c_const=angular_from_mhz(delta_c_const_mhz),

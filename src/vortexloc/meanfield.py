@@ -11,12 +11,20 @@ I_p / B, with B quadratic in the two-photon detuning t = Delta_p + Delta_c(z):
     Q = -2 Delta_p I_c(r) / (I_p + I_c(r))
     R = (gamma^2 + Delta_p^2 + 2 I_p) / (I_p + I_c(r))
 
-A resonant probe has Q = 0. All frequencies are rad/us, lengths um.
+(P, Q, R) come from `bloch.b_coefficients`, which also gives the steady
+population I_p / B (N_sa = 1 there). A resonant probe has Q = 0. All
+frequencies are rad/us, lengths um.
 
-`masked_kernel_sum` and `shift_at` take one Position, giving a float, or a
-sequence of Positions that share one z, giving a 1-D array: the atoms of a
-batch share one lattice and one B, and each entry is bit-identical to the
-single-position call at any thread count.
+`masked_kernel_sum` sums each lattice row by panels of whole detuning
+periods: cut or near panels cell by cell, and far, wholly unblocked panels
+from the moments of 1/B on one unit of periods per row, by a 20-term Taylor series
+of D^-6 (a panel is at most 1/4 of its distance from the atom wide, which
+bounds the truncation below 1.1e-13 of the panel's sum). The mask is the
+exact cell compare d2 < R_b^2, a tie unblocked. `masked_kernel_sum` and
+`shift_at` take one Position, giving a float, or a sequence of Positions
+that share one z, giving a 1-D array: the atoms of a batch share one
+lattice, and each entry is bit-identical to the single-position call at
+any thread count.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bloch import linewidth_from
+from .bloch import b_coefficients, b_values, linewidth_from
 from .config import STANDING_WAVE, TWO_PI, Position, SystemConfig, with_delta_shift
 from .fields import control_envelope, detuning_profile
 from .parallel import block_ranges, map_ordered, pairwise_sum
@@ -41,12 +49,15 @@ MASK_ATOM = "atom"
 _MASKS = (MASK_LOCAL, MASK_ATOM)
 
 _BLOCK_ROWS = 256  # fixed row partition; never depends on worker count
-# Each block is walked in sub-blocks, its rows spread evenly over them, whose
-# float buffers (B, d2 and, for a batch, one chain buffer) hold at most twice
-# this many cells together, small enough to stay in L2. The buffers are
-# allocated once per block and filled in place: fresh block-sized
-# temporaries would each be mmapped and page-faulted anew.
-_SUB_BLOCK_CELLS = 1 << 16
+# Far panels are summed from moments: a panel is at most 1/_PANEL_RATIO of its
+# distance from the atom wide, and its Taylor series keeps _TAYLOR_TERMS terms.
+_PANEL_RATIO = 4.0
+_TAYLOR_TERMS = 20
+_MAX_FOLD_PERIODS = 8
+# Float temporaries of one block stay within about this many elements (512 kB),
+# small enough to stay in L2; atoms, moment columns and cut-panel rows are
+# chunked to fit.
+_BLOCK_FLOATS = 1 << 16
 FOUR_THIRDS_PI = 4.0 * math.pi / 3.0
 
 
@@ -142,13 +153,6 @@ def excitation_fraction(f0: float, n_sa: float) -> float:
     return f0 / (1.0 + (n_sa - 1.0) * f0)
 
 
-def chi_mask(point: tuple[float, float], atom_pos: tuple[float, float], local_r_b: float) -> int:
-    """Interaction mask: 0 strictly inside the blockade sphere, 1 on and outside it."""
-    dr = point[0] - atom_pos[0]
-    dz = point[1] - atom_pos[1]
-    return 1 if dr * dr + dz * dz >= local_r_b * local_r_b else 0
-
-
 def _radial_profiles(config: SystemConfig, r: np.ndarray):
     """(I_c, w, R_b) on a radius grid."""
     ip = config.probe.omega_p0 ** 2
@@ -159,23 +163,118 @@ def _radial_profiles(config: SystemConfig, r: np.ndarray):
     return ic, w, rb
 
 
-def _b_coefficients(config: SystemConfig, ip: float, ic, nsa_ip):
-    """Per-radius (P, Q, R) of the quadratic B = P + t (Q + R t) in the two-photon detuning t."""
-    gamma = config.medium.gamma
-    dp = config.probe.delta_p
-    total = ip + ic
-    p = ic + nsa_ip
-    q = -2.0 * dp * ic / total
-    r = (gamma * gamma + dp * dp + 2.0 * ip) / total
-    return p, q, r
+def _series_constants(n_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Moment scales kappa_n and coefficients g_n of the rescaled Taylor recurrence.
+
+    The Taylor coefficients p_n of (a^2 + (C + x)^2)^-3 about x = 0 obey
+    (a^2 + C^2)(n + 1) p_{n+1} = -2C(n + 3) p_n - (n + 5) p_{n-1}. Writing
+    p_n = kappa_n pt_n with kappa_{n+1} = -2 (n + 3)/(n + 1) kappa_n leaves
+    pt_{n+1} = c pt_n + g_n e pt_{n-1}, where e = 1/(a^2 + C^2), c = C e,
+    pt_0 = e^3 and pt_1 = c pt_0; the moments carry the kappa_n.
+    """
+    kappa = np.ones(n_terms + 2)
+    for n in range(n_terms + 1):
+        kappa[n + 1] = -2.0 * (n + 3) / (n + 1) * kappa[n]
+    g = [0.0] + [-(n + 5) / (n + 1) * kappa[n - 1] / kappa[n + 1] for n in range(1, n_terms + 1)]
+    return kappa[:n_terms], np.array(g)
 
 
-def _b_values(b_p, b_q, b_r, t, out: np.ndarray) -> np.ndarray:
-    """B = P + t (Q + R t) written into `out`; coefficients broadcast against t."""
-    np.multiply(b_r, t, out=out)
-    np.add(out, b_q, out=out)
-    np.multiply(out, t, out=out)
-    return np.add(out, b_p, out=out)
+_KAPPA, _G = _series_constants(_TAYLOR_TERMS)
+# moments about a centre shifted by delta: M'_n = sum_j C(n, j) delta^(n - j) M_j
+_BINOMIAL = np.array([[math.comb(n, j) for n in range(_TAYLOR_TERMS)] for j in range(_TAYLOR_TERMS)], dtype=float)
+_ORDER_GAP = np.maximum(np.arange(_TAYLOR_TERMS) - np.arange(_TAYLOR_TERMS)[:, None], 0)  # n - j at [j, n]
+
+
+def _powers(x: np.ndarray) -> np.ndarray:
+    """x^n for n < _TAYLOR_TERMS, one row per offset."""
+    return np.asarray(x, dtype=float)[:, None] ** np.arange(_TAYLOR_TERMS)
+
+
+def _unit_cells(period: float, dz: float) -> tuple[int, bool]:
+    """Cells per unit, and whether 1/B repeats unit by unit.
+
+    A unit is the fewest whole cells that span a whole number of detuning
+    periods (at most _MAX_FOLD_PERIODS), to 4 ulp; otherwise it is the cells
+    of about one period, and 1/B does not repeat.
+    """
+    for m in range(1, _MAX_FOLD_PERIODS + 1):
+        q = round(m * period / dz)
+        if q >= 1 and abs(q * dz - m * period) <= 4.0 * np.spacing(m * period):
+            return q, True
+    return max(1, round(period / dz)), False
+
+
+def _panel_layout(n_units: int, unit: float, extent_z: float, a2: float) -> list[tuple[int, int]]:
+    """Panels [j0, j1) of 2^m whole units, walking out from the atom on both sides.
+
+    Each panel is the widest power of two of units that is at most
+    1/_PANEL_RATIO of its distance sqrt(a2 + C^2) from the atom, for rows at
+    least sqrt(a2) from it; units too close for any width stay single.
+    """
+
+    def fits(j0: int, j1: int) -> bool:
+        centre = -0.5 * extent_z + 0.5 * (j0 + j1) * unit
+        return 0 <= j0 and j1 <= n_units and (_PANEL_RATIO * (j1 - j0) * unit) ** 2 <= a2 + centre * centre
+
+    split = next((j for j in range(n_units) if -0.5 * extent_z + (j + 0.5) * unit >= 0.0), n_units)
+    panels = []
+    j = split
+    while j < n_units:  # outward above the atom
+        size = 1
+        while fits(j, j + 2 * size):
+            size *= 2
+        panels.append((j, j + size))
+        j += size
+    j = split
+    while j > 0:  # and below it
+        size = 1
+        while fits(j - 2 * size, j):
+            size *= 2
+        panels.append((j - size, j))
+        j -= size
+    return panels
+
+
+@dataclass(frozen=True)
+class _PanelGroup:
+    """Panels of one width (cells): start cells, centres and nearest/farthest dz^2."""
+
+    starts: np.ndarray
+    width: int
+    centre: np.ndarray  # z offset of each panel centre from the atom, um
+    lo: np.ndarray  # smallest (z - z_j)^2 over each panel's cells
+    hi: np.ndarray  # largest
+    admit2: float  # (_PANEL_RATIO * width)^2: a Taylor panel needs a^2 + C^2 at least this
+    basis: np.ndarray | None  # moments = 1/B times this (see masked_kernel_sum); None: cells only
+
+
+def _panel_series(d: np.ndarray, taylor: np.ndarray, group: _PanelGroup, moments: np.ndarray) -> np.ndarray:
+    """Sum over the panels marked in `taylor` of sum_n M_n p_n, per (atom, row).
+
+    `d` holds a^2 = (r - r_j)^2 with shape (atoms, 1, rows) and `moments`
+    the scaled moments, shape (N, panels or 1, rows). The series is summed
+    backward (Clenshaw): b_n = M_n + c b_{n+1} + g_{n+1} e b_{n+2}, and the
+    sum is e^3 b_0. Unmarked panels get e = 0, so they add exactly 0.
+    """
+    centre = group.centre[:, None]
+    e = d + centre * centre
+    np.copyto(e, np.inf, where=~taylor)
+    np.reciprocal(e, out=e)
+    c = e * centre
+    b1 = np.zeros_like(e)
+    b2 = np.zeros_like(e)
+    tmp = np.empty_like(e)
+    for n in range(_TAYLOR_TERMS - 1, -1, -1):
+        np.multiply(b2, e, out=tmp)
+        np.multiply(tmp, _G[n + 1], out=tmp)
+        np.multiply(b1, c, out=b2)
+        np.add(b2, tmp, out=b2)
+        np.add(b2, moments[n], out=b2)
+        b1, b2 = b2, b1
+    np.multiply(e, e, out=tmp)
+    np.multiply(tmp, e, out=tmp)
+    np.multiply(b1, tmp, out=b1)
+    return b1.sum(axis=1)
 
 
 def masked_kernel_sum(
@@ -188,13 +287,44 @@ def masked_kernel_sum(
     """The bare lattice sum K = sum r / (D^6_planar * B) * dr * dz over unblocked cells.
 
     The physical shift is 2 pi C6 rho I_p K, so linearity of s in the C6 and
-    rho prefactors is exact by construction once B is fixed. Each row is
-    summed over z, the r-weighted rows are summed per fixed 256-row block,
-    and the blocks combine in a fixed pairwise tree, so the result is
-    bit-identical for any `threads`. One Position gives a float; a sequence
-    of Positions sharing one z gives a 1-D array, each entry bit-identical
-    to its single-position call: every sub-block fills B once, and each atom
-    runs the single-position chain on it.
+    rho prefactors is exact by construction once B is fixed. Each row's z
+    sum is split into panels; the r-weighted rows are summed per fixed
+    256-row block, and the blocks combine in a fixed pairwise tree, so the
+    result is bit-identical for any `threads`. One Position gives a float;
+    a sequence of Positions sharing one z gives a 1-D array, each entry
+    bit-identical to its single-position call.
+
+    Panels. The z column is cut into units: the fewest whole cells spanning
+    whole detuning periods (100 cells on the 0.01/0.03 lambda_c lattices, 25
+    on 0.04), else about one period of cells. Panels of 2^m whole units walk
+    out from the atom, each at most 1/4 of its distance D = sqrt(a^2 + C^2)
+    from the atom wide, where a = r - r_j and C is the panel centre's z
+    offset; the cells past the last whole unit form one more panel. An atom
+    uses, in each 256-row block, the layout built for a = unit * 2^k with the
+    largest k its nearest row in the block allows (a = 0 within one unit),
+    so the layout depends on that atom and block only.
+
+    Exact mask. A cell is blocked when (r - r_j)^2 + (z - z_j)^2 < R_b^2,
+    the float compare of the cell-by-cell sum; a tie counts as unblocked.
+    The float sum is monotone, so a panel is wholly unblocked exactly when
+    its nearest cell is, and wholly blocked exactly when its farthest cell
+    is. Wholly blocked panels are skipped.
+
+    Far panels. A wholly unblocked panel of width w with a^2 + C^2 >= (4 w)^2
+    is summed as sum_{n<N} M_n p_n with N = 20: p_n are the Taylor
+    coefficients of (a^2 + (C + x)^2)^-3 (`_series_constants`), M_n = sum
+    (1/B) x^n the moments of the panel's cells about its centre. Where 1/B
+    repeats unit by unit (whole periods to 4 ulp, or B the same on every
+    unit, as in constant mode) 1/B is evaluated on one unit per row, and its
+    moments are shifted binomially to each panel width; otherwise each
+    panel's moments come from its own cells. Truncation bound: the poles
+    sit at distance D, so |p_n| <= C(n+5, 5) D^(-6-n), and with |x| <= D/8
+    the dropped terms are at most sum_{n>=20} C(n+5, 5) 8^-n < 6e-14 times
+    D^-6 sum(1/B), below 1.1e-13 of the panel's own sum.
+
+    Near panels, panels cut by the blockade edge and the last partial unit
+    run the cell-by-cell chain 1 / (B d2 d2 d2) with the blocked cells
+    removed.
     """
     if mask not in _MASKS:
         raise ValueError(f"unknown blockade mask '{mask}'")
@@ -214,7 +344,9 @@ def masked_kernel_sum(
     z = z_j - 0.5 * quad.extent_z + (np.arange(n_z) + 0.5) * dz
 
     ic, w, rb = _radial_profiles(config, r)
-    b_p, b_q, b_r = _b_coefficients(config, ip, ic, FOUR_THIRDS_PI * rb**3 * rho * ip)
+    b_p, b_q, b_r = b_coefficients(
+        ip, ic, FOUR_THIRDS_PI * rb**3 * rho * ip, config.probe.delta_p, config.medium.gamma
+    )
     t_col = config.probe.delta_p + np.asarray(detuning_profile(z, config.detuning), dtype=float)
     dz2_col = (z - z_j) ** 2
 
@@ -230,42 +362,120 @@ def masked_kernel_sum(
             f"blockade radius {rb_min:.3g} um is below twice the lattice spacing "
             f"{spacing:.3g} um; the masked kernel is not resolved"
         )
-    n_buffers = min(n_atoms, 2) + 1
-    fit = max(1, 2 * _SUB_BLOCK_CELLS // (n_buffers * n_z))
-    sub_rows = math.ceil(_BLOCK_ROWS / math.ceil(_BLOCK_ROWS / fit))
 
-    def one_block(bounds: tuple[int, int]) -> np.ndarray:
-        i0, i1 = bounds
-        rows = min(sub_rows, i1 - i0)
-        b, d2, *term = np.empty((n_buffers, rows, n_z))
-        blocked = np.empty((rows, n_z), dtype=bool)
-        row_sums = np.empty((n_atoms, i1 - i0))
-        for a in range(i0, i1, rows):
-            e = min(a + rows, i1)
-            n, lo, hi = e - a, a - i0, e - i0
-            b_s, d2_s, blocked_s = b[:n], d2[:n], blocked[:n]
-            _b_values(b_p[a:e, None], b_q[a:e, None], b_r[a:e, None], t_col, out=b_s)
-            dr2 = (r[a:e] - r_atoms[:, None]) ** 2
-            # d2 >= dr2, so only rows with dr2 < rb2 can hold blocked cells.
-            # The mask is built and applied only where an atom has such a
-            # row; all rows then take a plain sum, which is several times
-            # cheaper than np.sum(..., where=mask).
-            near_rows = dr2 < rb2[:, a:e]
-            for k in range(n_atoms):
-                term_s = b_s if k == n_atoms - 1 else term[0][:n]  # the last chain runs in place in B
-                np.add(dr2[k, :, None], dz2_col, out=d2_s)
-                np.multiply(b_s, d2_s, out=term_s)
-                for _ in range(2):
-                    np.multiply(term_s, d2_s, out=term_s)
-                np.reciprocal(term_s, out=term_s)  # 1 / (d2^3 B)
-                if near_rows[k].any():
-                    np.less(d2_s, rb2[k, a:e, None], out=blocked_s)
-                    np.copyto(term_s, 0.0, where=blocked_s)
-                np.sum(term_s, axis=1, out=row_sums[k, lo:hi])
+    q, folded = _unit_cells(config.detuning.period, dz)
+    folded = folded or np.array_equal(t_col[q:], t_col[:-q])
+    n_units, unit = n_z // q, q * dz
+    unit_powers = _powers((np.arange(q) - 0.5 * (q - 1)) * dz)
+
+    def panel_groups(a2: float) -> list[_PanelGroup]:
+        spans = sorted((j0 * q, j1 * q) for j0, j1 in _panel_layout(n_units, unit, quad.extent_z, a2))
+        if n_units * q < n_z:
+            spans.append((n_units * q, n_z))
+        starts, stops = np.array(spans).T
+        lo, hi = np.minimum.reduceat(dz2_col, starts), np.maximum.reduceat(dz2_col, starts)
+        groups = []
+        for width in sorted(set(stops - starts)):
+            if width % q:  # the cells past the last whole unit: cell by cell only
+                admit2, basis = np.inf, None
+            elif folded:  # binomial shift of one unit's moments to the panel centre
+                offsets = (np.arange(width // q) - 0.5 * (width // q - 1)) * unit
+                shift = np.sum(_powers(offsets), axis=0)[_ORDER_GAP]
+                admit2, basis = (_PANEL_RATIO * width * dz) ** 2, _BINOMIAL * shift * _KAPPA
+            else:  # scaled powers of the panel's own cell offsets
+                admit2 = (_PANEL_RATIO * width * dz) ** 2
+                basis = _powers((np.arange(width) - 0.5 * (width - 1)) * dz) * _KAPPA
+            sel = stops - starts == width
+            centre = -0.5 * quad.extent_z + (starts[sel] + 0.5 * width) * dz
+            groups.append(_PanelGroup(starts[sel], int(width), centre, lo[sel], hi[sel], admit2, basis))
+        return groups
+
+    # An atom whose nearest row in a block is at least unit * 2^level away
+    # sums that block on the coarser layout of that level (-1: nearer).
+    blocks = block_ranges(n_r, _BLOCK_ROWS)
+    gaps = np.array([np.maximum(0.0, np.maximum(r[i0] - r_atoms, r_atoms - r[i1 - 1])) for i0, i1 in blocks])
+    levels = np.floor(np.log2(np.maximum(gaps, 0.5 * unit) / unit)).astype(int)
+    layouts = {level: panel_groups((unit * 2.0**level) ** 2 if level >= 0 else 0.0) for level in set(levels.flat)}
+    widest = max(group.width for groups in layouts.values() for group in groups)
+
+    def one_block(index: int) -> np.ndarray:
+        i0, i1 = blocks[index]
+        n = i1 - i0
+        coeffs = (b_p[i0:i1, None], b_q[i0:i1, None], b_r[i0:i1, None])
+        dr2 = (r[i0:i1] - r_atoms[:, None]) ** 2
+        rb2_block = rb2[:, i0:i1]
+        row_sums = np.zeros((n_atoms, n))
+        # one scratch buffer per block, reused by every chunk below: fresh
+        # temporaries this size would be mmapped or trimmed and page-faulted anew
+        scratch = np.empty(max(_BLOCK_FLOATS, 2 * widest))
+
+        def table(rows: int, cols: int) -> np.ndarray:
+            return scratch[: rows * cols].reshape(rows, cols)
+
+        def cell_moments(k0: int, basis: np.ndarray) -> np.ndarray:
+            # sum over cells k0 + i of (1/B) basis[i], per row, in column chunks;
+            # B = P + Q t + R t^2 is one matrix product per chunk, several times
+            # faster than elementwise passes on tables this narrow
+            out = np.zeros((n, basis.shape[1]))
+            pqr = np.column_stack(coeffs)
+            cols = max(1, _BLOCK_FLOATS // n)
+            for c0 in range(0, len(basis), cols):
+                c1 = min(c0 + cols, len(basis))
+                t = t_col[k0 + c0 : k0 + c1]
+                inv_b = np.matmul(pqr, np.stack((np.ones_like(t), t, t * t)), out=table(n, c1 - c0))
+                out += np.reciprocal(inv_b, out=inv_b) @ basis[c0:c1]
+            return out
+
+        if folded and n_units:
+            unit_moments = cell_moments(0, unit_powers)
+
+        def moments_of(group: _PanelGroup) -> np.ndarray:
+            # scaled moments about each panel centre, shape (N, panels or 1, rows)
+            if folded:
+                return np.ascontiguousarray((unit_moments @ group.basis).T)[:, None, :]
+            return np.stack([cell_moments(k0, group.basis).T for k0 in group.starts], axis=1)
+
+        def cell_sums(a_idx, r_idx, k0: int, width: int) -> np.ndarray:
+            # the cell-by-cell chain on the given (atom, row) pairs of one panel
+            sums = np.empty(len(a_idx))
+            step = max(1, len(scratch) // (2 * width))
+            cols = slice(k0, k0 + width)
+            for s0 in range(0, len(a_idx), step):
+                a_s, r_s = a_idx[s0 : s0 + step], r_idx[s0 : s0 + step]
+                d2, term = table(2 * len(a_s), width).reshape(2, len(a_s), width)
+                np.add(dr2[a_s, r_s][:, None], dz2_col[cols], out=d2)
+                np.copyto(d2, np.inf, where=d2 < rb2_block[a_s, r_s][:, None])
+                b_values(*(c[r_s] for c in coeffs), t_col[cols], out=term)
+                for _ in range(3):
+                    np.multiply(term, d2, out=term)
+                np.reciprocal(term, out=term)  # 1 / (B d2^3), 0 on blocked cells
+                np.sum(term, axis=1, out=sums[s0 : s0 + step])
+            return sums
+
+        for level in sorted(set(levels[index])):
+            in_level = np.flatnonzero(levels[index] == level)
+            for group in layouts[level]:
+                moments = None
+                chunk = max(1, _BLOCK_FLOATS // (8 * n * len(group.starts)))
+                for c0 in range(0, len(in_level), chunk):
+                    idx = in_level[c0 : c0 + chunk]
+                    d = dr2[idx, None, :]
+                    rb2_chunk = rb2_block[idx, None, :]
+                    taylor = d + group.lo[:, None] >= rb2_chunk
+                    taylor &= d + (group.centre * group.centre)[:, None] >= group.admit2
+                    if taylor.any():
+                        if moments is None:
+                            moments = moments_of(group)
+                        row_sums[idx] += _panel_series(d, taylor, group, moments)
+                    cut = d + group.hi[:, None] >= rb2_chunk
+                    cut &= ~taylor
+                    for i in np.flatnonzero(cut.any(axis=(0, 2))):
+                        a_idx, r_idx = np.nonzero(cut[:, i, :])
+                        row_sums[idx[a_idx], r_idx] += cell_sums(idx[a_idx], r_idx, group.starts[i], group.width)
         np.multiply(row_sums, r[i0:i1], out=row_sums)
         return row_sums.sum(axis=1)
 
-    block_sums = map_ordered(one_block, block_ranges(n_r, _BLOCK_ROWS), threads=threads)
+    block_sums = map_ordered(one_block, range(len(blocks)), threads=threads)
     total = pairwise_sum(block_sums) * dr * dz
     return float(total[0]) if isinstance(atom_pos, Position) else total
 
@@ -285,7 +495,8 @@ def _tail_fraction(config: SystemConfig, quad: QuadratureSpec, s_values: np.ndar
     period = config.detuning.period
     z = (np.arange(1024) + 0.5) * (period / 1024.0)
     t = config.probe.delta_p + np.asarray(detuning_profile(z, config.detuning), dtype=float)
-    b_far = _b_values(*_b_coefficients(config, ip, ic_far, nsa_ip_far), t, out=np.empty_like(t))
+    coefficients = b_coefficients(ip, ic_far, nsa_ip_far, config.probe.delta_p, config.medium.gamma)
+    b_far = b_values(*coefficients, t)
     f_cap = ip * float(np.mean(1.0 / b_far))
     radius = min(quad.extent_r, 0.5 * quad.extent_z)
     tail = config.medium.c6 * config.medium.density_rho * f_cap * FOUR_THIRDS_PI / radius**3
@@ -531,7 +742,6 @@ __all__ = [
     "blockade_radius",
     "superatom_count",
     "excitation_fraction",
-    "chi_mask",
     "masked_kernel_sum",
     "shift_at",
     "shift_profile",

@@ -31,16 +31,13 @@ class NoiseSpec:
     """White position-wise noise on the control beam.
 
     `std_dev` is a fraction of the peak amplitude for intensity noise and an
-    absolute detuning scale in rad/us for frequency noise. The correlation
-    length is a forward-compatibility hook; only uncorrelated noise (0.0) is
-    implemented.
+    absolute detuning scale in rad/us for frequency noise.
     """
 
     kind: str
     std_dev: float
     trajectories: int = 10
     seed: int = 0
-    correlation_length: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -51,8 +48,6 @@ class NoiseSpec:
             raise ValueError("trajectories must be a positive integer")
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.correlation_length != 0.0:
-            raise ValueError("correlated noise is not implemented; correlation_length must be 0")
 
 
 @dataclass(frozen=True)

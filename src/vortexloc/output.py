@@ -69,14 +69,13 @@ def config_echo(config: SystemConfig) -> dict[str, object]:
 
 @dataclass
 class RunManifest:
-    """What produced a result file. Wall-clock duration stays out of file bytes."""
+    """What produced a result file; every field is deterministic, so file bytes are too."""
 
     subcommand: str
     config: SystemConfig
     params: dict = field(default_factory=dict)
     seed: int | None = None
     version: str = PACKAGE_VERSION
-    duration_s: float | None = None
 
     def header_lines(self) -> list[str]:
         lines = [f"# {PACKAGE_NAME} {self.version}", f"# subcommand: {self.subcommand}"]

@@ -268,6 +268,44 @@ def test_steady_sigma_special_points():
         steady_sigma_rr(LocalDrive(0.0, 0j, 0.0, 0.0, 0.0, 19.0, 38.0))
 
 
+def _full_denominator_sigma(ip, ic, delta_p, two_photon, gamma):
+    """I_p (I_p + I_c) / D with the full steady-state denominator D."""
+    total = ip + ic
+    denom = total * total - 2.0 * delta_p * two_photon * ic + (
+        gamma * gamma + delta_p * delta_p + 2.0 * ip
+    ) * two_photon * two_photon
+    return ip * total / denom
+
+
+def test_steady_sigma_matches_the_full_denominator_formula():
+    rng = np.random.default_rng(23)
+    n = 20000
+    # the drives of this package: probe and control intensities up to
+    # (2 pi 80 MHz)^2, |Delta_p| up to 2 pi 5 MHz, two-photon detunings up to
+    # 2 pi 60 MHz, gamma from 2 pi 1.5 to 2 pi 6 MHz
+    ip = 10.0 ** rng.uniform(-2.0, 5.4, n)
+    ic = ip * 10.0 ** rng.uniform(-6.0, 4.0, n)
+    ic[::7] = 0.0
+    delta_p = rng.uniform(-31.5, 31.5, n)
+    delta_p[::5] = 0.0
+    two_photon = rng.uniform(-380.0, 380.0, n)
+    gamma = rng.uniform(9.5, 38.0, n)
+    got = sigma_rr_steady(ip, ic, delta_p, two_photon, gamma)
+    want = _full_denominator_sigma(ip, ic, delta_p, two_photon, gamma)
+    assert np.all(np.isfinite(want))
+    assert np.max(np.abs(got - want) / want) <= 1e-13
+    # scalars stay plain floats
+    assert type(sigma_rr_steady(4.0, 1.0, 0.5, 2.0, 19.0)) is float
+
+
+def test_steady_sigma_stays_finite_where_the_full_denominator_overflows():
+    ip = (TWO_PI * 1e153) ** 2  # (I_p + I_c)^2 overflows; 2 I_p does not
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(_full_denominator_sigma(np.float64(ip), 1.0, 0.0, 0.0, 19.0))
+    assert sigma_rr_steady(ip, 1.0, 0.0, 0.0, 19.0) == pytest.approx(1.0, rel=1e-15)
+    assert 0.0 < sigma_rr_steady(ip, 0.0, 0.0, 1e150, 19.0) < 1.0
+
+
 def test_steady_formula_reduces_to_the_lorentzian_in_the_weak_control_limit():
     # at the half-width detuning the weak-control profile sits at 1/2
     ip, gamma = 25.0, 19.0

@@ -362,6 +362,27 @@ def test_overflowing_probe_amplitude_is_bad_input(tmp_path, capsys):
     assert not out_file.exists()
 
 
+def test_huge_probe_amplitude_gives_a_finite_population(tmp_path, capsys):
+    # omega_p0 ~ 6.3e153 rad/us: (I_p + I_c)^2 overflows, 2 I_p does not
+    out_file = tmp_path / "steady.csv"
+    code, out, err = run(["steady", "--omega-p0-mhz", "1e153", "--out", str(out_file)], capsys)
+    assert code == 0, err
+    sigma = float(out.split()[0].removeprefix("sigma_rr="))
+    assert math.isfinite(sigma) and 0.0 < sigma <= 1.0
+    assert "nan" not in out_file.read_text().lower()
+
+
+def test_probe_amplitude_whose_doubled_intensity_overflows_is_bad_input(tmp_path, capsys):
+    out_file = tmp_path / "steady.csv"
+    code, out, err = run(["steady", "--omega-p0-mhz", "2e153", "--out", str(out_file)], capsys)
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("vortex-localize steady: error in make_config: omega_p0 = ")
+    assert not out_file.exists()
+
+
 def test_shift_without_samples_is_bad_input(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("no quadrature may run")

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vortexloc import make_config
-from vortexloc.bloch import linewidth_from
+from vortexloc import make_config, meanfield
+from vortexloc.bloch import b_coefficients, b_values, linewidth_from
 from vortexloc.config import TWO_PI, Position
 from vortexloc.fields import control_envelope, detuning_profile
 from vortexloc.meanfield import (
@@ -19,7 +19,6 @@ from vortexloc.meanfield import (
     blockade_radius,
     calibrate_delta,
     calibrated_offset,
-    chi_mask,
     excitation_fraction,
     localized_point,
     masked_kernel_sum,
@@ -131,6 +130,131 @@ def test_kernel_matches_the_oracle_at_random_points(r_j, z_j, kappa, delta_p):
         assert masked_kernel_sum(pos, cfg, quad, mask=mask) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
+def _per_cell_kernel(atom_pos, config, quad, mask, tie_blocked=False):
+    """Every cell through the chain 1 / (B d2 d2 d2), blocked cells (d2 < R_b^2) dropped."""
+    ip = config.probe.omega_p0**2
+    dp = config.probe.delta_p
+    dr, dz = quad.spacing_r, quad.spacing_z
+    n_r = int(round(quad.extent_r / dr))
+    n_z = int(round(quad.extent_z / dz))
+    r = (np.arange(n_r) + 0.5) * dr
+    z = atom_pos.z - 0.5 * quad.extent_z + (np.arange(n_z) + 0.5) * dz
+    _, _, rb = meanfield._radial_profiles(config, r)
+    nsa_ip = 4.0 * math.pi / 3.0 * rb**3 * config.medium.density_rho * ip
+    b_p, b_q, b_r = b_coefficients(ip, control_envelope(r, config.beam) ** 2, nsa_ip, dp, config.medium.gamma)
+    t = dp + np.asarray(detuning_profile(z, config.detuning), dtype=float)
+    dz2 = (z - atom_pos.z) ** 2
+    if mask == MASK_ATOM:
+        rb = meanfield._radial_profiles(config, np.array([atom_pos.r]))[2]
+    rb2 = np.broadcast_to(rb**2, r.shape)
+    row_sums = np.empty(n_r)
+    for a in range(0, n_r, 256):
+        d2 = (r[a : a + 256, None] - atom_pos.r) ** 2 + dz2
+        b = b_values(b_p[a : a + 256, None], b_q[a : a + 256, None], b_r[a : a + 256, None], t)
+        with np.errstate(divide="ignore"):
+            term = 1.0 / (b * d2 * d2 * d2)
+        blocked = d2 <= rb2[a : a + 256, None] if tie_blocked else d2 < rb2[a : a + 256, None]
+        row_sums[a : a + 256] = np.where(blocked, 0.0, term).sum(axis=1)
+    return float(np.sum(row_sums * r) * dr * dz)
+
+
+LAT05 = QuadratureSpec.scaled(LAM, 0.05)  # 2000 x 2000, 20 cells per detuning period
+LAT03 = QuadratureSpec.scaled(LAM, 0.03)  # 3333 x 3333, 100 cells per three periods
+
+
+@pytest.mark.parametrize("delta_p", [0.0, 2.5])
+@pytest.mark.parametrize("mask", [MASK_LOCAL, MASK_ATOM])
+@pytest.mark.parametrize("kappa", [10.0, 180.0, 500.0])
+def test_panel_kernel_matches_the_per_cell_chain(kappa, mask, delta_p):
+    cfg = make_config(kappa=kappa, delta_p_mhz=delta_p)
+    # on a row centre, off the grid, and far out in r
+    for r_j in (10.5 * LAT05.spacing_r, 0.123456 * LAM, 3.7 * LAM):
+        pos = Position(r=r_j, phi=0.0, z=0.75 * LAM)
+        expected = _per_cell_kernel(pos, cfg, LAT05, mask)
+        assert masked_kernel_sum(pos, cfg, LAT05, mask=mask) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+# lattices where 1/B repeats every 20 or every 100 cells, and where it does not
+# repeat at all: 9.09 cells per period (ODD), an incommensurate period, and
+# constant detuning, which repeats on any unit
+@pytest.mark.parametrize(
+    "quad, kwargs",
+    [
+        (LAT03, {"kappa": 317.5}),
+        (ODD, {"kappa": 180.0, "delta_p_mhz": 1.5}),
+        (COARSE, {"kappa": 180.0, "period_um": 0.4567}),
+        (LAT05, {"kappa": 180.0, "detuning_mode": "constant", "delta_c_const_mhz": 30.0}),
+        (ODD, {"kappa": 10.0, "detuning_mode": "constant", "delta_c_const_mhz": 30.0}),
+    ],
+)
+@pytest.mark.parametrize("mask", [MASK_LOCAL, MASK_ATOM])
+def test_panel_kernel_matches_the_per_cell_chain_on_any_lattice(quad, kwargs, mask):
+    cfg = make_config(**kwargs)
+    for r_j, z_j in ((0.0, 0.75), (0.41, 0.61), (2.5, 1.093)):
+        pos = Position(r=r_j * LAM, phi=0.0, z=z_j * LAM)
+        expected = _per_cell_kernel(pos, cfg, quad, mask)
+        assert masked_kernel_sum(pos, cfg, quad, mask=mask) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("mask", [MASK_LOCAL, MASK_ATOM])
+def test_panel_kernel_matches_the_per_cell_chain_with_the_atom_on_a_cell_centre(mask):
+    quad = QuadratureSpec(24.0, 24.0625, 0.0625, 0.0625)
+    pos = Position(r=10.5 * 0.0625, phi=0.0, z=0.375)
+    expected = _per_cell_kernel(pos, CFG, quad, mask)
+    assert masked_kernel_sum(pos, CFG, quad, mask=mask) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=6.0),
+    st.floats(min_value=0.0, max_value=2.0),
+    st.floats(min_value=10.0, max_value=500.0),
+    st.floats(min_value=-5.0, max_value=5.0),
+    st.sampled_from([0.1, 0.11, 0.125, 0.2]),
+)
+def test_panel_kernel_matches_the_per_cell_chain_at_random_points(r_j, z_j, kappa, delta_p, spacing):
+    quad = QuadratureSpec.scaled(LAM, spacing)
+    cfg = make_config(kappa=kappa, delta_p_mhz=delta_p)
+    pos = Position(r=r_j * LAM, phi=0.0, z=z_j * LAM)
+    for mask in (MASK_LOCAL, MASK_ATOM):
+        expected = _per_cell_kernel(pos, cfg, quad, mask)
+        assert masked_kernel_sum(pos, cfg, quad, mask=mask) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("mask", [MASK_LOCAL, MASK_ATOM])
+def test_a_cell_exactly_on_the_blockade_sphere_is_unblocked(monkeypatch, mask):
+    # binary-exact spacings and R_b = 2.5 = 40/16 put cells exactly on the
+    # sphere, d2 == R_b^2, at planar offsets (0, 2.5), (1.5, 2), (2, 1.5) and
+    # (2.5, 0). On this lattice of 8-cell units the tie at (0, 2.5) is the
+    # nearest cell of a Taylor panel, the tie at (1.5, -2) sits inside a panel
+    # cut by the blockade edge, and the lone last cell is its own panel.
+    real = meanfield._radial_profiles
+
+    def binary_exact_radius(config, r):
+        ic, w, rb = real(config, r)
+        return ic, w, np.full_like(rb, 2.5)
+
+    real_series = meanfield._panel_series
+    taylor_centres = []  # Taylor panels of the atom's own row, row 10, where a^2 = 0
+
+    def recording_series(d, taylor, group, moments):
+        if d.shape[2] > 10 and d[0, 0, 10] == 0.0:
+            taylor_centres.extend(group.centre[taylor[0, :, 10]])
+        return real_series(d, taylor, group, moments)
+
+    monkeypatch.setattr(meanfield, "_radial_profiles", binary_exact_radius)
+    monkeypatch.setattr(meanfield, "_panel_series", recording_series)
+    quad = QuadratureSpec(24.0, 24.0625, 0.0625, 0.0625)  # 384 x 385
+    pos = Position(r=10.5 * 0.0625, phi=0.0, z=0.375)
+    got = masked_kernel_sum(pos, CFG, quad, mask=mask)
+    expected = _per_cell_kernel(pos, CFG, quad, mask)
+    ties_blocked = _per_cell_kernel(pos, CFG, quad, mask, tie_blocked=True)
+    assert abs(expected - ties_blocked) > 1e-6 * expected
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+    # the unit [2.5, 2.9375] um above the atom starts with the tie and is summed as a series
+    assert 2.71875 in taylor_centres
+
+
 @pytest.mark.parametrize("mask", [MASK_LOCAL, MASK_ATOM])
 def test_kernel_is_bit_identical_for_any_thread_count(mask):
     # 1111 rows end in a partial 256-row block, and at 545 columns the last
@@ -168,6 +292,18 @@ def test_batched_kernel_equals_the_per_position_loop(mask, threads):
         got = masked_kernel_sum(atoms, cfg, ODD, mask=mask, threads=threads)
         assert isinstance(got, np.ndarray) and got.shape == (len(atoms),)
         assert np.array_equal(got, oracle)
+
+
+@pytest.mark.parametrize("mask", [MASK_LOCAL, MASK_ATOM])
+def test_batched_panel_kernel_equals_the_per_position_loop_on_a_folded_lattice(mask):
+    # 10 cells per detuning period, so 1/B is folded onto one period per row;
+    # 257 rows leave a last block of one row
+    quad = QuadratureSpec(257 * 0.1 * LAM, 100.0 * LAM, 0.1 * LAM, 0.1 * LAM)
+    cfg = make_config(kappa=180.0, delta_p_mhz=1.5)
+    for atoms in BATCHES:
+        oracle = np.array([masked_kernel_sum(p, cfg, quad, mask=mask) for p in atoms])
+        for threads in (1, 2):
+            assert np.array_equal(masked_kernel_sum(atoms, cfg, quad, mask=mask, threads=threads), oracle)
 
 
 def test_one_position_gives_a_float_and_a_batch_of_one_an_array():
@@ -266,14 +402,6 @@ def test_excitation_fraction_saturates():
         excitation_fraction(1.5, 10.0)
     with pytest.raises(ValueError, match="superatom count"):
         excitation_fraction(0.5, 0.5)
-
-
-def test_chi_mask_is_inclusive_at_the_boundary():
-    atom = (1.0, 2.0)
-    assert chi_mask(atom, atom, 3.0) == 0
-    assert chi_mask((1.0, 5.0), atom, 3.0) == 1  # exactly on the sphere
-    assert chi_mask((1.0, 7.9), atom, 3.0) == 1
-    assert chi_mask((1.0 + 2.99, 2.0), atom, 3.0) == 0
 
 
 def test_shift_is_the_prefactor_times_the_masked_kernel():

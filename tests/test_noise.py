@@ -31,8 +31,6 @@ def test_noise_spec_validation():
         NoiseSpec(kind=KIND_INTENSITY, std_dev=0.1, trajectories=2.5)
     with pytest.raises(ValueError, match="seed"):
         NoiseSpec(kind=KIND_INTENSITY, std_dev=0.1, seed=-1)
-    with pytest.raises(ValueError, match="correlated noise"):
-        NoiseSpec(kind=KIND_INTENSITY, std_dev=0.1, correlation_length=0.5)
 
 
 def test_trajectory_streams_are_reproducible_and_independent():

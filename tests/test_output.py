@@ -64,14 +64,6 @@ def test_manifest_header_layout():
     assert lines[-1] == "# seed = 4"
 
 
-def test_wall_clock_duration_never_reaches_the_file():
-    manifest = RunManifest("steady", CFG, params={}, duration_s=1.23)
-    twin = RunManifest("steady", CFG, params={}, duration_s=None)
-    cols = {"value": [1.0]}
-    assert render_csv(manifest, cols, None) == render_csv(twin, cols, None)
-    assert "duration" not in render_json(manifest, cols, None)
-
-
 def test_csv_layout_and_column_length_check():
     manifest = RunManifest("scan-r", CFG, params={"samples": 3})
     text = render_csv(manifest, {"r_um": [0.0, 0.1, 0.2], "sigma_rr": [1.0, 0.5, 0.25]},
