@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Position, SystemConfig
-from .fields import sample_fields
+from .fields import detuning_profile, lg_amplitude
 
 
 @dataclass(frozen=True)
@@ -82,13 +82,12 @@ class LocalDrive:
 
     @classmethod
     def from_config(cls, config: SystemConfig, pos: Position, s_shift: float = 0.0) -> "LocalDrive":
-        sample = sample_fields(config, pos)
         m = config.medium
         return cls(
-            omega_p=sample.omega_p,
-            omega_c=sample.omega_c,
+            omega_p=config.probe.omega_p0,
+            omega_c=lg_amplitude(pos, config.beam),
             delta_p=config.probe.delta_p,
-            delta_c=sample.delta_c,
+            delta_c=detuning_profile(pos.z, config.detuning),
             s_shift=s_shift,
             gamma=m.gamma,
             gamma_e=m.gamma_e,

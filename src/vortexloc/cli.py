@@ -5,30 +5,32 @@ config file, then built-in defaults. All progress goes to stderr; stdout
 carries exactly one summary line per successful run, and result files are
 byte-reproducible for equal inputs (worker count and wall time never enter
 file content).
+
+Each subcommand is one `_Command` declaration. `main` does the rest once for
+all of them: config file and defaults, the system config, the quadrature
+keywords a handler passes on as `**lattice` (echoed into params), the writers.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import math
 import sys
 import time
+from typing import Callable
 
 import numpy as np
 
 from . import bloch, localization, meanfield, noise, output
-from .config import (
-    Position,
-    SystemConfig,
-    angular_from_mhz,
-    make_config,
-    mhz_from_angular,
-)
-from .fields import control_envelope, eta_of_radius
+from .config import Position, SystemConfig, angular_from_mhz, make_config, mhz_from_angular
+from .fields import control_envelope, eta_of_radius, radius_at_eta
+from .localization import MODE_NONE, MODE_PARTIAL, MODE_PERFECT, OFFSET_CALIBRATED, OFFSET_DETUNED
 from .meanfield import MASK_ATOM, MASK_LOCAL, QuadratureSpec
 
-# make_config kwarg for each (section, key) pair accepted in config files.
+# Where each (section, key) accepted in config files goes: a make_config
+# kwarg for the physics sections, else the dest of the flag it stands in for.
 _CONFIG_KEYS: dict[tuple[str, str], tuple[str, type]] = {
     ("beam", "omega_c0"): ("omega_c0_mhz", float),
     ("beam", "waist_w0"): ("waist_w0_um", float),
@@ -46,29 +48,24 @@ _CONFIG_KEYS: dict[tuple[str, str], tuple[str, type]] = {
     ("medium", "gamma_r"): ("gamma_r_mhz", float),
     ("medium", "density_rho"): ("density_rho_um3", float),
     ("medium", "c6"): ("c6_mhz_um6", float),
+    ("quadrature", "spacing"): ("grid_spacing", float),
+    ("quadrature", "extent"): ("grid_extent", float),
+    ("noise", "kind"): ("kind", str),
+    ("noise", "std"): ("std", float),
+    ("noise", "trajectories"): ("trajectories", int),
+    ("noise", "seed"): ("seed", int),
 }
+_PHYSICS_SECTIONS = ("beam", "probe", "detuning", "medium")
+
+# Defaults of the flags a config file may also set; the flags themselves
+# default to None so that a file value can tell "unset" from "set".
+_FLAG_DEFAULTS = {"kind": noise.KIND_INTENSITY, "std": 0.0, "trajectories": 10, "seed": 0}
 
 _MAX_THREADS = 64
 
-_QUAD_KEYS = {"spacing": float, "extent": float}
-_NOISE_KEYS = {"kind": str, "std": float, "trajectories": int, "seed": int}
 
-_OP_NAMES = {
-    "steady": "steady_sigma_rr",
-    "scan-r": "transverse_scan",
-    "scan-z": "longitudinal_scan",
-    "scan-l": "oam_broadening_scan",
-    "map3d": "map3d",
-    "shift": "shift_profile",
-    "calibrate-delta": "calibrate_delta",
-    "blockade": "blockade_boundary",
-    "steady-time": "steady_time",
-    "noise": "noisy_transverse_scan",
-}
-
-
-def parse_config(path: str) -> dict:
-    """Read an INI config file into {'config': make_config kwargs, 'quadrature': ..., 'noise': ...}.
+def parse_config(path: str) -> tuple[dict, dict]:
+    """Read an INI config file into (make_config kwargs, flag values by dest).
 
     Frequencies are MHz, lengths um; quadrature spacing and extent are
     multiples of the control wavelength. Unknown sections or keys are errors.
@@ -80,36 +77,26 @@ def parse_config(path: str) -> dict:
         raise ValueError(f"config file '{path}' is malformed: {exc}") from exc
     if not read:
         raise ValueError(f"config file '{path}' not found or unreadable")
-    out: dict = {"config": {}, "quadrature": {}, "noise": {}}
+    physics: dict = {}
+    flags: dict = {}
     for section in parser.sections():
-        if section in ("beam", "probe", "detuning", "medium"):
-            for key, raw in parser.items(section):
-                spec = _CONFIG_KEYS.get((section, key))
-                if spec is None:
-                    raise ValueError(f"unknown config key '{key}' in section '{section}'")
-                kwarg, cast = spec
-                out["config"][kwarg] = cast(raw)
-        elif section == "quadrature":
-            for key, raw in parser.items(section):
-                if key not in _QUAD_KEYS:
-                    raise ValueError(f"unknown config key '{key}' in section '{section}'")
-                out["quadrature"][key] = _QUAD_KEYS[key](raw)
-        elif section == "noise":
-            for key, raw in parser.items(section):
-                if key not in _NOISE_KEYS:
-                    raise ValueError(f"unknown config key '{key}' in section '{section}'")
-                out["noise"][key] = _NOISE_KEYS[key](raw)
-        else:
+        if section not in {s for s, _ in _CONFIG_KEYS}:
             raise ValueError(f"unknown config section '{section}'")
-    return out
+        for key, raw in parser.items(section):
+            spec = _CONFIG_KEYS.get((section, key))
+            if spec is None:
+                raise ValueError(f"unknown config key '{key}' in section '{section}'")
+            dest, cast = spec
+            (physics if section in _PHYSICS_SECTIONS else flags)[dest] = cast(raw)
+    return physics, flags
 
 
-def _build_config(args, file_data: dict, default_kappa: float | None = None) -> SystemConfig:
-    kwargs = dict(file_data.get("config", {}))
-    if getattr(args, "kappa", None) is not None:
+def _build_config(args, physics: dict, default_kappa: float | None) -> SystemConfig:
+    kwargs = dict(physics)
+    if args.kappa is not None:
         kwargs.pop("omega_p0_mhz", None)
         kwargs["kappa"] = args.kappa
-    if getattr(args, "omega_p0_mhz", None) is not None:
+    if args.omega_p0_mhz is not None:
         kwargs.pop("kappa", None)
         kwargs["omega_p0_mhz"] = args.omega_p0_mhz
     if default_kappa is not None and "kappa" not in kwargs and "omega_p0_mhz" not in kwargs:
@@ -117,26 +104,16 @@ def _build_config(args, file_data: dict, default_kappa: float | None = None) -> 
     return make_config(**kwargs)
 
 
-def _resolve_quad(args, file_data: dict, config: SystemConfig) -> QuadratureSpec | None:
-    """A QuadratureSpec when the run pinned one down, else None (op default)."""
-    quad_file = file_data.get("quadrature", {})
-    spacing = args.grid_spacing if args.grid_spacing is not None else quad_file.get("spacing")
-    extent = args.grid_extent if args.grid_extent is not None else quad_file.get("extent")
-    if spacing is None and extent is None:
-        return None
+def _resolve_quad(args, config: SystemConfig, default) -> QuadratureSpec | None:
+    """The lattice the run pins down, else `default(lambda_c)`, or None to let the op choose."""
+    lam = config.beam.wavelength_c
+    if args.grid_spacing is None and args.grid_extent is None:
+        return None if default is None else default(lam)
     return QuadratureSpec.scaled(
-        config.beam.wavelength_c,
-        spacing if spacing is not None else 0.01,
-        extent if extent is not None else 100.0,
+        lam,
+        args.grid_spacing if args.grid_spacing is not None else 0.01,
+        args.grid_extent if args.grid_extent is not None else 100.0,
     )
-
-
-def _echo_quad(params: dict, quad: QuadratureSpec | None) -> None:
-    if quad is not None:
-        params["quad_extent_r_um"] = quad.extent_r
-        params["quad_extent_z_um"] = quad.extent_z
-        params["quad_spacing_r_um"] = quad.spacing_r
-        params["quad_spacing_z_um"] = quad.spacing_z
 
 
 def _parse_threads(text: str) -> int:
@@ -149,6 +126,14 @@ def _parse_threads(text: str) -> int:
     return value
 
 
+def _rad_per_us(text: str) -> float:
+    """A frequency given in MHz, as the angular rad/us the library takes."""
+    try:
+        return angular_from_mhz(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid float value: '{text}'") from exc
+
+
 def _parse_l_values(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(tok) for tok in text.split(",") if tok.strip())
@@ -159,114 +144,38 @@ def _parse_l_values(text: str) -> tuple[int, ...]:
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="INI parameter file")
-    common.add_argument("--out", metavar="FILE", help="result path (default vortex-<cmd>.<fmt>)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv", help="result file format")
-    common.add_argument("--threads", type=_parse_threads, default=1, help="worker threads (results are identical)")
-    common.add_argument("--seed", type=int, default=None, help="master seed for stochastic runs")
-    common.add_argument("--kappa", type=float, default=None, help="control/probe amplitude ratio")
-    common.add_argument("--omega-p0-mhz", type=float, default=None, help="probe Rabi amplitude (MHz)")
-    common.add_argument(
-        "--grid-spacing", type=float, default=None, help="quadrature spacing, wavelength multiples"
-    )
-    common.add_argument(
-        "--grid-extent", type=float, default=None, help="quadrature extent, wavelength multiples"
-    )
-    common.add_argument("--mask", choices=(MASK_LOCAL, MASK_ATOM), default=MASK_LOCAL)
-    common.add_argument("--tail-tol", type=float, default=0.01, help="allowed truncation tail fraction")
-
-    parser = argparse.ArgumentParser(
-        prog="vortex-localize",
-        description="Steady-state Rydberg excitation around a vortex control beam.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("steady", parents=[common], help="steady state at one point")
-    p.add_argument("--r-um", type=float, default=None, help="radius (default: envelope peak)")
-    p.add_argument("--phi-rad", type=float, default=0.0)
-    p.add_argument("--z-um", type=float, default=None, help="height (default: 3/4 wavelength)")
-    p.add_argument("--s-mhz", type=float, default=0.0, help="interaction shift to include (MHz)")
-
-    p = sub.add_parser("scan-r", parents=[common], help="transverse profile and width")
-    p.add_argument(
-        "--mode",
-        choices=(localization.MODE_NONE, localization.MODE_PARTIAL, localization.MODE_PERFECT),
-        default=localization.MODE_NONE,
-    )
-    p.add_argument("--r-max-um", type=float, default=None)
-    p.add_argument("--samples", type=int, default=201)
-
-    p = sub.add_parser("scan-z", parents=[common], help="longitudinal profile and width")
-    p.add_argument("--z-min-um", type=float, default=None)
-    p.add_argument("--z-max-um", type=float, default=None)
-    p.add_argument("--samples", type=int, default=401)
-    p.add_argument("--s0-mhz", type=float, default=None, help="core shift override (MHz)")
-    p.add_argument("--delta-offset-mhz", type=float, default=None, help="detuning offset override (MHz)")
-
-    p = sub.add_parser("scan-l", parents=[common], help="width growth with winding number")
-    p.add_argument("--l-values", type=_parse_l_values, default=(1, 2, 3, 4, 5))
-    p.add_argument("--r-max-um", type=float, default=None)
-    p.add_argument("--samples", type=int, default=201)
-
-    p = sub.add_parser("map3d", parents=[common], help="3D excitation map")
-    p.add_argument(
-        "--mode",
-        choices=(localization.OFFSET_CALIBRATED, localization.OFFSET_DETUNED),
-        default=localization.OFFSET_CALIBRATED,
-    )
-    p.add_argument("--xy-half-um", type=float, default=None, help="half extent in x and y")
-    p.add_argument("--samples-per-axis", type=int, default=101)
-    p.add_argument("--s0-mhz", type=float, default=None)
-    p.add_argument("--per-voxel-exact", action="store_true")
-
-    p = sub.add_parser("shift", parents=[common], help="interaction shift profile")
-    p.add_argument("--axis", choices=("radial", "longitudinal"), default="radial")
-    p.add_argument("--max-um", type=float, default=None, help="radial extent (radial axis only)")
-    p.add_argument("--samples", type=int, default=21)
-
-    p = sub.add_parser("calibrate-delta", parents=[common], help="self-consistent detuning offset")
-    p.add_argument("--max-iter", type=int, default=8)
-
-    p = sub.add_parser("blockade", parents=[common], help="blockade boundary around an atom")
-    p.add_argument("--r-um", type=float, default=0.0)
-    p.add_argument("--z-um", type=float, default=None)
-    p.add_argument("--resolution", type=int, default=256)
-
-    p = sub.add_parser("steady-time", parents=[common], help="time to enter the steady band")
-    p.add_argument("--rel-tol", type=float, default=0.01)
-    p.add_argument("--budget-us", type=float, default=200.0)
-    p.add_argument(
-        "--intensity-ratio",
-        type=float,
-        default=2.0 / 3.0,
-        help="control/probe intensity ratio at the sampled radius",
-    )
-    p.add_argument("--dt-us", type=float, default=None)
-
-    p = sub.add_parser("noise", parents=[common], help="noise-averaged transverse profile")
-    p.add_argument("--kind", choices=(noise.KIND_INTENSITY, noise.KIND_FREQUENCY), default=None)
-    p.add_argument(
-        "--std",
-        type=float,
-        default=None,
-        help="noise level: fraction of the peak amplitude (intensity) or MHz (frequency)",
-    )
-    p.add_argument("--trajectories", type=int, default=None)
-    p.add_argument("--x-max-um", type=float, default=None)
-    p.add_argument("--samples", type=int, default=201)
-    p.add_argument("--s0-mhz", type=float, default=None)
-    p.add_argument("--delta-offset-mhz", type=float, default=None)
-
-    return parser
-
-
 def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _cmd_steady(args, config, quad, file_data):
+def _line(summary: dict, *keys: str) -> str:
+    """The stdout line 'key=value ...' over `keys` (default: all); an absent key reads none."""
+    return " ".join(f"{key}={output.render_value(summary.get(key))}" for key in keys or summary)
+
+
+def _span(lo: float, hi: float) -> str:
+    return f"[{output.fmt_number(lo)}, {output.fmt_number(hi)}]"
+
+
+def _one_row(values: dict) -> dict:
+    return {k: [v] for k, v in values.items()}
+
+
+def _profile_table(profile: localization.ScanProfile) -> tuple[dict, dict]:
+    """Columns (coordinate in um and in lambda_c, sigma_rr) and the width summary of a 1-D profile."""
+    lam = profile.lambda_c
+    columns = {
+        f"{profile.axis}_um": profile.coords,
+        f"{profile.axis}_lambda": profile.coords / lam,
+        "sigma_rr": profile.sigma,
+    }
+    summary = {"peak": profile.peak}
+    if profile.fwhm is not None:
+        summary.update(fwhm_um=profile.fwhm, fwhm_lambda=profile.fwhm / lam)
+    return columns, summary
+
+
+def _cmd_steady(args, config):
     beam = config.beam
     r = args.r_um if args.r_um is not None else beam.waist_w0 * math.sqrt(abs(beam.winding_l) / 2.0)
     z = args.z_um if args.z_um is not None else 0.75 * beam.wavelength_c
@@ -274,102 +183,47 @@ def _cmd_steady(args, config, quad, file_data):
     drive = bloch.LocalDrive.from_config(config, pos, s_shift=angular_from_mhz(args.s_mhz))
     sigma = bloch.steady_sigma_rr(drive)
     eta = eta_of_radius(r, config)
-    w = bloch.linewidth_w(drive)
+    w_mhz = mhz_from_angular(bloch.linewidth_w(drive))
     params = {"r_um": r, "phi_rad": args.phi_rad, "z_um": z, "s_mhz": args.s_mhz}
-    columns = {
-        "r_um": [r],
-        "z_um": [z],
-        "eta": [eta],
-        "sigma_rr": [sigma],
-        "linewidth_w_mhz": [mhz_from_angular(w)],
-    }
-    summary = {"sigma_rr": sigma, "eta": eta, "linewidth_w_mhz": mhz_from_angular(w)}
-    line = f"sigma_rr={output.fmt_number(sigma)} eta={output.fmt_number(eta)} w_mhz={output.fmt_number(mhz_from_angular(w))}"
-    return params, columns, summary, line, None
+    columns = _one_row({"r_um": r, "z_um": z, "eta": eta, "sigma_rr": sigma, "linewidth_w_mhz": w_mhz})
+    summary = {"sigma_rr": sigma, "eta": eta, "linewidth_w_mhz": w_mhz}
+    return params, columns, summary, _line({"sigma_rr": sigma, "eta": eta, "w_mhz": w_mhz})
 
 
-def _cmd_scan_r(args, config, quad, file_data):
+def _cmd_scan_r(args, config, **lattice):
     profile = localization.transverse_scan(
-        config,
-        mode=args.mode,
-        r_max=args.r_max_um,
-        n_samples=args.samples,
-        quad=quad,
-        mask=args.mask,
-        threads=args.threads,
-        tail_tol=args.tail_tol,
+        config, mode=args.mode, r_max=args.r_max_um, n_samples=args.samples, **lattice
     )
-    lam = profile.lambda_c
-    params = {"mode": args.mode, "r_max_um": profile.coords[-1], "samples": args.samples, "mask": args.mask}
-    _echo_quad(params, quad)
-    columns = {
-        "r_um": profile.coords,
-        "r_lambda": profile.coords / lam,
-        "sigma_rr": profile.sigma,
-    }
-    summary = {
-        "mode": args.mode,
-        "fwhm_um": profile.fwhm,
-        "fwhm_lambda": profile.fwhm / lam,
-        "peak": profile.peak,
-    }
+    columns, summary = _profile_table(profile)
+    summary["mode"] = args.mode
     if profile.s0 is not None:
         summary["s0_mhz"] = mhz_from_angular(profile.s0)
-    line = (
-        f"mode={args.mode} fwhm_um={output.fmt_number(profile.fwhm)} "
-        f"fwhm_lambda={output.fmt_number(profile.fwhm / lam)} peak={output.fmt_number(profile.peak)}"
-    )
-    return params, columns, summary, line, None
+    params = {"mode": args.mode, "r_max_um": profile.coords[-1], "samples": args.samples}
+    return params, columns, summary, _line(summary, "mode", "fwhm_um", "fwhm_lambda", "peak")
 
 
-def _cmd_scan_z(args, config, quad, file_data):
-    z_range = None
-    if args.z_min_um is not None or args.z_max_um is not None:
-        if args.z_min_um is None or args.z_max_um is None:
-            raise ValueError("give both --z-min-um and --z-max-um or neither")
-        z_range = (args.z_min_um, args.z_max_um)
-    s0 = None if args.s0_mhz is None else angular_from_mhz(args.s0_mhz)
-    delta_offset = None if args.delta_offset_mhz is None else angular_from_mhz(args.delta_offset_mhz)
-    if s0 is None:
+def _cmd_scan_z(args, config, **lattice):
+    if (args.z_min_um is None) != (args.z_max_um is None):
+        raise ValueError("give both --z-min-um and --z-max-um or neither")
+    z_range = None if args.z_min_um is None else (args.z_min_um, args.z_max_um)
+    if args.s0 is None:
         _progress("calibrating the core shift (quadrature)...")
     profile = localization.longitudinal_scan(
-        config,
-        z_range=z_range,
-        n_samples=args.samples,
-        s0=s0,
-        delta_offset=delta_offset,
-        quad=quad,
-        mask=args.mask,
-        threads=args.threads,
-        tail_tol=args.tail_tol,
+        config, z_range=z_range, n_samples=args.samples, s0=args.s0, delta_offset=args.delta_offset, **lattice
     )
-    lam = profile.lambda_c
-    params = {"samples": args.samples, "mask": args.mask, "z_min_um": profile.coords[0], "z_max_um": profile.coords[-1]}
-    _echo_quad(params, quad)
-    columns = {
-        "z_um": profile.coords,
-        "z_lambda": profile.coords / lam,
-        "sigma_rr": profile.sigma,
-    }
-    summary = {
-        "mode": profile.mode,
-        "fwhm_um": profile.fwhm,
-        "fwhm_lambda": profile.fwhm / lam,
-        "peak": profile.peak,
-        "peak_z_um": profile.peak_coord,
-        "s0_mhz": mhz_from_angular(profile.s0),
-        "delta_offset_mhz": mhz_from_angular(profile.delta_offset),
-        "delta_mhz": mhz_from_angular(config.detuning.delta_c0 + profile.delta_offset),
-    }
-    line = (
-        f"mode={profile.mode} fwhm_um={output.fmt_number(profile.fwhm)} "
-        f"fwhm_lambda={output.fmt_number(profile.fwhm / lam)} "
-        f"s0_mhz={output.fmt_number(summary['s0_mhz'])}"
+    params = {"samples": args.samples, "z_min_um": profile.coords[0], "z_max_um": profile.coords[-1]}
+    columns, summary = _profile_table(profile)
+    summary.update(
+        mode=profile.mode,
+        peak_z_um=profile.peak_coord,
+        s0_mhz=mhz_from_angular(profile.s0),
+        delta_offset_mhz=mhz_from_angular(profile.delta_offset),
+        delta_mhz=mhz_from_angular(config.detuning.delta_c0 + profile.delta_offset),
     )
-    return params, columns, summary, line, None
+    return params, columns, summary, _line(summary, "mode", "fwhm_um", "fwhm_lambda", "s0_mhz")
 
 
-def _cmd_scan_l(args, config, quad, file_data):
+def _cmd_scan_l(args, config):
     results = localization.oam_broadening_scan(
         config, l_values=args.l_values, r_max=args.r_max_um, n_samples=args.samples
     )
@@ -382,10 +236,10 @@ def _cmd_scan_l(args, config, quad, file_data):
     }
     summary = {f"fwhm_um_l{l}": f for l, f in results}
     line = "scan-l " + " ".join(f"l={l}:fwhm_um={output.fmt_number(f)}" for l, f in results)
-    return params, columns, summary, line, None
+    return params, columns, summary, line
 
 
-def _cmd_map3d(args, config, quad, file_data):
+def _cmd_map3d(args, config, **lattice):
     n = args.samples_per_axis
     if n < 2:
         raise ValueError("need at least 2 samples per axis")
@@ -396,8 +250,7 @@ def _cmd_map3d(args, config, quad, file_data):
     extents = ((-half, half), (-half, half), (z_node - z_half, z_node + z_half))
     # spacing derives from the extents so each axis lands exactly on n samples
     spacing = tuple((hi - lo) / (n - 1) for lo, hi in extents)
-    s0 = None if args.s0_mhz is None else angular_from_mhz(args.s0_mhz)
-    if s0 is None:
+    if args.s0 is None:
         _progress("calibrating the core shift (quadrature)...")
     _progress(f"computing {n}^3 voxels...")
     vol = localization.map3d(
@@ -405,12 +258,9 @@ def _cmd_map3d(args, config, quad, file_data):
         extents=extents,
         spacing=spacing,
         delta_offset_mode=args.mode,
-        s0=s0,
-        quad=quad,
-        mask=args.mask,
-        threads=args.threads,
-        tail_tol=args.tail_tol,
+        s0=args.s0,
         per_voxel_exact=args.per_voxel_exact,
+        **lattice,
     )
 
     ext = localization.iso_extents(vol)
@@ -421,41 +271,26 @@ def _cmd_map3d(args, config, quad, file_data):
         "z_um": zg.ravel(),
         "sigma_rr": vol.field.ravel(),
     }
-    params = {
-        "mode": args.mode,
-        "samples_per_axis": n,
-        "x_min_um": extents[0][0],
-        "x_max_um": extents[0][1],
-        "y_min_um": extents[1][0],
-        "y_max_um": extents[1][1],
-        "z_min_um": extents[2][0],
-        "z_max_um": extents[2][1],
-        "mask": args.mask,
-        "per_voxel_exact": args.per_voxel_exact,
-    }
-    _echo_quad(params, quad)
+    params = {"mode": args.mode, "samples_per_axis": n, "per_voxel_exact": args.per_voxel_exact}
+    for name, (lo, hi) in zip("xyz", extents):
+        params[f"{name}_min_um"] = lo
+        params[f"{name}_max_um"] = hi
     summary = {
         "iso_level": vol.iso_level,
         "peak": float(vol.field.max()),
         "s0_mhz": mhz_from_angular(vol.s0),
         "delta_offset_mhz": mhz_from_angular(vol.delta_offset),
     }
-    for name in ("x", "y", "z"):
+    for name in "xyz":
         interval = ext[name]
-        if interval is None:
-            summary[f"iso_{name}_um"] = "absent"
-            summary[f"iso_width_{name}_um"] = "absent"
-        else:
-            summary[f"iso_{name}_um"] = interval
-            summary[f"iso_width_{name}_um"] = interval[1] - interval[0]
-    widths = " ".join(
-        f"{name}:{output.render_value(summary[f'iso_width_{name}_um'])}" for name in ("x", "y", "z")
-    )
-    line = f"mode={args.mode} peak={output.fmt_number(summary['peak'])} iso_widths_um {widths}"
-    return params, columns, summary, line, None
+        summary[f"iso_{name}_um"] = "absent" if interval is None else interval
+        summary[f"iso_width_{name}_um"] = "absent" if interval is None else interval[1] - interval[0]
+    widths = " ".join(f"{name}:{output.render_value(summary[f'iso_width_{name}_um'])}" for name in "xyz")
+    line = _line({"mode": args.mode, "peak": summary["peak"]}) + f" iso_widths_um {widths}"
+    return params, columns, summary, line
 
 
-def _cmd_shift(args, config, quad, file_data):
+def _cmd_shift(args, config, **lattice):
     lam = config.beam.wavelength_c
     if args.axis == "radial":
         max_um = args.max_um if args.max_um is not None else 0.5 * config.beam.waist_w0
@@ -465,17 +300,8 @@ def _cmd_shift(args, config, quad, file_data):
         lo = 0.75 * lam - 0.5 * period
         positions = np.linspace(lo, lo + period, args.samples)
     _progress(f"evaluating {positions.size} quadratures...")
-    grid = meanfield.shift_profile(
-        args.axis,
-        positions,
-        config,
-        quad=quad,
-        mask=args.mask,
-        threads=args.threads,
-        tail_tol=args.tail_tol,
-    )
-    params = {"axis": args.axis, "samples": args.samples, "mask": args.mask}
-    _echo_quad(params, grid.quad)
+    grid = meanfield.shift_profile(args.axis, positions, config, **lattice)
+    params = {"axis": args.axis, "samples": args.samples}
     columns = {
         "position_um": grid.positions,
         "position_lambda": grid.positions / lam,
@@ -488,43 +314,25 @@ def _cmd_shift(args, config, quad, file_data):
     }
     if grid.near_core_flatness is not None:
         summary["near_core_flatness"] = grid.near_core_flatness
-    line = (
-        f"axis={args.axis} s_range_mhz=[{output.fmt_number(summary['s_min_mhz'])}, "
-        f"{output.fmt_number(summary['s_max_mhz'])}]"
-    )
-    return params, columns, summary, line, None
+    line = _line({"axis": args.axis, "s_range_mhz": _span(summary["s_min_mhz"], summary["s_max_mhz"])})
+    return params, columns, summary, line
 
 
-def _cmd_calibrate(args, config, quad, file_data):
+def _cmd_calibrate(args, config, **lattice):
     _progress("iterating the calibration fixed point...")
-    s0, delta = meanfield.calibrated_offset(
-        config,
-        quad=quad,
-        mask=args.mask,
-        threads=args.threads,
-        tail_tol=args.tail_tol,
-        max_iter=args.max_iter,
-    )
-    params = {"mask": args.mask, "max_iter": args.max_iter}
-    _echo_quad(params, quad)
+    s0, delta = meanfield.calibrated_offset(config, max_iter=args.max_iter, **lattice)
     values = {
         "kappa": config.kappa,
         "s0_mhz": mhz_from_angular(s0),
         "delta_mhz": mhz_from_angular(delta),
         "delta_c0_mhz": mhz_from_angular(config.detuning.delta_c0),
     }
-    columns = {k: [v] for k, v in values.items()}
-    line = (
-        f"kappa={output.fmt_number(config.kappa)} delta_mhz={output.fmt_number(values['delta_mhz'])} "
-        f"s0_mhz={output.fmt_number(values['s0_mhz'])}"
-    )
-    return params, columns, dict(values), line, None
+    return {"max_iter": args.max_iter}, _one_row(values), values, _line(values, "kappa", "delta_mhz", "s0_mhz")
 
 
-def _cmd_blockade(args, config, quad, file_data):
+def _cmd_blockade(args, config):
     z = args.z_um if args.z_um is not None else 0.75 * config.beam.wavelength_c
-    atom = Position(r=args.r_um, phi=0.0, z=z)
-    boundary = meanfield.blockade_boundary(atom, config, resolution=args.resolution)
+    boundary = meanfield.blockade_boundary(Position(r=args.r_um, phi=0.0, z=z), config, resolution=args.resolution)
     ip = config.probe.omega_p0 ** 2
     env = control_envelope(abs(args.r_um), config.beam)
     w_atom = float(bloch.linewidth_from(ip, env * env, config.probe.delta_p, config.medium.gamma))
@@ -543,46 +351,19 @@ def _cmd_blockade(args, config, quad, file_data):
         "distance_min_um": float(boundary.distances.min()),
         "distance_max_um": float(boundary.distances.max()),
     }
-    line = (
-        f"r_b_atom_um={output.fmt_number(rb_atom)} n_superatom={output.fmt_number(n_sa)} "
-        f"distance_um=[{output.fmt_number(summary['distance_min_um'])}, "
-        f"{output.fmt_number(summary['distance_max_um'])}]"
-    )
-    return params, columns, summary, line, None
+    distances = _span(summary["distance_min_um"], summary["distance_max_um"])
+    line = _line({**summary, "distance_um": distances}, "r_b_atom_um", "n_superatom", "distance_um")
+    return params, columns, summary, line
 
 
-def _cmd_steady_time(args, config, quad, file_data):
-    beam = config.beam
+def _cmd_steady_time(args, config):
     q = args.intensity_ratio
-    if q <= 0:
-        raise ValueError("intensity ratio must be positive")
-    r_peak = beam.waist_w0 * math.sqrt(abs(beam.winding_l) / 2.0)
-    if eta_of_radius(r_peak, config) < q:
-        raise ValueError("requested intensity ratio exceeds the envelope maximum")
-
-    def eta_gap(r: float) -> float:
-        return eta_of_radius(r, config) - q
-
-    lo, hi = 0.0, r_peak
-    for _ in range(200):
-        if hi - lo <= 1e-12 * beam.waist_w0:
-            break
-        mid = 0.5 * (lo + hi)
-        if eta_gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    r_sample = 0.5 * (lo + hi)
-
-    drive = bloch.LocalDrive(
-        omega_p=config.probe.omega_p0,
-        omega_c=complex(control_envelope(r_sample, beam)),
-        delta_p=config.probe.delta_p,
+    r_sample = radius_at_eta(q, config)
+    # the configured drive at r_sample with a resonant control of real amplitude
+    drive = dataclasses.replace(
+        bloch.LocalDrive.from_config(config, Position(r=r_sample, phi=0.0, z=0.0)),
+        omega_c=complex(control_envelope(r_sample, config.beam)),
         delta_c=0.0,
-        s_shift=0.0,
-        gamma=config.medium.gamma,
-        gamma_e=config.medium.gamma_e,
-        gamma_r=config.medium.gamma_r,
     )
     sigma_ss = bloch.steady_sigma_rr(drive)
     _progress(f"integrating the density matrix at r={r_sample:.4g} um...")
@@ -600,113 +381,189 @@ def _cmd_steady_time(args, config, quad, file_data):
         "sigma_ss": sigma_ss,
         "t_steady_us": t_steady,
     }
-    columns = {k: [v] for k, v in values.items()}
-    line = (
-        f"kappa={output.fmt_number(config.kappa)} t_steady_us={output.fmt_number(t_steady)} "
-        f"sigma_ss={output.fmt_number(sigma_ss)}"
-    )
-    return params, columns, dict(values), line, None
+    return params, _one_row(values), values, _line(values, "kappa", "t_steady_us", "sigma_ss")
 
 
-def _cmd_noise(args, config, quad, file_data):
-    file_noise = file_data.get("noise", {})
-    kind = args.kind if args.kind is not None else file_noise.get("kind", noise.KIND_INTENSITY)
-    std = args.std if args.std is not None else file_noise.get("std", 0.0)
-    trajectories = (
-        args.trajectories if args.trajectories is not None else file_noise.get("trajectories", 10)
-    )
-    seed = args.seed if args.seed is not None else file_noise.get("seed", 0)
-    std_internal = angular_from_mhz(std) if kind == noise.KIND_FREQUENCY else std
-    spec = noise.NoiseSpec(
-        kind=kind, std_dev=std_internal, trajectories=trajectories, seed=seed
-    )
-    s0 = None if args.s0_mhz is None else angular_from_mhz(args.s0_mhz)
-    delta_offset = None if args.delta_offset_mhz is None else angular_from_mhz(args.delta_offset_mhz)
-    if s0 is None:
+def _cmd_noise(args, config, **lattice):
+    std = angular_from_mhz(args.std) if args.kind == noise.KIND_FREQUENCY else args.std
+    spec = noise.NoiseSpec(kind=args.kind, std_dev=std, trajectories=args.trajectories, seed=args.seed)
+    if args.s0 is None:
         _progress("calibrating the core shift (quadrature)...")
-    _progress(f"averaging {trajectories} noisy trajectories...")
+    _progress(f"averaging {args.trajectories} noisy trajectories...")
     scan = noise.noisy_transverse_scan(
         config,
         spec,
         x_max=args.x_max_um,
         n_samples=args.samples,
-        s0=s0,
-        delta_offset=delta_offset,
-        quad=quad,
-        mask=args.mask,
-        threads=args.threads,
-        tail_tol=args.tail_tol,
+        s0=args.s0,
+        delta_offset=args.delta_offset,
+        **lattice,
     )
     profile = scan.profile
-    lam = profile.lambda_c
     params = {
-        "kind": kind,
-        "std": std,
-        "trajectories": trajectories,
+        "kind": args.kind,
+        "std": args.std,
+        "trajectories": args.trajectories,
         "samples": args.samples,
         "x_max_um": profile.coords[-1],
-        "mask": args.mask,
     }
-    _echo_quad(params, quad)
-    columns = {
-        "x_um": profile.coords,
-        "x_lambda": profile.coords / lam,
-        "sigma_rr": profile.sigma,
-        "sigma_rr_std": scan.spread,
-    }
-    summary = {
-        "kind": kind,
-        "peak": profile.peak,
-        "clamp_count": scan.clamp_count,
-        "s0_mhz": mhz_from_angular(scan.s0),
-        "delta_offset_mhz": mhz_from_angular(scan.delta_offset),
-        "spread_core": noise.spread_at(scan, 0.0),
-        "spread_waist": noise.spread_at(scan, config.beam.waist_w0),
-    }
-    if profile.fwhm is not None:
-        summary["fwhm_um"] = profile.fwhm
-        summary["fwhm_lambda"] = profile.fwhm / lam
-    fwhm_text = "none" if profile.fwhm is None else output.fmt_number(profile.fwhm)
-    line = (
-        f"kind={kind} trajectories={trajectories} fwhm_um={fwhm_text} "
-        f"peak={output.fmt_number(profile.peak)} clamped={scan.clamp_count}"
+    columns, summary = _profile_table(profile)
+    columns["sigma_rr_std"] = scan.spread
+    summary.update(
+        kind=args.kind,
+        clamp_count=scan.clamp_count,
+        s0_mhz=mhz_from_angular(scan.s0),
+        delta_offset_mhz=mhz_from_angular(scan.delta_offset),
+        spread_core=noise.spread_at(scan, 0.0),
+        spread_waist=noise.spread_at(scan, config.beam.waist_w0),
     )
-    return params, columns, summary, line, seed
+    line = _line(
+        {**summary, "trajectories": args.trajectories, "clamped": scan.clamp_count},
+        "kind", "trajectories", "fwhm_um", "peak", "clamped",
+    )
+    return params, columns, summary, line
 
 
-_HANDLERS = {
-    "steady": _cmd_steady,
-    "scan-r": _cmd_scan_r,
-    "scan-z": _cmd_scan_z,
-    "scan-l": _cmd_scan_l,
-    "map3d": _cmd_map3d,
-    "shift": _cmd_shift,
-    "calibrate-delta": _cmd_calibrate,
-    "blockade": _cmd_blockade,
-    "steady-time": _cmd_steady_time,
-    "noise": _cmd_noise,
+@dataclasses.dataclass(frozen=True)
+class _Command:
+    """One subcommand and everything `main` needs to run it."""
+
+    help: str
+    op: str  # the operation named when the handler raises ValueError/RuntimeError/OSError
+    # handler(args, config, **lattice) -> (params, columns, summary, stdout line)
+    run: Callable
+    arguments: tuple[tuple[str, dict], ...] = ()  # (flag, add_argument keywords)
+    # takes --threads --grid-spacing --grid-extent --mask --tail-tol, and gets
+    # quad/mask/threads/tail_tol as keywords
+    quadrature: bool = False
+    # lattice passed (and echoed) when the run names none; None lets the op choose
+    default_quad: Callable[[float], QuadratureSpec] | None = None
+    default_kappa: float | None = None
+
+
+_COMMANDS = {
+    "steady": _Command("steady state at one point", "steady_sigma_rr", _cmd_steady, (
+        ("--r-um", dict(type=float, help="radius (default: envelope peak)")),
+        ("--phi-rad", dict(type=float, default=0.0)),
+        ("--z-um", dict(type=float, help="height (default: 3/4 wavelength)")),
+        ("--s-mhz", dict(type=float, default=0.0, help="interaction shift to include (MHz)")),
+    )),
+    "scan-r": _Command("transverse profile and width", "transverse_scan", _cmd_scan_r, (
+        ("--mode", dict(choices=(MODE_NONE, MODE_PARTIAL, MODE_PERFECT), default=MODE_NONE)),
+        ("--r-max-um", dict(type=float)),
+        ("--samples", dict(type=int, default=201)),
+    ), quadrature=True),
+    "scan-z": _Command("longitudinal profile and width", "longitudinal_scan", _cmd_scan_z, (
+        ("--z-min-um", dict(type=float)),
+        ("--z-max-um", dict(type=float)),
+        ("--samples", dict(type=int, default=401)),
+        ("--s0-mhz", dict(dest="s0", type=_rad_per_us, metavar="MHZ", help="core shift override")),
+        ("--delta-offset-mhz", dict(dest="delta_offset", type=_rad_per_us, metavar="MHZ", help="detuning offset override")),
+    ), quadrature=True),
+    "scan-l": _Command("width growth with winding number", "oam_broadening_scan", _cmd_scan_l, (
+        ("--l-values", dict(type=_parse_l_values, default=(1, 2, 3, 4, 5))),
+        ("--r-max-um", dict(type=float)),
+        ("--samples", dict(type=int, default=201)),
+    )),
+    "map3d": _Command("3D excitation map", "map3d", _cmd_map3d, (
+        ("--mode", dict(choices=(OFFSET_CALIBRATED, OFFSET_DETUNED), default=OFFSET_CALIBRATED)),
+        ("--xy-half-um", dict(type=float, help="half extent in x and y")),
+        ("--samples-per-axis", dict(type=int, default=101)),
+        ("--s0-mhz", dict(dest="s0", type=_rad_per_us, metavar="MHZ")),
+        ("--per-voxel-exact", dict(action="store_true")),
+    ), quadrature=True),
+    "shift": _Command("interaction shift profile", "shift_profile", _cmd_shift, (
+        ("--axis", dict(choices=("radial", "longitudinal"), default="radial")),
+        ("--max-um", dict(type=float, help="radial extent (radial axis only)")),
+        ("--samples", dict(type=int, default=21)),
+    ), quadrature=True, default_quad=QuadratureSpec.paper_default),
+    "calibrate-delta": _Command("self-consistent detuning offset", "calibrate_delta", _cmd_calibrate, (
+        ("--max-iter", dict(type=int, default=8)),
+    ), quadrature=True),
+    "blockade": _Command("blockade boundary around an atom", "blockade_boundary", _cmd_blockade, (
+        ("--r-um", dict(type=float, default=0.0)),
+        ("--z-um", dict(type=float)),
+        ("--resolution", dict(type=int, default=256)),
+    )),
+    "steady-time": _Command("time to enter the steady band", "steady_time", _cmd_steady_time, (
+        ("--rel-tol", dict(type=float, default=0.01)),
+        ("--budget-us", dict(type=float, default=200.0)),
+        ("--intensity-ratio", dict(type=float, default=2.0 / 3.0, help="intensity ratio I_c/I_p at the sampled radius")),
+        ("--dt-us", dict(type=float)),
+    )),
+    "noise": _Command("noise-averaged transverse profile", "noisy_transverse_scan", _cmd_noise, (
+        ("--kind", dict(choices=(noise.KIND_INTENSITY, noise.KIND_FREQUENCY))),
+        ("--std", dict(type=float, help="noise level: fraction of the peak amplitude (intensity) or MHz (frequency)")),
+        ("--trajectories", dict(type=int)),
+        ("--seed", dict(type=int, help="master seed of the trajectories")),
+        ("--x-max-um", dict(type=float)),
+        ("--samples", dict(type=int, default=201)),
+        ("--s0-mhz", dict(dest="s0", type=_rad_per_us, metavar="MHZ")),
+        ("--delta-offset-mhz", dict(dest="delta_offset", type=_rad_per_us, metavar="MHZ")),
+    ), quadrature=True, default_kappa=180.0),
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", metavar="FILE", help="INI parameter file")
+    common.add_argument("--out", metavar="FILE", help="result path (default vortex-<cmd>.<fmt>)")
+    common.add_argument("--format", choices=("csv", "json"), default="csv", help="result file format")
+    common.add_argument("--kappa", type=float, help="control/probe amplitude ratio")
+    common.add_argument("--omega-p0-mhz", type=float, help="probe Rabi amplitude (MHz)")
+
+    quadrature = argparse.ArgumentParser(add_help=False)
+    quadrature.add_argument(
+        "--threads", type=_parse_threads, default=1, help="worker threads (results are identical)"
+    )
+    quadrature.add_argument("--grid-spacing", type=float, help="quadrature spacing, wavelength multiples")
+    quadrature.add_argument("--grid-extent", type=float, help="quadrature extent, wavelength multiples")
+    quadrature.add_argument("--mask", choices=(MASK_LOCAL, MASK_ATOM), default=MASK_LOCAL)
+    quadrature.add_argument("--tail-tol", type=float, default=0.01, help="allowed truncation tail fraction")
+
+    parser = argparse.ArgumentParser(
+        prog="vortex-localize",
+        description="Steady-state Rydberg excitation around a vortex control beam.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in _COMMANDS.items():
+        parents = [common, quadrature] if cmd.quadrature else [common]
+        p = sub.add_parser(name, parents=parents, help=cmd.help)
+        for flag, spec in cmd.arguments:
+            p.add_argument(flag, **spec)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    cmd = _COMMANDS[args.command]
     op = "parse_config"
     started = time.perf_counter()
     try:
-        file_data = parse_config(args.config) if args.config else {}
-        default_kappa = 180.0 if args.command == "noise" else None
+        physics, file_flags = parse_config(args.config) if args.config else ({}, {})
+        # an unset flag takes the file's value, else its default; flags the
+        # subcommand does not take are not attributes of args and stay unset
+        for dest, value in {**_FLAG_DEFAULTS, **file_flags}.items():
+            if getattr(args, dest, False) is None:
+                setattr(args, dest, value)
         op = "make_config"
-        config = _build_config(args, file_data, default_kappa=default_kappa)
-        op = "QuadratureSpec.scaled"
-        quad = _resolve_quad(args, file_data, config)
-        op = _OP_NAMES[args.command]
-        handler = _HANDLERS[args.command]
-        result = handler(args, config, quad, file_data)
-        params, columns, summary, line, extra = result
-        seed = extra if args.command == "noise" else None
+        config = _build_config(args, physics, cmd.default_kappa)
+        lattice, echo = {}, {}
+        if cmd.quadrature:
+            op = "QuadratureSpec.scaled"
+            quad = _resolve_quad(args, config, cmd.default_quad)
+            lattice = {"quad": quad, "mask": args.mask, "threads": args.threads, "tail_tol": args.tail_tol}
+            echo["mask"] = args.mask
+            if quad is not None:
+                for name in ("extent_r", "extent_z", "spacing_r", "spacing_z"):
+                    echo[f"quad_{name}_um"] = getattr(quad, name)
+        op = cmd.op
+        params, columns, summary, line = cmd.run(args, config, **lattice)
         manifest = output.RunManifest(
-            subcommand=args.command, config=config, params=params, seed=seed
+            subcommand=args.command,
+            config=config,
+            params={**params, **echo},
+            seed=getattr(args, "seed", None),
         )
         out_path = args.out if args.out else f"vortex-{args.command}.{args.format}"
         op = "write_table"

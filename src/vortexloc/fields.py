@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,19 +18,6 @@ from .config import (
 )
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """Local drive fields at one point: complex control amplitude, probe amplitude, detuning value.
-
-    The control modulus is bounded by the doughnut envelope maximum
-    Omega_c0 * (|l|/2)^(|l|/2) * exp(-|l|/2), reached at r = W0*sqrt(|l|/2).
-    """
-
-    omega_c: complex  # rad/us
-    omega_p: float  # rad/us
-    delta_c: float  # rad/us
-
-
 def lg_amplitude(pos: Position, beam: BeamConfig) -> complex:
     """Doughnut vortex amplitude Omega_c0 * (r/W0)^|l| * exp(-r^2/W0^2) * exp(i*l*phi).
 
@@ -44,7 +30,7 @@ def lg_amplitude(pos: Position, beam: BeamConfig) -> complex:
 
 
 def envelope_maximum(beam: BeamConfig) -> float:
-    """Largest control modulus over all positions."""
+    """Largest control modulus: Omega_c0 * (|l|/2)^(|l|/2) * exp(-|l|/2), at r = W0*sqrt(|l|/2)."""
     half_l = 0.5 * abs(beam.winding_l)
     return beam.omega_c0 * half_l**half_l * math.exp(-half_l)
 
@@ -64,22 +50,41 @@ def control_envelope(r, beam: BeamConfig, amplitude=None):
     return env
 
 
-def intensity_ratio_eta(pos: Position, config: SystemConfig):
+def eta_of_radius(r, config: SystemConfig):
     """Control-to-probe intensity ratio eta = I_c/I_p = kappa^2 (r/W0)^(2|l|) e^(-2 r^2/W0^2).
 
-    Accepts a scalar radius inside `pos` or, for grid work, an ndarray via
-    `eta_of_radius`.
+    Takes a scalar radius or, for grid work, an ndarray of radii.
     """
-    return eta_of_radius(pos.r, config)
-
-
-def eta_of_radius(r, config: SystemConfig):
     u = np.asarray(r, dtype=float) / config.beam.waist_w0
     k = config.kappa
     eta = k * k * u ** (2 * abs(config.beam.winding_l)) * np.exp(-2.0 * u * u)
     if np.ndim(r) == 0:
         return float(eta)
     return eta
+
+
+def radius_at_eta(q: float, config: SystemConfig) -> float:
+    """The radius inside the envelope peak where eta = q, by bisection to 1e-12 W0.
+
+    eta rises monotonically on the bracket [0, W0*sqrt(|l|/2)], from 0 at the
+    core to its maximum at the envelope peak.
+    """
+    if q <= 0:
+        raise ValueError("intensity ratio must be positive")
+    beam = config.beam
+    hi = beam.waist_w0 * math.sqrt(abs(beam.winding_l) / 2.0)
+    if eta_of_radius(hi, config) < q:
+        raise ValueError("requested intensity ratio exceeds the envelope maximum")
+    lo = 0.0
+    for _ in range(200):
+        if hi - lo <= 1e-12 * beam.waist_w0:
+            break
+        mid = 0.5 * (lo + hi)
+        if eta_of_radius(mid, config) < q:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def taylor_eta(r: float, config: SystemConfig) -> float:
@@ -103,25 +108,14 @@ def detuning_profile(z, mod: DetuningModulation):
     return value
 
 
-def sample_fields(config: SystemConfig, pos: Position) -> FieldSample:
-    """Evaluate all drive fields at one position."""
-    return FieldSample(
-        omega_c=lg_amplitude(pos, config.beam),
-        omega_p=config.probe.omega_p0,
-        delta_c=detuning_profile(pos.z, config.detuning),
-    )
-
-
 __all__ = [
     "CONSTANT",
     "STANDING_WAVE",
-    "FieldSample",
     "lg_amplitude",
     "envelope_maximum",
     "control_envelope",
-    "intensity_ratio_eta",
     "eta_of_radius",
+    "radius_at_eta",
     "taylor_eta",
     "detuning_profile",
-    "sample_fields",
 ]

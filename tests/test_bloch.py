@@ -30,7 +30,7 @@ from vortexloc.bloch import (
     steady_time,
 )
 from vortexloc.config import TWO_PI, Position
-from vortexloc.fields import control_envelope, eta_of_radius
+from vortexloc.fields import control_envelope, detuning_profile, envelope_maximum, lg_amplitude, radius_at_eta
 
 SIGMA_GE = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)
 SIGMA_ER = np.array([[0, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
@@ -165,14 +165,7 @@ def _random_state(rng):
 def drive_at_intensity_ratio(kappa, q=2.0 / 3.0):
     """Resonant local drive at the radius where I_c/I_p = q."""
     cfg = make_config(kappa=kappa)
-    lo, hi = 0.0, cfg.beam.waist_w0 / math.sqrt(2.0)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if eta_of_radius(mid, cfg) < q:
-            lo = mid
-        else:
-            hi = mid
-    env = control_envelope(0.5 * (lo + hi), cfg.beam)
+    env = control_envelope(radius_at_eta(q, cfg), cfg.beam)
     m = cfg.medium
     return LocalDrive(
         omega_p=cfg.probe.omega_p0,
@@ -184,6 +177,19 @@ def drive_at_intensity_ratio(kappa, q=2.0 / 3.0):
         gamma_e=m.gamma_e,
         gamma_r=m.gamma_r,
     )
+
+
+def test_local_drive_from_config_reads_the_local_fields():
+    cfg = make_config()
+    pos = Position(0.8, 0.6, 0.1)
+    drive = LocalDrive.from_config(cfg, pos, s_shift=0.25)
+    assert drive.omega_p == cfg.probe.omega_p0
+    assert drive.omega_c == lg_amplitude(pos, cfg.beam)
+    assert drive.delta_c == detuning_profile(pos.z, cfg.detuning)
+    assert abs(drive.omega_c) <= envelope_maximum(cfg.beam) + 1e-12
+    assert (drive.delta_p, drive.s_shift) == (cfg.probe.delta_p, 0.25)
+    m = cfg.medium
+    assert (drive.gamma, drive.gamma_e, drive.gamma_r) == (m.gamma, m.gamma_e, m.gamma_r)
 
 
 def test_rhs_matches_the_independent_master_equation():

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: parsing, outputs, determinism, exit codes."""
 
+import dataclasses
 import json
 import math
 
@@ -8,9 +9,13 @@ import pytest
 
 from vortexloc import cli, make_config, meanfield, noise, parallel
 from vortexloc.bloch import LocalDrive, steady_sigma_rr
-from vortexloc.cli import main, parse_config
+from vortexloc.cli import build_parser, main, parse_config
 from vortexloc.config import TWO_PI, Position
 from vortexloc.localization import analytic_a_r
+from vortexloc.output import fmt_number
+
+QUADRATURE_COMMANDS = ("scan-r", "scan-z", "map3d", "shift", "calibrate-delta", "noise")
+PLAIN_COMMANDS = ("steady", "scan-l", "blockade", "steady-time")
 
 
 def run(argv, capsys):
@@ -43,15 +48,35 @@ def test_parse_config_reads_all_sections(tmp_path):
         "[quadrature]\nspacing = 0.05\nextent = 80\n"
         "[noise]\nkind = frequency\nstd = 0.3\ntrajectories = 4\nseed = 9\n"
     )
-    data = parse_config(str(path))
-    assert data["config"] == {
+    physics, flags = parse_config(str(path))
+    assert physics == {
         "omega_c0_mhz": 40.0,
         "waist_w0_um": 2.0,
         "kappa": 50.0,
         "gamma_e_mhz": 6.05,
     }
-    assert data["quadrature"] == {"spacing": 0.05, "extent": 80.0}
-    assert data["noise"] == {"kind": "frequency", "std": 0.3, "trajectories": 4, "seed": 9}
+    # [quadrature] and [noise] keys land on the dests of the flags they stand in for
+    assert flags == {
+        "grid_spacing": 0.05,
+        "grid_extent": 80.0,
+        "kind": "frequency",
+        "std": 0.3,
+        "trajectories": 4,
+        "seed": 9,
+    }
+    types = {key: type(value) for key, value in {**physics, **flags}.items()}
+    assert types == {
+        "omega_c0_mhz": float,
+        "waist_w0_um": float,
+        "kappa": float,
+        "gamma_e_mhz": float,
+        "grid_spacing": float,
+        "grid_extent": float,
+        "kind": str,
+        "std": float,
+        "trajectories": int,
+        "seed": int,
+    }
 
 
 def test_parse_config_rejects_unknown_keys(tmp_path, capsys):
@@ -257,6 +282,14 @@ def test_argparse_rejects_bad_invocations(capsys):
         capsys.readouterr()
 
 
+def _forbid_handlers(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no handler may run")
+
+    for name, command in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, name, dataclasses.replace(command, run=forbidden))
+
+
 @pytest.mark.parametrize("threads", ["0", "-1", "65"])
 def test_out_of_range_threads_are_rejected_before_any_work(threads, monkeypatch, capsys):
     def forbidden(*args, **kwargs):
@@ -266,7 +299,7 @@ def test_out_of_range_threads_are_rejected_before_any_work(threads, monkeypatch,
     monkeypatch.setattr(meanfield, "map_ordered", forbidden)
     monkeypatch.setattr(noise, "map_ordered", forbidden)
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", forbidden)
-    monkeypatch.setattr(cli, "_HANDLERS", {name: forbidden for name in cli._HANDLERS})
+    _forbid_handlers(monkeypatch)
     with pytest.raises(SystemExit) as exc:
         main(["noise", "--s0-mhz", "0.4", "--trajectories", "2000", "--threads", threads])
     assert exc.value.code == 2
@@ -274,6 +307,85 @@ def test_out_of_range_threads_are_rejected_before_any_work(threads, monkeypatch,
     message = err.strip().splitlines()[-1]
     assert "--threads" in message
     assert "between 1 and 64" in message
+
+
+@pytest.mark.parametrize("command", PLAIN_COMMANDS)
+@pytest.mark.parametrize(
+    "flag",
+    [("--threads", "2"), ("--grid-spacing", "0.05"), ("--mask", "atom"), ("--tail-tol", "0.5"), ("--seed", "1")],
+    ids=lambda flag: flag[0],
+)
+def test_subcommands_without_a_quadrature_reject_its_flags(command, flag, monkeypatch, capsys):
+    _forbid_handlers(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--kappa", "10", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [c for c in QUADRATURE_COMMANDS if c != "noise"])
+def test_only_noise_takes_a_seed(command, monkeypatch, capsys):
+    _forbid_handlers(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--kappa", "10", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", QUADRATURE_COMMANDS)
+def test_quadrature_subcommands_take_the_quadrature_flags(command):
+    args = build_parser().parse_args(
+        [command, "--threads", "2", "--grid-spacing", "0.05", "--grid-extent", "80", "--mask", "atom",
+         "--tail-tol", "0.5"]
+        + (["--seed", "1"] if command == "noise" else [])
+    )
+    assert (args.threads, args.grid_spacing, args.grid_extent) == (2, 0.05, 80.0)
+    assert (args.mask, args.tail_tol) == ("atom", 0.5)
+    assert getattr(args, "seed", None) == (1 if command == "noise" else None)
+
+
+def test_shared_flags_sit_only_on_the_subcommands_that_use_them():
+    # 5 common flags on all ten subcommands, 5 quadrature flags on six, --seed on noise
+    shared = {"--config", "--out", "--format", "--kappa", "--omega-p0-mhz", "--threads",
+              "--grid-spacing", "--grid-extent", "--mask", "--tail-tol", "--seed"}
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    assert set(subparsers) == set(QUADRATURE_COMMANDS + PLAIN_COMMANDS)
+    accepted = [
+        (name, flag)
+        for name, sub in subparsers.items()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag in shared
+    ]
+    assert len(accepted) == 81
+
+
+def test_quadrature_section_of_the_config_file_yields_to_the_flag(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[quadrature]\nspacing = 0.05\n")
+    lam = make_config().beam.wavelength_c
+    args = ["scan-z", "--kappa", "500", "--s0-mhz", "0.062", "--config", str(ini)]
+    for extra, multiple in (([], 0.05), (["--grid-spacing", "0.04"], 0.04)):
+        out_file = tmp_path / "scan.csv"
+        assert run(args + extra + ["--out", str(out_file)], capsys)[0] == 0
+        text = out_file.read_text()
+        assert f"# param.quad_spacing_r_um = {fmt_number(multiple * lam)}\n" in text
+        assert f"# param.quad_extent_r_um = {fmt_number(100.0 * lam)}\n" in text
+
+
+def test_noise_seed_comes_from_the_flag_then_the_file_then_zero(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[noise]\nseed = 11\n")
+    base = ["noise", "--std", "0", "--trajectories", "1", "--s0-mhz", "0.415", "--x-max-um", "0.06",
+            "--samples", "121"]
+    for extra, seed in (
+        (["--config", str(ini)], 11),
+        (["--config", str(ini), "--seed", "4"], 4),
+        ([], 0),
+    ):
+        out_file = tmp_path / "noise.csv"
+        assert run(base + extra + ["--out", str(out_file)], capsys)[0] == 0
+        assert f"\n# seed = {seed}\n" in out_file.read_text()
 
 
 def test_runtime_errors_name_the_failing_operation(tmp_path, capsys):
@@ -300,7 +412,7 @@ def test_internal_errors_propagate_with_their_traceback(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise KeyError("sigma_rr")
 
-    monkeypatch.setitem(cli._HANDLERS, "steady", broken)
+    monkeypatch.setitem(cli._COMMANDS, "steady", dataclasses.replace(cli._COMMANDS["steady"], run=broken))
     with pytest.raises(KeyError, match="sigma_rr"):
         main(["steady", "--kappa", "10"])
     assert capsys.readouterr().out == ""

@@ -12,9 +12,8 @@ from vortexloc.fields import (
     detuning_profile,
     envelope_maximum,
     eta_of_radius,
-    intensity_ratio_eta,
     lg_amplitude,
-    sample_fields,
+    radius_at_eta,
     taylor_eta,
 )
 
@@ -60,7 +59,7 @@ def test_higher_winding_darkens_the_core_faster():
 
 def test_eta_vanishes_at_the_core_and_matches_the_amplitude_ratio():
     cfg = make_config(kappa=10.0)
-    assert intensity_ratio_eta(Position(0.0, 0.0, 0.0), cfg) == 0.0
+    assert eta_of_radius(0.0, cfg) == 0.0
     rng = np.random.default_rng(7)
     for _ in range(20):
         pos = Position(
@@ -69,21 +68,34 @@ def test_eta_vanishes_at_the_core_and_matches_the_amplitude_ratio():
             float(rng.uniform(-1.0, 1.0)),
         )
         direct = abs(lg_amplitude(pos, cfg.beam)) ** 2 / cfg.probe.omega_p0**2
-        assert intensity_ratio_eta(pos, cfg) == pytest.approx(direct, rel=1e-12)
+        assert eta_of_radius(pos.r, cfg) == pytest.approx(direct, rel=1e-12)
 
 
 def test_eta_reaches_unity_near_a_tenth_of_the_waist_at_kappa_10():
     cfg = make_config(kappa=10.0)
-    lo, hi = 0.05, 0.2  # brackets the rising flank
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if eta_of_radius(mid, cfg) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
+    root = radius_at_eta(1.0, cfg)
     assert eta_of_radius(root, cfg) == pytest.approx(1.0, rel=1e-9)
     assert root == pytest.approx(0.101 * cfg.beam.waist_w0, rel=1e-2)
+
+
+@pytest.mark.parametrize("winding", [1, 2])
+def test_radius_at_eta_inverts_eta_inside_the_envelope_peak(winding):
+    cfg = with_winding(make_config(kappa=10.0), winding)
+    r_peak = cfg.beam.waist_w0 * math.sqrt(winding / 2.0)
+    eta_max = eta_of_radius(r_peak, cfg)
+    for q in (1e-2, 2.0 / 3.0, 1.0, 0.5 * eta_max, 0.999 * eta_max):
+        r = radius_at_eta(q, cfg)
+        assert 0.0 < r < r_peak
+        assert eta_of_radius(r, cfg) == pytest.approx(q, rel=1e-9)
+
+
+def test_radius_at_eta_rejects_ratios_it_cannot_reach():
+    cfg = make_config(kappa=10.0)  # eta peaks at 100/(2e) = 18.4
+    for q in (0.0, -1.0):
+        with pytest.raises(ValueError, match="intensity ratio must be positive"):
+            radius_at_eta(q, cfg)
+    with pytest.raises(ValueError, match="requested intensity ratio exceeds the envelope maximum"):
+        radius_at_eta(19.0, cfg)
 
 
 def test_taylor_expansion_is_a_core_approximation_only():
@@ -145,11 +157,3 @@ def test_envelope_accepts_per_point_amplitudes():
     doubled = control_envelope(r, BEAM, amplitude=2.0 * amps)
     assert np.allclose(doubled, 2.0 * control_envelope(r, BEAM), rtol=1e-15)
 
-
-def test_sample_fields_bundles_the_local_drive():
-    pos = Position(0.8, 0.6, 0.1)
-    s = sample_fields(CFG, pos)
-    assert s.omega_p == CFG.probe.omega_p0
-    assert s.omega_c == lg_amplitude(pos, BEAM)
-    assert s.delta_c == detuning_profile(pos.z, CFG.detuning)
-    assert abs(s.omega_c) <= envelope_maximum(BEAM) + 1e-12
