@@ -9,22 +9,11 @@ with half-maximum widths, and Monte-Carlo noise robustness, all with
 deterministic, worker-count-independent numerics.
 """
 
-from .bloch import (
-    BlochState,
-    LocalDrive,
-    Trajectory,
-    antiblockade_sigma,
-    approx_sigma,
-    bloch_rhs,
-    dark_state_weights,
-    evolve,
-    ground_state,
-    linewidth_from,
-    linewidth_w,
-    sigma_rr_steady,
-    steady_sigma_rr,
-    steady_time,
-)
+# The names the README and the ten subcommands use: configuration and units,
+# each subcommand's library entry point with its inputs and result type, and
+# the mode, mask and kind constants. Oracles and helpers stay importable from
+# their submodules (vortexloc.bloch, vortexloc.fields, vortexloc.noise, ...).
+from .bloch import LocalDrive, steady_sigma_rr, steady_time
 from .config import (
     CONSTANT,
     STANDING_WAVE,
@@ -37,18 +26,6 @@ from .config import (
     angular_from_mhz,
     make_config,
     mhz_from_angular,
-    with_delta_shift,
-    with_probe_amplitude,
-    with_winding,
-)
-from .fields import (
-    control_envelope,
-    detuning_profile,
-    envelope_maximum,
-    eta_of_radius,
-    lg_amplitude,
-    radius_at_eta,
-    taylor_eta,
 )
 from .localization import (
     MODE_NONE,
@@ -58,9 +35,6 @@ from .localization import (
     OFFSET_DETUNED,
     Map3D,
     ScanProfile,
-    analytic_a_r,
-    analytic_a_z,
-    extract_fwhm,
     iso_extents,
     longitudinal_scan,
     map3d,
@@ -74,34 +48,18 @@ from .meanfield import (
     QuadratureSpec,
     ShiftGrid,
     blockade_boundary,
-    blockade_radius,
-    calibrate_delta,
     calibrated_offset,
-    excitation_fraction,
-    s0_integral,
     shift_at,
     shift_profile,
-    superatom_count,
 )
-from .noise import (
-    KIND_FREQUENCY,
-    KIND_INTENSITY,
-    IntensityField,
-    NoiseSpec,
-    NoisyScan,
-    noisy_transverse_scan,
-    sample_frequency_offsets,
-    sample_intensity_field,
-    spread_at,
-    trajectory_rng,
-)
+from .noise import KIND_FREQUENCY, KIND_INTENSITY, NoiseSpec, NoisyScan, noisy_transverse_scan
 from .output import PACKAGE_VERSION, RunManifest, write_table
 
 __version__ = PACKAGE_VERSION
 
 __all__ = [
     "__version__",
-    # configuration
+    # configuration and units
     "CONSTANT",
     "STANDING_WAVE",
     "BeamConfig",
@@ -113,48 +71,21 @@ __all__ = [
     "make_config",
     "angular_from_mhz",
     "mhz_from_angular",
-    "with_delta_shift",
-    "with_probe_amplitude",
-    "with_winding",
-    # fields
-    "lg_amplitude",
-    "control_envelope",
-    "envelope_maximum",
-    "eta_of_radius",
-    "radius_at_eta",
-    "taylor_eta",
-    "detuning_profile",
-    # dynamics and steady state
-    "BlochState",
+    # steady state (steady, steady-time)
     "LocalDrive",
-    "Trajectory",
-    "bloch_rhs",
-    "ground_state",
-    "evolve",
-    "sigma_rr_steady",
     "steady_sigma_rr",
-    "antiblockade_sigma",
-    "approx_sigma",
-    "linewidth_w",
-    "linewidth_from",
-    "dark_state_weights",
     "steady_time",
-    # interaction shift
+    # interaction shift (shift, calibrate-delta, blockade)
     "MASK_LOCAL",
     "MASK_ATOM",
     "QuadratureSpec",
     "ShiftGrid",
     "BlockadeBoundary",
-    "blockade_radius",
-    "superatom_count",
-    "excitation_fraction",
     "shift_at",
     "shift_profile",
-    "s0_integral",
     "calibrated_offset",
-    "calibrate_delta",
     "blockade_boundary",
-    # localization
+    # localization (scan-r, scan-z, scan-l, map3d)
     "MODE_NONE",
     "MODE_PARTIAL",
     "MODE_PERFECT",
@@ -163,24 +94,16 @@ __all__ = [
     "ScanProfile",
     "Map3D",
     "transverse_scan",
-    "oam_broadening_scan",
     "longitudinal_scan",
-    "analytic_a_r",
-    "analytic_a_z",
+    "oam_broadening_scan",
     "map3d",
     "iso_extents",
-    "extract_fwhm",
     # noise
     "KIND_INTENSITY",
     "KIND_FREQUENCY",
     "NoiseSpec",
-    "IntensityField",
     "NoisyScan",
-    "trajectory_rng",
-    "sample_intensity_field",
-    "sample_frequency_offsets",
     "noisy_transverse_scan",
-    "spread_at",
     # output
     "RunManifest",
     "write_table",

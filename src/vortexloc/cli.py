@@ -178,7 +178,7 @@ def _profile_table(profile: localization.ScanProfile) -> tuple[dict, dict]:
 def _cmd_steady(args, config):
     beam = config.beam
     r = args.r_um if args.r_um is not None else beam.waist_w0 * math.sqrt(abs(beam.winding_l) / 2.0)
-    z = args.z_um if args.z_um is not None else 0.75 * beam.wavelength_c
+    z = args.z_um if args.z_um is not None else meanfield.localized_point(config).z
     pos = Position(r=r, phi=args.phi_rad, z=z)
     drive = bloch.LocalDrive.from_config(config, pos, s_shift=angular_from_mhz(args.s_mhz))
     sigma = bloch.steady_sigma_rr(drive)
@@ -246,7 +246,7 @@ def _cmd_map3d(args, config, **lattice):
     half, z_half = localization.default_map_extents(config)
     if args.xy_half_um is not None:
         half = args.xy_half_um
-    z_node = 0.75 * config.beam.wavelength_c
+    z_node = meanfield.localized_point(config).z
     extents = ((-half, half), (-half, half), (z_node - z_half, z_node + z_half))
     # spacing derives from the extents so each axis lands exactly on n samples
     spacing = tuple((hi - lo) / (n - 1) for lo, hi in extents)
@@ -276,7 +276,7 @@ def _cmd_map3d(args, config, **lattice):
         params[f"{name}_min_um"] = lo
         params[f"{name}_max_um"] = hi
     summary = {
-        "iso_level": vol.iso_level,
+        "iso_level": localization.HALF_MAX,
         "peak": float(vol.field.max()),
         "s0_mhz": mhz_from_angular(vol.s0),
         "delta_offset_mhz": mhz_from_angular(vol.delta_offset),
@@ -297,7 +297,7 @@ def _cmd_shift(args, config, **lattice):
         positions = np.linspace(0.0, max_um, args.samples)
     else:
         period = config.detuning.period
-        lo = 0.75 * lam - 0.5 * period
+        lo = meanfield.localized_point(config).z - 0.5 * period
         positions = np.linspace(lo, lo + period, args.samples)
     _progress(f"evaluating {positions.size} quadratures...")
     grid = meanfield.shift_profile(args.axis, positions, config, **lattice)
@@ -331,11 +331,9 @@ def _cmd_calibrate(args, config, **lattice):
 
 
 def _cmd_blockade(args, config):
-    z = args.z_um if args.z_um is not None else 0.75 * config.beam.wavelength_c
+    z = args.z_um if args.z_um is not None else meanfield.localized_point(config).z
     boundary = meanfield.blockade_boundary(Position(r=args.r_um, phi=0.0, z=z), config, resolution=args.resolution)
-    ip = config.probe.omega_p0 ** 2
-    env = control_envelope(abs(args.r_um), config.beam)
-    w_atom = float(bloch.linewidth_from(ip, env * env, config.probe.delta_p, config.medium.gamma))
+    w_atom = float(meanfield.local_linewidth(config, abs(args.r_um)))
     rb_atom = meanfield.blockade_radius(w_atom, config.medium.c6)
     n_sa = meanfield.superatom_count(rb_atom, config.medium.density_rho)
     params = {"r_um": args.r_um, "z_um": z, "resolution": args.resolution}
@@ -412,8 +410,8 @@ def _cmd_noise(args, config, **lattice):
     summary.update(
         kind=args.kind,
         clamp_count=scan.clamp_count,
-        s0_mhz=mhz_from_angular(scan.s0),
-        delta_offset_mhz=mhz_from_angular(scan.delta_offset),
+        s0_mhz=mhz_from_angular(profile.s0),
+        delta_offset_mhz=mhz_from_angular(profile.delta_offset),
         spread_core=noise.spread_at(scan, 0.0),
         spread_waist=noise.spread_at(scan, config.beam.waist_w0),
     )

@@ -69,7 +69,7 @@ def radius_at_eta(q: float, config: SystemConfig) -> float:
     eta rises monotonically on the bracket [0, W0*sqrt(|l|/2)], from 0 at the
     core to its maximum at the envelope peak.
     """
-    if q <= 0:
+    if not q > 0:  # written so that NaN fails it too
         raise ValueError("intensity ratio must be positive")
     beam = config.beam
     hi = beam.waist_w0 * math.sqrt(abs(beam.winding_l) / 2.0)

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import linewidth_from, sigma_rr_steady
+from .bloch import sigma_rr_steady
 from .config import STANDING_WAVE, TWO_PI, Position, SystemConfig, with_winding
 from .fields import control_envelope
-from .meanfield import MASK_LOCAL, QuadratureSpec, calibrated_offset, shift_at
+from .meanfield import MASK_LOCAL, QuadratureSpec, calibrated_offset, local_linewidth, localized_point, shift_at
 
 MODE_NONE = "none"  # s = 0, exact two-photon resonance everywhere
 MODE_PARTIAL = "partial"  # fixed detuning compensates the core shift s(0) only
@@ -40,14 +40,13 @@ class ScanProfile:
     peak: float
     peak_coord: float  # um
     lambda_c: float
-    config_fingerprint: str
     s0: float | None = None  # rad/us
     delta_offset: float | None = None  # delta - Delta_c0, rad/us
 
 
 @dataclass(frozen=True)
 class Map3D:
-    """Steady excitation on a regular 3D grid with a half-maximum iso level."""
+    """Steady excitation on a regular 3D grid; its iso level is HALF_MAX."""
 
     x: np.ndarray
     y: np.ndarray
@@ -56,9 +55,6 @@ class Map3D:
     mode: str
     s0: float
     delta_offset: float
-    lambda_c: float
-    config_fingerprint: str
-    iso_level: float = HALF_MAX
 
 
 def _bisect_to(fn, lo: float, hi: float, xtol: float) -> float:
@@ -73,6 +69,25 @@ def _bisect_to(fn, lo: float, hi: float, xtol: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _run_around(values: np.ndarray, i: int, level: float) -> tuple[int, int]:
+    """First and last index of the run of samples at or above `level` that holds index i.
+
+    Sample i counts as part of the run whatever its value; NaN counts as below.
+    """
+    outside = np.flatnonzero(~(values >= level))
+    before, after = outside[outside < i], outside[outside > i]
+    first = int(before[-1]) + 1 if before.size else 0
+    last = int(after[0]) - 1 if after.size else values.size - 1
+    return first, last
+
+
+def _axis_two_photon(config: SystemConfig, z, s0: float, delta_offset: float):
+    """Two-photon detuning on the axis at height z, with the core shift frozen at s_0."""
+    mod = config.detuning
+    mismatch0 = delta_offset - s0  # exactly 0.0 at the calibrated point
+    return config.probe.delta_p + mod.delta_c0 * (np.sin(TWO_PI * np.asarray(z) / mod.period) + 1.0) + mismatch0
 
 
 def transverse_scan(
@@ -100,6 +115,8 @@ def transverse_scan(
     beam = config.beam
     if r_max is None:
         r_max = 1.5 * beam.waist_w0
+    if not math.isfinite(r_max):
+        raise ValueError(f"r_max must be finite, got {r_max}")
     if r_max <= 0:
         raise ValueError("r_max must be positive")
 
@@ -107,7 +124,7 @@ def transverse_scan(
     dp = config.probe.delta_p
     gamma = config.medium.gamma
     lambda_c = beam.wavelength_c
-    z_loc = 0.75 * lambda_c
+    z_loc = localized_point(config).z
     r = np.linspace(0.0, r_max, n_samples)
 
     s0 = None
@@ -146,15 +163,14 @@ def transverse_scan(
     env = control_envelope(r, beam)
     sigma = sigma_rr_steady(ip, env * env, dp, two_photon, gamma)
 
-    below = np.nonzero(sigma < HALF_MAX)[0]
-    if below.size == 0:
+    if sigma[0] < HALF_MAX:
+        raise ValueError("profile starts below the half maximum; no crossing at the core")
+    _, last = _run_around(sigma, 0, HALF_MAX)
+    if last == n_samples - 1:
         raise ValueError(
             f"no crossing of the half maximum within r_max={r_max:g} um; widen the scan"
         )
-    i = int(below[0])
-    if i == 0:
-        raise ValueError("profile starts below the half maximum; no crossing at the core")
-    crossing = _bisect_to(lambda radius: sigma_of(radius) - HALF_MAX, r[i - 1], r[i], 1e-4 * lambda_c)
+    crossing = _bisect_to(lambda radius: sigma_of(radius) - HALF_MAX, r[last], r[last + 1], 1e-4 * lambda_c)
 
     return ScanProfile(
         axis="r",
@@ -165,7 +181,6 @@ def transverse_scan(
         peak=float(sigma.max()),
         peak_coord=float(r[int(np.argmax(sigma))]),
         lambda_c=lambda_c,
-        config_fingerprint=config.fingerprint(),
         s0=s0,
     )
 
@@ -251,7 +266,8 @@ def longitudinal_scan(
     mod = config.detuning
     lambda_c = config.beam.wavelength_c
     if z_range is None:
-        z_range = (0.75 * lambda_c - 0.5 * mod.period, 0.75 * lambda_c + 0.5 * mod.period)
+        z_node = localized_point(config).z
+        z_range = (z_node - 0.5 * mod.period, z_node + 0.5 * mod.period)
     z0, z1 = z_range
     if not z1 > z0:
         raise ValueError("z_range must be increasing")
@@ -259,27 +275,18 @@ def longitudinal_scan(
     ip = config.probe.omega_p0 ** 2
     dp = config.probe.delta_p
     gamma = config.medium.gamma
-    mismatch0 = delta_offset - s0  # exactly 0.0 at the calibrated point
 
-    def two_photon_of(z):
-        return dp + mod.delta_c0 * (np.sin(TWO_PI * np.asarray(z) / mod.period) + 1.0) + mismatch0
-
-    def sigma_of(z: float) -> float:
-        return float(sigma_rr_steady(ip, 0.0, dp, two_photon_of(z), gamma))
+    def sigma_of(z):
+        return sigma_rr_steady(ip, 0.0, dp, _axis_two_photon(config, z, s0, delta_offset), gamma)
 
     z = np.linspace(z0, z1, n_samples)
-    sigma = np.asarray(sigma_rr_steady(ip, 0.0, dp, two_photon_of(z), gamma), dtype=float)
+    sigma = np.asarray(sigma_of(z), dtype=float)
 
     peak_i = int(np.argmax(sigma))
     if sigma[peak_i] < HALF_MAX:
         raise ValueError("profile never reaches the half maximum")
     xtol = 1e-4 * lambda_c
-    right_i = peak_i
-    while right_i + 1 < n_samples and sigma[right_i + 1] >= HALF_MAX:
-        right_i += 1
-    left_i = peak_i
-    while left_i - 1 >= 0 and sigma[left_i - 1] >= HALF_MAX:
-        left_i -= 1
+    left_i, right_i = _run_around(sigma, peak_i, HALF_MAX)
     if right_i + 1 >= n_samples or left_i == 0:
         raise ValueError("no crossing of the half maximum inside the window; widen z_range")
     right = _bisect_to(lambda zz: sigma_of(zz) - HALF_MAX, z[right_i], z[right_i + 1], xtol)
@@ -294,7 +301,6 @@ def longitudinal_scan(
         peak=float(sigma[peak_i]),
         peak_coord=float(z[peak_i]),
         lambda_c=lambda_c,
-        config_fingerprint=config.fingerprint(),
         s0=s0,
         delta_offset=delta_offset,
     )
@@ -312,8 +318,7 @@ def default_map_extents(config: SystemConfig) -> tuple[float, float]:
         half = 3.0 * analytic_a_r(config.kappa, beam.waist_w0)
     except ValueError:
         half = 1.5 * beam.waist_w0
-    ip = config.probe.omega_p0 ** 2
-    w_core = float(linewidth_from(ip, 0.0, config.probe.delta_p, config.medium.gamma))
+    w_core = float(local_linewidth(config, 0.0))
     try:
         z_half = 3.0 * analytic_a_z(w_core, config.detuning.delta_c0, beam.wavelength_c)
     except ValueError:
@@ -347,16 +352,10 @@ def map3d(
     s0, _, quad = _resolve_offsets(config, s0, None, quad, mask, threads, tail_tol)
     offset = s0 if delta_offset_mode == OFFSET_CALIBRATED else 2.0 * s0
 
-    beam = config.beam
-    mod = config.detuning
-    lambda_c = beam.wavelength_c
     if extents is None:
         half, z_half = default_map_extents(config)
-        extents = (
-            (-half, half),
-            (-half, half),
-            (0.75 * lambda_c - z_half, 0.75 * lambda_c + z_half),
-        )
+        z_node = localized_point(config).z
+        extents = ((-half, half), (-half, half), (z_node - z_half, z_node + z_half))
     if spacing is None:
         spacing = tuple((hi - lo) / 100.0 for lo, hi in extents)
     elif np.ndim(spacing) == 0:
@@ -375,10 +374,9 @@ def map3d(
     gamma = config.medium.gamma
 
     r_xy = np.hypot(x[:, None], y[None, :])
-    env = control_envelope(r_xy, beam)
+    env = control_envelope(r_xy, config.beam)
     ic_xy = env * env
-    mismatch0 = offset - s0
-    tp_z = dp + mod.delta_c0 * (np.sin(TWO_PI * z / mod.period) + 1.0) + mismatch0
+    tp_z = _axis_two_photon(config, z, s0, offset)
 
     if per_voxel_exact:
         n_vox = x.size * y.size * z.size
@@ -412,8 +410,6 @@ def map3d(
         mode=delta_offset_mode,
         s0=s0,
         delta_offset=offset,
-        lambda_c=lambda_c,
-        config_fingerprint=config.fingerprint(),
     )
 
 
@@ -425,18 +421,8 @@ def _check_resolved(field_grid, min_samples: int = 4) -> None:
     for axis in range(3):
         index = list(peak)
         index[axis] = slice(None)
-        line = field_grid[tuple(index)]
-        above = line >= half
-        i = peak[axis]
-        count = 1
-        j = i
-        while j - 1 >= 0 and above[j - 1]:
-            j -= 1
-            count += 1
-        j = i
-        while j + 1 < line.size and above[j + 1]:
-            j += 1
-            count += 1
+        first, last = _run_around(field_grid[tuple(index)], peak[axis], half)
+        count = last - first + 1
         if count < min_samples:
             raise RuntimeError(
                 f"grid too coarse along {names[axis]}: {count} samples across the "
@@ -458,7 +444,7 @@ def iso_extents(volume: Map3D) -> dict[str, tuple[float, float] | None]:
         ("z", volume.z, (0, 1)),
     ):
         profile = volume.field.max(axis=axis_pair)
-        out[name] = _level_interval(coords, profile, volume.iso_level)
+        out[name] = _level_interval(coords, profile, HALF_MAX)
     return out
 
 
@@ -495,14 +481,12 @@ def extract_fwhm(coords, values, lambda_c: float) -> float:
         raise ValueError("coords and values must be equal-length 1D arrays of at least 3 samples")
     if not np.all(np.diff(coords) > 0):
         raise ValueError("coords must be strictly increasing")
-    if float(values.max()) < HALF_MAX:
-        raise ValueError("profile maximum is below the half-maximum level")
-
     above = values >= HALF_MAX
-    runs = _contiguous_runs(above)
-    if len(runs) > 1:
+    if not above.any():
+        raise ValueError("profile maximum is below the half-maximum level")
+    a, b = _run_around(values, int(np.argmax(above)), HALF_MAX)
+    if np.count_nonzero(above) > b - a + 1:
         raise ValueError("multiple peaks above the half maximum; restrict the window to one period")
-    a, b = runs[0]
     if a == 0 or b == values.size - 1:
         raise ValueError("no crossing of the half maximum inside the window")
 
@@ -516,21 +500,6 @@ def extract_fwhm(coords, values, lambda_c: float) -> float:
     left = _bisect_to(interp(a - 1, a), float(coords[a - 1]), float(coords[a]), xtol)
     right = _bisect_to(interp(b, b + 1), float(coords[b]), float(coords[b + 1]), xtol)
     return right - left
-
-
-def _contiguous_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Closed index intervals of True runs."""
-    runs = []
-    start = None
-    for i, flag in enumerate(mask):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, mask.size - 1))
-    return runs
 
 
 __all__ = [

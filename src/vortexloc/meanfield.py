@@ -103,14 +103,10 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class ShiftGrid:
-    """Sampled shift values along one axis, with the spec that produced them."""
+    """Sampled shift values along one axis."""
 
-    axis: str
     positions: np.ndarray  # um
     s_values: np.ndarray  # rad/us
-    quad: QuadratureSpec
-    mask: str
-    config_fingerprint: str
     near_core_flatness: float | None = None
 
 
@@ -118,8 +114,6 @@ class ShiftGrid:
 class BlockadeBoundary:
     """Star-shaped blockade boundary polyline around one atom in the (r, z) plane."""
 
-    atom_r: float
-    atom_z: float
     angles: np.ndarray
     distances: np.ndarray
     points: np.ndarray  # (n, 2) rows (r, z); r is signed across the axis
@@ -153,14 +147,17 @@ def excitation_fraction(f0: float, n_sa: float) -> float:
     return f0 / (1.0 + (n_sa - 1.0) * f0)
 
 
+def local_linewidth(config: SystemConfig, r):
+    """Linewidth w at radius r (scalar or array), from the local control intensity."""
+    env = control_envelope(r, config.beam)
+    return linewidth_from(config.probe.omega_p0 ** 2, env * env, config.probe.delta_p, config.medium.gamma)
+
+
 def _radial_profiles(config: SystemConfig, r: np.ndarray):
     """(I_c, w, R_b) on a radius grid."""
-    ip = config.probe.omega_p0 ** 2
     env = control_envelope(r, config.beam)
-    ic = env * env
-    w = linewidth_from(ip, ic, config.probe.delta_p, config.medium.gamma)
-    rb = (config.medium.c6 / w) ** (1.0 / 6.0)
-    return ic, w, rb
+    w = local_linewidth(config, r)
+    return env * env, w, (config.medium.c6 / w) ** (1.0 / 6.0)
 
 
 def _series_constants(n_terms: int) -> tuple[np.ndarray, np.ndarray]:
@@ -343,7 +340,7 @@ def masked_kernel_sum(
     r = (np.arange(n_r) + 0.5) * dr
     z = z_j - 0.5 * quad.extent_z + (np.arange(n_z) + 0.5) * dz
 
-    ic, w, rb = _radial_profiles(config, r)
+    ic, _, rb = _radial_profiles(config, r)
     b_p, b_q, b_r = b_coefficients(
         ip, ic, FOUR_THIRDS_PI * rb**3 * rho * ip, config.probe.delta_p, config.medium.gamma
     )
@@ -565,7 +562,7 @@ def shift_profile(
         raise ValueError(f"positions must be a non-empty 1-D sequence, got shape {positions.shape}")
     if not np.all(np.isfinite(positions)):
         raise ValueError("positions must be finite")
-    z_loc = 0.75 * config.beam.wavelength_c
+    z_loc = localized_point(config).z
     kwargs = dict(quad=quad, mask=mask, threads=threads, tail_tol=tail_tol)
 
     flatness = None
@@ -585,15 +582,7 @@ def shift_profile(
         # each z_j centres its own lattice, so these stay one quadrature each
         values = np.array([shift_at(Position(r=0.0, phi=0.0, z=float(p)), config, **kwargs) for p in positions])
 
-    return ShiftGrid(
-        axis=axis,
-        positions=positions,
-        s_values=values,
-        quad=quad if quad is not None else QuadratureSpec.paper_default(config.beam.wavelength_c),
-        mask=mask,
-        config_fingerprint=config.fingerprint(),
-        near_core_flatness=flatness,
-    )
+    return ShiftGrid(positions=positions, s_values=values, near_core_flatness=flatness)
 
 
 def localized_point(config: SystemConfig) -> Position:
@@ -607,20 +596,11 @@ def s0_integral(
     mask: str = MASK_LOCAL,
     threads: int = 1,
     tail_tol: float = 0.01,
-    verify_convergence: bool = False,
 ) -> float:
     """Shift s_0 at the localized point (r_j = 0, z_j = 3 lambda_c/4); standing-wave mode only."""
     if config.detuning.mode != STANDING_WAVE:
         raise ValueError("s0 requires the standing-wave detuning mode")
-    return shift_at(
-        localized_point(config),
-        config,
-        quad=quad,
-        mask=mask,
-        threads=threads,
-        tail_tol=tail_tol,
-        verify_convergence=verify_convergence,
-    )
+    return shift_at(localized_point(config), config, quad=quad, mask=mask, threads=threads, tail_tol=tail_tol)
 
 
 def calibrated_offset(
@@ -655,22 +635,6 @@ def calibrated_offset(
     raise RuntimeError(f"delta calibration did not converge in {max_iter} iterations")
 
 
-def calibrate_delta(
-    config: SystemConfig,
-    quad: QuadratureSpec | None = None,
-    mask: str = MASK_LOCAL,
-    threads: int = 1,
-    tail_tol: float = 0.01,
-    rel_tol: float = 1e-3,
-    max_iter: int = 8,
-) -> float:
-    """Partial-antiblockade offset delta = Delta_c0 + s_0, solved self-consistently."""
-    _, delta = calibrated_offset(
-        config, quad=quad, mask=mask, threads=threads, tail_tol=tail_tol, rel_tol=rel_tol, max_iter=max_iter
-    )
-    return delta
-
-
 def blockade_boundary(
     atom_pos: Position,
     config: SystemConfig,
@@ -695,11 +659,8 @@ def blockade_boundary(
         raise ValueError("blockade boundary requires c6 > 0")
 
     if local_w_fn is None:
-        ip = config.probe.omega_p0 ** 2
-
         def local_w_fn(radius):
-            env = control_envelope(radius, config.beam)
-            return linewidth_from(ip, env * env, config.probe.delta_p, config.medium.gamma)
+            return local_linewidth(config, radius)
 
     angles = TWO_PI * np.arange(resolution) / resolution
     cos_t = np.cos(angles)
@@ -728,9 +689,7 @@ def blockade_boundary(
     points = np.column_stack(
         (atom_pos.r + distances * cos_t, atom_pos.z + distances * np.sin(angles))
     )
-    return BlockadeBoundary(
-        atom_r=atom_pos.r, atom_z=atom_pos.z, angles=angles, distances=distances, points=points
-    )
+    return BlockadeBoundary(angles=angles, distances=distances, points=points)
 
 
 __all__ = [
@@ -742,12 +701,12 @@ __all__ = [
     "blockade_radius",
     "superatom_count",
     "excitation_fraction",
+    "local_linewidth",
     "masked_kernel_sum",
     "shift_at",
     "shift_profile",
     "localized_point",
     "s0_integral",
     "calibrated_offset",
-    "calibrate_delta",
     "blockade_boundary",
 ]

@@ -10,6 +10,7 @@ noiseless profile bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ class NoiseSpec:
             raise ValueError(f"noise kind must be one of {_KINDS}")
         if not self.std_dev >= 0.0:
             raise ValueError("std_dev must be nonnegative")
+        if not math.isfinite(self.std_dev):
+            raise ValueError("std_dev must be finite")
         if int(self.trajectories) != self.trajectories or self.trajectories < 1:
             raise ValueError("trajectories must be a positive integer")
         if int(self.seed) != self.seed or self.seed < 0:
@@ -66,9 +69,6 @@ class NoisyScan:
     profile: ScanProfile
     spread: np.ndarray  # pointwise standard deviation over trajectories
     clamp_count: int
-    spec: NoiseSpec
-    s0: float
-    delta_offset: float
 
 
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
@@ -120,12 +120,14 @@ def noisy_transverse_scan(
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
-    s0, delta_offset, quad = _resolve_offsets(config, s0, delta_offset, quad, mask, threads, tail_tol)
     beam = config.beam
     if x_max is None:
         x_max = 1.5 * beam.waist_w0
+    if not math.isfinite(x_max):
+        raise ValueError(f"x_max must be finite, got {x_max}")
     if x_max <= 0:
         raise ValueError("x_max must be positive")
+    s0, delta_offset, quad = _resolve_offsets(config, s0, delta_offset, quad, mask, threads, tail_tol)
 
     r = np.linspace(0.0, x_max, n_samples)
     x = np.concatenate([-r[:0:-1], r])
@@ -178,18 +180,10 @@ def noisy_transverse_scan(
         peak=float(mean.max()),
         peak_coord=float(x[int(np.argmax(mean))]),
         lambda_c=beam.wavelength_c,
-        config_fingerprint=config.fingerprint(),
         s0=s0,
         delta_offset=delta_offset,
     )
-    return NoisyScan(
-        profile=profile,
-        spread=spread,
-        clamp_count=clamp_count,
-        spec=spec,
-        s0=s0,
-        delta_offset=delta_offset,
-    )
+    return NoisyScan(profile=profile, spread=spread, clamp_count=clamp_count)
 
 
 def spread_at(scan: NoisyScan, x_value: float) -> float:

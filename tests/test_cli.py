@@ -408,6 +408,30 @@ def test_runtime_errors_name_the_failing_operation(tmp_path, capsys):
     assert "intensity ratio must be positive" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["scan-r", "--r-max-um", "nan"], "error in transverse_scan: r_max must be finite, got nan"),
+        (["scan-r", "--r-max-um", "inf"], "error in transverse_scan: r_max must be finite, got inf"),
+        (["noise", "--x-max-um", "nan"], "error in noisy_transverse_scan: x_max must be finite, got nan"),
+        (["noise", "--x-max-um", "inf"], "error in noisy_transverse_scan: x_max must be finite, got inf"),
+        (["noise", "--std", "inf"], "error in noisy_transverse_scan: std_dev must be finite"),
+        (["steady-time", "--kappa", "10", "--intensity-ratio", "nan"], "error in steady_time: intensity ratio must be positive"),
+    ],
+    ids=["r-max-nan", "r-max-inf", "x-max-nan", "x-max-inf", "std-inf", "intensity-ratio-nan"],
+)
+def test_non_finite_inputs_are_bad_input(argv, message, tmp_path, capsys):
+    if argv[0] == "noise":
+        argv = argv + ["--s0-mhz", "0.415"]
+    out_file = tmp_path / "out.csv"
+    code, out, err = run(argv + ["--out", str(out_file)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines()[-1] == f"vortex-localize {argv[0]}: {message}"
+    assert "integrating" not in err
+    assert not out_file.exists()
+
+
 def test_internal_errors_propagate_with_their_traceback(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise KeyError("sigma_rr")

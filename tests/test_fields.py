@@ -91,7 +91,7 @@ def test_radius_at_eta_inverts_eta_inside_the_envelope_peak(winding):
 
 def test_radius_at_eta_rejects_ratios_it_cannot_reach():
     cfg = make_config(kappa=10.0)  # eta peaks at 100/(2e) = 18.4
-    for q in (0.0, -1.0):
+    for q in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="intensity ratio must be positive"):
             radius_at_eta(q, cfg)
     with pytest.raises(ValueError, match="requested intensity ratio exceeds the envelope maximum"):

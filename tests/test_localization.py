@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vortexloc import make_config
 from vortexloc.bloch import linewidth_from, sigma_rr_steady
 from vortexloc.config import TWO_PI, Position
 from vortexloc.fields import control_envelope
 from vortexloc.localization import (
+    HALF_MAX,
     MODE_NONE,
     MODE_PARTIAL,
     MODE_PERFECT,
@@ -21,6 +24,7 @@ from vortexloc.localization import (
     longitudinal_scan,
     map3d,
     oam_broadening_scan,
+    _run_around,
     transverse_scan,
 )
 from vortexloc.meanfield import QuadratureSpec, localized_point, shift_at
@@ -156,6 +160,9 @@ def test_transverse_scan_input_validation():
         transverse_scan(CFG, n_samples=50)
     with pytest.raises(ValueError, match="r_max"):
         transverse_scan(CFG, r_max=-1.0)
+    for r_max in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="r_max must be finite"):
+            transverse_scan(CFG, r_max=r_max)
     with pytest.raises(ValueError, match="widen"):
         transverse_scan(CFG, r_max=0.001)
 
@@ -328,3 +335,26 @@ def test_extract_fwhm_rejects_degenerate_profiles():
         extract_fwhm(x[::-1], np.exp(-(x**2)), lam)
     with pytest.raises(ValueError, match="at least 3"):
         extract_fwhm(np.array([0.0, 1.0]), np.array([1.0, 0.0]), lam)
+    with pytest.raises(ValueError, match="below the half-maximum"):
+        extract_fwhm(x, np.full(101, np.nan), lam)
+
+
+def _outward_walk(values, i, level):
+    """Oracle: the step-by-step walk out from index i that the scans used to write by hand."""
+    left = right = i
+    while right + 1 < len(values) and values[right + 1] >= level:
+        right += 1
+    while left - 1 >= 0 and values[left - 1] >= level:
+        left -= 1
+    return left, right
+
+
+_SAMPLES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, float("nan")]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_SAMPLES, min_size=1, max_size=40), data=st.data())
+def test_run_search_equals_the_outward_walk(values, data):
+    values = np.array(values)
+    i = data.draw(st.integers(0, values.size - 1))
+    assert _run_around(values, i, HALF_MAX) == _outward_walk(values, i, HALF_MAX)

@@ -25,6 +25,8 @@ def test_noise_spec_validation():
         NoiseSpec(kind="phase", std_dev=0.1)
     with pytest.raises(ValueError, match="std_dev"):
         NoiseSpec(kind=KIND_INTENSITY, std_dev=-0.1)
+    with pytest.raises(ValueError, match="std_dev must be finite"):
+        NoiseSpec(kind=KIND_INTENSITY, std_dev=float("inf"))
     with pytest.raises(ValueError, match="trajectories"):
         NoiseSpec(kind=KIND_INTENSITY, std_dev=0.1, trajectories=0)
     with pytest.raises(ValueError, match="trajectories"):
@@ -136,3 +138,6 @@ def test_noisy_scan_input_validation(fast_calibration):
         noisy_transverse_scan(CFG180, spec, n_samples=10, s0=s0)
     with pytest.raises(ValueError, match="x_max"):
         noisy_transverse_scan(CFG180, spec, x_max=0.0, s0=s0)
+    for x_max in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="x_max must be finite"):
+            noisy_transverse_scan(CFG180, spec, x_max=x_max, s0=s0)
