@@ -47,6 +47,7 @@ from .meanfield import (
     BlockadeBoundary,
     QuadratureSpec,
     ShiftGrid,
+    ShiftQuadrature,
     blockade_boundary,
     calibrated_offset,
     shift_at,
@@ -79,6 +80,7 @@ __all__ = [
     "MASK_LOCAL",
     "MASK_ATOM",
     "QuadratureSpec",
+    "ShiftQuadrature",
     "ShiftGrid",
     "BlockadeBoundary",
     "shift_at",

@@ -164,6 +164,8 @@ def _fastest_scale(drive: LocalDrive) -> float:
 def _check_step(dt: float, drive: LocalDrive) -> None:
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
     scale = _fastest_scale(drive)
     if scale > 0 and dt > 0.05 / scale:
         raise ValueError(
@@ -205,23 +207,6 @@ class Trajectory:
     sigma_ge: np.ndarray
     sigma_er: np.ndarray
     sigma_gr: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def state(self, i: int) -> BlochState:
-        return BlochState(
-            float(self.sigma_gg[i]),
-            float(self.sigma_ee[i]),
-            float(self.sigma_rr[i]),
-            complex(self.sigma_ge[i]),
-            complex(self.sigma_er[i]),
-            complex(self.sigma_gr[i]),
-        )
-
-    @property
-    def final(self) -> BlochState:
-        return self.state(len(self.times) - 1)
 
 
 # Samples per block: the stack of propagator powers is _SAMPLE_BLOCK x 9 x 9
@@ -340,6 +325,11 @@ def sigma_rr_steady(ip, ic, delta_p, two_photon, gamma):
     return ip / b_values(*b_coefficients(ip, ic, ip, delta_p, gamma), two_photon)
 
 
+def steady_population(config: SystemConfig, ic, two_photon):
+    """sigma_rr_steady with the probe, Delta_p and gamma of `config`, at control intensity ic."""
+    return sigma_rr_steady(config.probe.omega_p0 ** 2, ic, config.probe.delta_p, two_photon, config.medium.gamma)
+
+
 def steady_sigma_rr(drive: LocalDrive) -> float:
     """Steady-state sigma_rr for one drive; errors on a degenerate zero denominator."""
     ip, ic = drive.intensities()
@@ -440,6 +430,7 @@ __all__ = [
     "bloch_rhs",
     "evolve",
     "sigma_rr_steady",
+    "steady_population",
     "steady_sigma_rr",
     "antiblockade_sigma",
     "approx_sigma",

@@ -7,8 +7,9 @@ byte-reproducible for equal inputs (worker count and wall time never enter
 file content).
 
 Each subcommand is one `_Command` declaration. `main` does the rest once for
-all of them: config file and defaults, the system config, the quadrature
-keywords a handler passes on as `**lattice` (echoed into params), the writers.
+all of them: config file and defaults, the system config, the one
+`ShiftQuadrature` a quadrature handler passes on (echoed into params), the
+writers.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import bloch, localization, meanfield, noise, output
 from .config import Position, SystemConfig, angular_from_mhz, make_config, mhz_from_angular
 from .fields import control_envelope, eta_of_radius, radius_at_eta
 from .localization import MODE_NONE, MODE_PARTIAL, MODE_PERFECT, OFFSET_CALIBRATED, OFFSET_DETUNED
-from .meanfield import MASK_ATOM, MASK_LOCAL, QuadratureSpec
+from .meanfield import MASK_ATOM, MASK_LOCAL, QuadratureSpec, ShiftQuadrature
 
 # Where each (section, key) accepted in config files goes: a make_config
 # kwarg for the physics sections, else the dest of the flag it stands in for.
@@ -126,12 +127,20 @@ def _parse_threads(text: str) -> int:
     return value
 
 
-def _rad_per_us(text: str) -> float:
-    """A frequency given in MHz, as the angular rad/us the library takes."""
+def _finite_mhz(text: str) -> float:
+    """A frequency in MHz that stays finite in rad/us."""
     try:
-        return angular_from_mhz(float(text))
+        value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"invalid float value: '{text}'") from exc
+    if not math.isfinite(angular_from_mhz(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite frequency, got '{text}'")
+    return value
+
+
+def _rad_per_us(text: str) -> float:
+    """A finite frequency given in MHz, as the angular rad/us the library takes."""
+    return angular_from_mhz(_finite_mhz(text))
 
 
 def _parse_l_values(text: str) -> tuple[int, ...]:
@@ -190,9 +199,9 @@ def _cmd_steady(args, config):
     return params, columns, summary, _line({"sigma_rr": sigma, "eta": eta, "w_mhz": w_mhz})
 
 
-def _cmd_scan_r(args, config, **lattice):
+def _cmd_scan_r(args, config, quadrature):
     profile = localization.transverse_scan(
-        config, mode=args.mode, r_max=args.r_max_um, n_samples=args.samples, **lattice
+        config, mode=args.mode, r_max=args.r_max_um, n_samples=args.samples, quadrature=quadrature
     )
     columns, summary = _profile_table(profile)
     summary["mode"] = args.mode
@@ -202,14 +211,15 @@ def _cmd_scan_r(args, config, **lattice):
     return params, columns, summary, _line(summary, "mode", "fwhm_um", "fwhm_lambda", "peak")
 
 
-def _cmd_scan_z(args, config, **lattice):
+def _cmd_scan_z(args, config, quadrature):
     if (args.z_min_um is None) != (args.z_max_um is None):
         raise ValueError("give both --z-min-um and --z-max-um or neither")
     z_range = None if args.z_min_um is None else (args.z_min_um, args.z_max_um)
     if args.s0 is None:
         _progress("calibrating the core shift (quadrature)...")
     profile = localization.longitudinal_scan(
-        config, z_range=z_range, n_samples=args.samples, s0=args.s0, delta_offset=args.delta_offset, **lattice
+        config, z_range=z_range, n_samples=args.samples, s0=args.s0, delta_offset=args.delta_offset,
+        quadrature=quadrature,
     )
     params = {"samples": args.samples, "z_min_um": profile.coords[0], "z_max_um": profile.coords[-1]}
     columns, summary = _profile_table(profile)
@@ -239,7 +249,7 @@ def _cmd_scan_l(args, config):
     return params, columns, summary, line
 
 
-def _cmd_map3d(args, config, **lattice):
+def _cmd_map3d(args, config, quadrature):
     n = args.samples_per_axis
     if n < 2:
         raise ValueError("need at least 2 samples per axis")
@@ -259,8 +269,8 @@ def _cmd_map3d(args, config, **lattice):
         spacing=spacing,
         delta_offset_mode=args.mode,
         s0=args.s0,
+        quadrature=quadrature,
         per_voxel_exact=args.per_voxel_exact,
-        **lattice,
     )
 
     ext = localization.iso_extents(vol)
@@ -290,7 +300,7 @@ def _cmd_map3d(args, config, **lattice):
     return params, columns, summary, line
 
 
-def _cmd_shift(args, config, **lattice):
+def _cmd_shift(args, config, quadrature):
     lam = config.beam.wavelength_c
     if args.axis == "radial":
         max_um = args.max_um if args.max_um is not None else 0.5 * config.beam.waist_w0
@@ -300,7 +310,7 @@ def _cmd_shift(args, config, **lattice):
         lo = meanfield.localized_point(config).z - 0.5 * period
         positions = np.linspace(lo, lo + period, args.samples)
     _progress(f"evaluating {positions.size} quadratures...")
-    grid = meanfield.shift_profile(args.axis, positions, config, **lattice)
+    grid = meanfield.shift_profile(args.axis, positions, config, quadrature)
     params = {"axis": args.axis, "samples": args.samples}
     columns = {
         "position_um": grid.positions,
@@ -318,9 +328,9 @@ def _cmd_shift(args, config, **lattice):
     return params, columns, summary, line
 
 
-def _cmd_calibrate(args, config, **lattice):
+def _cmd_calibrate(args, config, quadrature):
     _progress("iterating the calibration fixed point...")
-    s0, delta = meanfield.calibrated_offset(config, max_iter=args.max_iter, **lattice)
+    s0, delta = meanfield.calibrated_offset(config, quadrature, max_iter=args.max_iter)
     values = {
         "kappa": config.kappa,
         "s0_mhz": mhz_from_angular(s0),
@@ -382,7 +392,7 @@ def _cmd_steady_time(args, config):
     return params, _one_row(values), values, _line(values, "kappa", "t_steady_us", "sigma_ss")
 
 
-def _cmd_noise(args, config, **lattice):
+def _cmd_noise(args, config, quadrature):
     std = angular_from_mhz(args.std) if args.kind == noise.KIND_FREQUENCY else args.std
     spec = noise.NoiseSpec(kind=args.kind, std_dev=std, trajectories=args.trajectories, seed=args.seed)
     if args.s0 is None:
@@ -395,7 +405,7 @@ def _cmd_noise(args, config, **lattice):
         n_samples=args.samples,
         s0=args.s0,
         delta_offset=args.delta_offset,
-        **lattice,
+        quadrature=quadrature,
     )
     profile = scan.profile
     params = {
@@ -428,11 +438,11 @@ class _Command:
 
     help: str
     op: str  # the operation named when the handler raises ValueError/RuntimeError/OSError
-    # handler(args, config, **lattice) -> (params, columns, summary, stdout line)
+    # handler(args, config[, quadrature]) -> (params, columns, summary, stdout line)
     run: Callable
     arguments: tuple[tuple[str, dict], ...] = ()  # (flag, add_argument keywords)
     # takes --threads --grid-spacing --grid-extent --mask --tail-tol, and gets
-    # quad/mask/threads/tail_tol as keywords
+    # them as one ShiftQuadrature
     quadrature: bool = False
     # lattice passed (and echoed) when the run names none; None lets the op choose
     default_quad: Callable[[float], QuadratureSpec] | None = None
@@ -444,7 +454,7 @@ _COMMANDS = {
         ("--r-um", dict(type=float, help="radius (default: envelope peak)")),
         ("--phi-rad", dict(type=float, default=0.0)),
         ("--z-um", dict(type=float, help="height (default: 3/4 wavelength)")),
-        ("--s-mhz", dict(type=float, default=0.0, help="interaction shift to include (MHz)")),
+        ("--s-mhz", dict(type=_finite_mhz, default=0.0, help="interaction shift to include (MHz)")),
     )),
     "scan-r": _Command("transverse profile and width", "transverse_scan", _cmd_scan_r, (
         ("--mode", dict(choices=(MODE_NONE, MODE_PARTIAL, MODE_PERFECT), default=MODE_NONE)),
@@ -546,17 +556,20 @@ def main(argv=None) -> int:
                 setattr(args, dest, value)
         op = "make_config"
         config = _build_config(args, physics, cmd.default_kappa)
-        lattice, echo = {}, {}
+        echo = {}
         if cmd.quadrature:
             op = "QuadratureSpec.scaled"
-            quad = _resolve_quad(args, config, cmd.default_quad)
-            lattice = {"quad": quad, "mask": args.mask, "threads": args.threads, "tail_tol": args.tail_tol}
-            echo["mask"] = args.mask
-            if quad is not None:
+            lattice = _resolve_quad(args, config, cmd.default_quad)
+            op = "ShiftQuadrature"
+            quadrature = ShiftQuadrature(lattice, args.mask, args.tail_tol, args.threads)
+            echo["mask"] = quadrature.mask
+            if lattice is not None:
                 for name in ("extent_r", "extent_z", "spacing_r", "spacing_z"):
-                    echo[f"quad_{name}_um"] = getattr(quad, name)
+                    echo[f"quad_{name}_um"] = getattr(lattice, name)
         op = cmd.op
-        params, columns, summary, line = cmd.run(args, config, **lattice)
+        params, columns, summary, line = (
+            cmd.run(args, config, quadrature) if cmd.quadrature else cmd.run(args, config)
+        )
         manifest = output.RunManifest(
             subcommand=args.command,
             config=config,

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import sigma_rr_steady
+from .bloch import steady_population
 from .config import STANDING_WAVE, TWO_PI, Position, SystemConfig, with_winding
 from .fields import control_envelope
-from .meanfield import MASK_LOCAL, QuadratureSpec, calibrated_offset, local_linewidth, localized_point, shift_at
+from .meanfield import QuadratureSpec, ShiftQuadrature, calibrated_offset, local_linewidth, localized_point, shift_at
 
 MODE_NONE = "none"  # s = 0, exact two-photon resonance everywhere
 MODE_PARTIAL = "partial"  # fixed detuning compensates the core shift s(0) only
@@ -95,15 +95,13 @@ def transverse_scan(
     mode: str = MODE_NONE,
     r_max: float | None = None,
     n_samples: int = 201,
-    quad: QuadratureSpec | None = None,
-    mask: str = MASK_LOCAL,
-    threads: int = 1,
-    tail_tol: float = 0.01,
+    quadrature: ShiftQuadrature = ShiftQuadrature(),
 ) -> ScanProfile:
     """Radial profile sigma_rr(r) through the core at z = 3 lambda_c/4.
 
     Modes: 'none' ignores the interaction shift; 'partial' holds the
-    two-photon detuning at the core value s(0); 'perfect' tracks s(r)
+    two-photon detuning at the core value s(0), from shifts on the
+    quadrature's lattice (default: the fast one); 'perfect' tracks s(r)
     pointwise (which restores the mode-'none' profile). The width is twice
     the first half-maximum crossing, refined by bisection on the continuous
     profile to 1e-4 lambda_c.
@@ -120,28 +118,23 @@ def transverse_scan(
     if r_max <= 0:
         raise ValueError("r_max must be positive")
 
-    ip = config.probe.omega_p0 ** 2
     dp = config.probe.delta_p
-    gamma = config.medium.gamma
     lambda_c = beam.wavelength_c
     z_loc = localized_point(config).z
     r = np.linspace(0.0, r_max, n_samples)
 
     s0 = None
     if mode == MODE_PARTIAL:
-        if quad is None:
-            quad = QuadratureSpec.fast(lambda_c)
-
-        kwargs = dict(quad=quad, mask=mask, threads=threads, tail_tol=tail_tol)
+        quadrature = quadrature.or_lattice(QuadratureSpec.fast(lambda_c))
         # the grid is one batched quadrature; it seeds the shifts the
         # bisection reads back, and each new bisection radius adds one
-        s_grid = shift_at([Position(r=float(rj), phi=0.0, z=z_loc) for rj in r], config, **kwargs)
+        s_grid = shift_at([Position(r=float(rj), phi=0.0, z=z_loc) for rj in r], config, quadrature)
         known = dict(zip(r.tolist(), s_grid.tolist()))
 
         def s_of(radius: float) -> float:
             radius = float(radius)
             if radius not in known:
-                known[radius] = shift_at(Position(r=radius, phi=0.0, z=z_loc), config, **kwargs)
+                known[radius] = shift_at(Position(r=radius, phi=0.0, z=z_loc), config, quadrature)
             return known[radius]
 
         s0 = float(s_grid[0])
@@ -149,7 +142,7 @@ def transverse_scan(
 
         def sigma_of(radius: float) -> float:
             env = control_envelope(radius, beam)
-            return float(sigma_rr_steady(ip, env * env, dp, dp + (s0 - s_of(radius)), gamma))
+            return float(steady_population(config, env * env, dp + (s0 - s_of(radius))))
 
     else:
         # 'perfect' tracking cancels s exactly, so both remaining modes reduce
@@ -158,10 +151,10 @@ def transverse_scan(
 
         def sigma_of(radius: float) -> float:
             env = control_envelope(radius, beam)
-            return float(sigma_rr_steady(ip, env * env, dp, dp, gamma))
+            return float(steady_population(config, env * env, dp))
 
     env = control_envelope(r, beam)
-    sigma = sigma_rr_steady(ip, env * env, dp, two_photon, gamma)
+    sigma = steady_population(config, env * env, two_photon)
 
     if sigma[0] < HALF_MAX:
         raise ValueError("profile starts below the half maximum; no crossing at the core")
@@ -227,20 +220,17 @@ def _resolve_offsets(
     config: SystemConfig,
     s0: float | None,
     delta_offset: float | None,
-    quad: QuadratureSpec | None,
-    mask: str,
-    threads: int,
-    tail_tol: float,
-) -> tuple[float, float, QuadratureSpec]:
+    quadrature: ShiftQuadrature,
+) -> tuple[float, float, ShiftQuadrature]:
+    """(s_0, delta offset, quadrature on its lattice), calibrating s_0 on the fast lattice when not given."""
     if config.detuning.mode != STANDING_WAVE:
         raise ValueError("standing-wave detuning mode required")
-    if quad is None:
-        quad = QuadratureSpec.fast(config.beam.wavelength_c)
+    quadrature = quadrature.or_lattice(QuadratureSpec.fast(config.beam.wavelength_c))
     if s0 is None:
-        s0, _ = calibrated_offset(config, quad=quad, mask=mask, threads=threads, tail_tol=tail_tol)
+        s0, _ = calibrated_offset(config, quadrature)
     if delta_offset is None:
         delta_offset = s0
-    return float(s0), float(delta_offset), quad
+    return float(s0), float(delta_offset), quadrature
 
 
 def longitudinal_scan(
@@ -249,10 +239,7 @@ def longitudinal_scan(
     n_samples: int = 401,
     s0: float | None = None,
     delta_offset: float | None = None,
-    quad: QuadratureSpec | None = None,
-    mask: str = MASK_LOCAL,
-    threads: int = 1,
-    tail_tol: float = 0.01,
+    quadrature: ShiftQuadrature = ShiftQuadrature(),
 ) -> ScanProfile:
     """Axial profile sigma_rr(z) at r = 0 with the core shift frozen at s_0.
 
@@ -262,7 +249,7 @@ def longitudinal_scan(
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
-    s0, delta_offset, quad = _resolve_offsets(config, s0, delta_offset, quad, mask, threads, tail_tol)
+    s0, delta_offset, _ = _resolve_offsets(config, s0, delta_offset, quadrature)
     mod = config.detuning
     lambda_c = config.beam.wavelength_c
     if z_range is None:
@@ -272,12 +259,8 @@ def longitudinal_scan(
     if not z1 > z0:
         raise ValueError("z_range must be increasing")
 
-    ip = config.probe.omega_p0 ** 2
-    dp = config.probe.delta_p
-    gamma = config.medium.gamma
-
     def sigma_of(z):
-        return sigma_rr_steady(ip, 0.0, dp, _axis_two_photon(config, z, s0, delta_offset), gamma)
+        return steady_population(config, 0.0, _axis_two_photon(config, z, s0, delta_offset))
 
     z = np.linspace(z0, z1, n_samples)
     sigma = np.asarray(sigma_of(z), dtype=float)
@@ -333,10 +316,7 @@ def map3d(
     spacing: float | tuple[float, float, float] | None = None,
     delta_offset_mode: str = OFFSET_CALIBRATED,
     s0: float | None = None,
-    quad: QuadratureSpec | None = None,
-    mask: str = MASK_LOCAL,
-    threads: int = 1,
-    tail_tol: float = 0.01,
+    quadrature: ShiftQuadrature = ShiftQuadrature(),
     per_voxel_exact: bool = False,
 ) -> Map3D:
     """Steady excitation on a 3D cartesian grid around the localized point.
@@ -349,8 +329,6 @@ def map3d(
     """
     if delta_offset_mode not in (OFFSET_CALIBRATED, OFFSET_DETUNED):
         raise ValueError(f"unknown delta offset mode '{delta_offset_mode}'")
-    s0, _, quad = _resolve_offsets(config, s0, None, quad, mask, threads, tail_tol)
-    offset = s0 if delta_offset_mode == OFFSET_CALIBRATED else 2.0 * s0
 
     if extents is None:
         half, z_half = default_map_extents(config)
@@ -362,16 +340,17 @@ def map3d(
         spacing = (float(spacing),) * 3
 
     axes = []
-    for (lo, hi), step in zip(extents, spacing):
+    for name, (lo, hi), step in zip("xyz", extents, spacing):
+        if not all(map(math.isfinite, (lo, hi, step))):
+            raise ValueError(f"{name} extent [{lo:g}, {hi:g}] and spacing {step:g} must be finite")
         if not (hi > lo and step > 0):
             raise ValueError("extents must be increasing and spacing positive")
         n = int(round((hi - lo) / step)) + 1
         axes.append(lo + step * np.arange(n))
     x, y, z = axes
 
-    ip = config.probe.omega_p0 ** 2
-    dp = config.probe.delta_p
-    gamma = config.medium.gamma
+    s0, _, quadrature = _resolve_offsets(config, s0, None, quadrature)
+    offset = s0 if delta_offset_mode == OFFSET_CALIBRATED else 2.0 * s0
 
     r_xy = np.hypot(x[:, None], y[None, :])
     env = control_envelope(r_xy, config.beam)
@@ -390,15 +369,11 @@ def map3d(
         radii, where = np.unique(r_xy, return_inverse=True)
         for k, zk in enumerate(z):
             plane = [Position(r=float(rr), phi=0.0, z=float(zk)) for rr in radii]
-            s_here = shift_at(plane, config, quad=quad, mask=mask, threads=threads, tail_tol=tail_tol)
+            s_here = shift_at(plane, config, quadrature)
             tp_base = tp_z[k] + s0  # undo the frozen shift, re-subtract per voxel
-            field_grid[:, :, k] = sigma_rr_steady(
-                ip, ic_xy, dp, tp_base - s_here[where].reshape(r_xy.shape), gamma
-            )
+            field_grid[:, :, k] = steady_population(config, ic_xy, tp_base - s_here[where].reshape(r_xy.shape))
     else:
-        field_grid = np.asarray(
-            sigma_rr_steady(ip, ic_xy[:, :, None], dp, tp_z[None, None, :], gamma), dtype=float
-        )
+        field_grid = np.asarray(steady_population(config, ic_xy[:, :, None], tp_z[None, None, :]), dtype=float)
 
     _check_resolved(field_grid)
 

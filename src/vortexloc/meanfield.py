@@ -30,7 +30,7 @@ any thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -58,6 +58,8 @@ _MAX_FOLD_PERIODS = 8
 # small enough to stay in L2; atoms, moment columns and cut-panel rows are
 # chunked to fit.
 _BLOCK_FLOATS = 1 << 16
+_CALIBRATION_REL_TOL = 1e-3  # fixed-point stop: |delta step| <= this times |s_0|
+_REFINE_TOL = 1e-3  # blockade boundary crossings are bisected to this width, um
 FOUR_THIRDS_PI = 4.0 * math.pi / 3.0
 
 
@@ -99,6 +101,34 @@ class QuadratureSpec:
 
     def halved(self) -> "QuadratureSpec":
         return QuadratureSpec(self.extent_r, self.extent_z, 0.5 * self.spacing_r, 0.5 * self.spacing_z)
+
+
+@dataclass(frozen=True)
+class ShiftQuadrature:
+    """How a shift is integrated: lattice, blockade mask, truncation-tail bound and worker count.
+
+    `lattice=None` lets each entry point take its own default lattice (the
+    reference one for `shift_at`, the fast one for the scans and their
+    calibration). The truncation tail estimate must stay below `tail_tol` of
+    every shift; `threads` never changes a result.
+    """
+
+    lattice: QuadratureSpec | None = None
+    mask: str = MASK_LOCAL
+    tail_tol: float = 0.01
+    threads: int = 1
+
+    def __post_init__(self) -> None:
+        if self.mask not in _MASKS:
+            raise ValueError(f"unknown blockade mask '{self.mask}'")
+        if not (isinstance(self.tail_tol, (int, float)) and math.isfinite(self.tail_tol) and self.tail_tol > 0):
+            raise ValueError(f"tail_tol must be a finite fraction above 0, got {self.tail_tol}")
+        if isinstance(self.threads, bool) or not isinstance(self.threads, int) or self.threads < 1:
+            raise ValueError(f"threads must be an integer of at least 1, got {self.threads!r}")
+
+    def or_lattice(self, default: QuadratureSpec) -> "ShiftQuadrature":
+        """This value, on `default` when it names no lattice."""
+        return self if self.lattice is not None else replace(self, lattice=default)
 
 
 @dataclass(frozen=True)
@@ -477,7 +507,7 @@ def masked_kernel_sum(
     return float(total[0]) if isinstance(atom_pos, Position) else total
 
 
-def _tail_fraction(config: SystemConfig, quad: QuadratureSpec, s_values: np.ndarray) -> np.ndarray:
+def _tail_fraction(config: SystemConfig, lattice: QuadratureSpec, s_values: np.ndarray) -> np.ndarray:
     """Estimated missing fraction of each shift from truncating the quadrature domain.
 
     Everything outside the lattice is bounded by a uniform far-field
@@ -486,7 +516,7 @@ def _tail_fraction(config: SystemConfig, quad: QuadratureSpec, s_values: np.ndar
     inscribed sphere: tail <= C6 rho f 4 pi / (3 R^3).
     """
     ip = config.probe.omega_p0 ** 2
-    r_far = np.array([quad.extent_r])
+    r_far = np.array([lattice.extent_r])
     ic_far, _, rb_far = _radial_profiles(config, r_far)
     nsa_ip_far = FOUR_THIRDS_PI * rb_far**3 * config.medium.density_rho * ip
     period = config.detuning.period
@@ -495,7 +525,7 @@ def _tail_fraction(config: SystemConfig, quad: QuadratureSpec, s_values: np.ndar
     coefficients = b_coefficients(ip, ic_far, nsa_ip_far, config.probe.delta_p, config.medium.gamma)
     b_far = b_values(*coefficients, t)
     f_cap = ip * float(np.mean(1.0 / b_far))
-    radius = min(quad.extent_r, 0.5 * quad.extent_z)
+    radius = min(lattice.extent_r, 0.5 * lattice.extent_z)
     tail = config.medium.c6 * config.medium.density_rho * f_cap * FOUR_THIRDS_PI / radius**3
     return tail / (np.abs(s_values) + tail)
 
@@ -503,38 +533,37 @@ def _tail_fraction(config: SystemConfig, quad: QuadratureSpec, s_values: np.ndar
 def shift_at(
     atom_pos: Position | Sequence[Position],
     config: SystemConfig,
-    quad: QuadratureSpec | None = None,
-    mask: str = MASK_LOCAL,
-    threads: int = 1,
-    tail_tol: float = 0.01,
+    quadrature: ShiftQuadrature = ShiftQuadrature(),
     verify_convergence: bool = False,
 ) -> float | np.ndarray:
     """Mean-field shift s(r_j, z_j) in rad/us by blockade-masked midpoint quadrature.
 
     One Position gives a float; a sequence of Positions sharing one z gives
     a 1-D array from one batched `masked_kernel_sum`, each entry
-    bit-identical to its single-position call. `verify_convergence`
-    re-evaluates on a half-spacing lattice and rejects the spec if the two
-    results disagree by more than 5%. The truncation tail estimate must stay
-    below `tail_tol` of every result.
+    bit-identical to its single-position call. The lattice defaults to the
+    reference one. `verify_convergence` re-evaluates on a half-spacing
+    lattice and rejects the spec if the two results disagree by more than
+    5%. The truncation tail estimate must stay below `quadrature.tail_tol`
+    of every result.
     """
     single = isinstance(atom_pos, Position)
     atoms = [atom_pos] if single else atom_pos
     if config.medium.c6 == 0.0:
         return 0.0 if single else np.zeros(len(atoms))
-    if quad is None:
-        quad = QuadratureSpec.paper_default(config.beam.wavelength_c)
+    quad = quadrature.or_lattice(QuadratureSpec.paper_default(config.beam.wavelength_c)).lattice
     ip = config.probe.omega_p0 ** 2
     prefactor = TWO_PI * config.medium.c6 * config.medium.density_rho * ip
-    s = prefactor * masked_kernel_sum(atoms, config, quad, mask=mask, threads=threads)
+    s = prefactor * masked_kernel_sum(atoms, config, quad, mask=quadrature.mask, threads=quadrature.threads)
     fraction = float(_tail_fraction(config, quad, s).max())
-    if fraction > tail_tol:
+    if fraction > quadrature.tail_tol:
         raise RuntimeError(
             f"quadrature domain too small: estimated truncation tail {fraction:.2%} "
-            f"exceeds the allowed {tail_tol:.2%}"
+            f"exceeds the allowed {quadrature.tail_tol:.2%}"
         )
     if verify_convergence:
-        s_fine = prefactor * masked_kernel_sum(atoms, config, quad.halved(), mask=mask, threads=threads)
+        s_fine = prefactor * masked_kernel_sum(
+            atoms, config, quad.halved(), mask=quadrature.mask, threads=quadrature.threads
+        )
         off = np.abs(s - s_fine) > 0.05 * np.abs(s_fine)
         if off.any():
             k = int(off.argmax())
@@ -549,10 +578,7 @@ def shift_profile(
     axis: str,
     positions,
     config: SystemConfig,
-    quad: QuadratureSpec | None = None,
-    mask: str = MASK_LOCAL,
-    threads: int = 1,
-    tail_tol: float = 0.01,
+    quadrature: ShiftQuadrature = ShiftQuadrature(),
 ) -> ShiftGrid:
     """Sample shift_at along the radial (z_j = 3 lambda_c/4) or longitudinal (r_j = 0) axis."""
     if axis not in ("radial", "longitudinal"):
@@ -563,7 +589,6 @@ def shift_profile(
     if not np.all(np.isfinite(positions)):
         raise ValueError("positions must be finite")
     z_loc = localized_point(config).z
-    kwargs = dict(quad=quad, mask=mask, threads=threads, tail_tol=tail_tol)
 
     flatness = None
     if axis == "radial":
@@ -572,7 +597,7 @@ def shift_profile(
         near = positions <= 0.1 * config.beam.wavelength_c
         add_zero = near.any() and 0.0 not in positions[near]
         radii = np.append(positions, 0.0) if add_zero else positions
-        batch = shift_at([Position(r=float(p), phi=0.0, z=z_loc) for p in radii], config, **kwargs)
+        batch = shift_at([Position(r=float(p), phi=0.0, z=z_loc) for p in radii], config, quadrature)
         values = batch[: positions.size]
         if near.any():
             s0 = batch[-1] if add_zero else values[near][positions[near].argmin()]
@@ -580,7 +605,7 @@ def shift_profile(
                 flatness = float(np.max(np.abs(values[near] - s0)) / s0)
     else:
         # each z_j centres its own lattice, so these stay one quadrature each
-        values = np.array([shift_at(Position(r=0.0, phi=0.0, z=float(p)), config, **kwargs) for p in positions])
+        values = np.array([shift_at(Position(r=0.0, phi=0.0, z=float(p)), config, quadrature) for p in positions])
 
     return ShiftGrid(positions=positions, s_values=values, near_core_flatness=flatness)
 
@@ -590,26 +615,16 @@ def localized_point(config: SystemConfig) -> Position:
     return Position(r=0.0, phi=0.0, z=0.75 * config.beam.wavelength_c)
 
 
-def s0_integral(
-    config: SystemConfig,
-    quad: QuadratureSpec | None = None,
-    mask: str = MASK_LOCAL,
-    threads: int = 1,
-    tail_tol: float = 0.01,
-) -> float:
+def s0_integral(config: SystemConfig, quadrature: ShiftQuadrature = ShiftQuadrature()) -> float:
     """Shift s_0 at the localized point (r_j = 0, z_j = 3 lambda_c/4); standing-wave mode only."""
     if config.detuning.mode != STANDING_WAVE:
         raise ValueError("s0 requires the standing-wave detuning mode")
-    return shift_at(localized_point(config), config, quad=quad, mask=mask, threads=threads, tail_tol=tail_tol)
+    return shift_at(localized_point(config), config, quadrature)
 
 
 def calibrated_offset(
     config: SystemConfig,
-    quad: QuadratureSpec | None = None,
-    mask: str = MASK_LOCAL,
-    threads: int = 1,
-    tail_tol: float = 0.01,
-    rel_tol: float = 1e-3,
+    quadrature: ShiftQuadrature = ShiftQuadrature(),
     max_iter: int = 8,
 ) -> tuple[float, float]:
     """Self-consistent antiblockade offset: returns (s_0, delta) with delta = Delta_c0 + s_0.
@@ -625,11 +640,9 @@ def calibrated_offset(
         return 0.0, delta_c0
     delta = config.detuning.delta_shift
     for _ in range(max_iter):
-        s0 = s0_integral(
-            with_delta_shift(config, delta), quad=quad, mask=mask, threads=threads, tail_tol=tail_tol
-        )
+        s0 = s0_integral(with_delta_shift(config, delta), quadrature)
         new_delta = delta_c0 + s0
-        if abs(new_delta - delta) <= max(1e-9, rel_tol * abs(s0)):
+        if abs(new_delta - delta) <= max(1e-9, _CALIBRATION_REL_TOL * abs(s0)):
             return s0, new_delta
         delta = new_delta
     raise RuntimeError(f"delta calibration did not converge in {max_iter} iterations")
@@ -640,7 +653,6 @@ def blockade_boundary(
     config: SystemConfig,
     resolution: int = 256,
     local_w_fn=None,
-    refine_tol: float = 1e-3,
 ) -> BlockadeBoundary:
     """First blockade-condition crossing along each direction from the atom.
 
@@ -650,7 +662,7 @@ def blockade_boundary(
     takes an array of radii and returns an array of linewidths (or a scalar
     that broadcasts: a uniform control field then yields a sphere). Every
     direction marches over the same 1024-point grid in one array call, and
-    the first crossings are then bisected together to `refine_tol`.
+    the first crossings are then bisected together to 1e-3 um.
     """
     if resolution < 8:
         raise ValueError("resolution must be at least 8 directions")
@@ -677,13 +689,13 @@ def blockade_boundary(
         raise RuntimeError("no blockade crossing found within the march cap")
     first = crossed.argmax(axis=1)
     lo, hi = march[first], march[first + 1]
-    active = hi - lo > refine_tol
+    active = hi - lo > _REFINE_TOL
     while active.any():
         mid = 0.5 * (lo + hi)
         out = outside(mid, cos_t)
         hi = np.where(active & out, mid, hi)
         lo = np.where(active & ~out, mid, lo)
-        active = hi - lo > refine_tol
+        active = hi - lo > _REFINE_TOL
     distances = 0.5 * (lo + hi)
 
     points = np.column_stack(
@@ -696,6 +708,7 @@ __all__ = [
     "MASK_LOCAL",
     "MASK_ATOM",
     "QuadratureSpec",
+    "ShiftQuadrature",
     "ShiftGrid",
     "BlockadeBoundary",
     "blockade_radius",

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import sigma_rr_steady
+from .bloch import steady_population
 from .config import SystemConfig
 from .fields import control_envelope
 from .localization import ScanProfile, _resolve_offsets, extract_fwhm
-from .meanfield import MASK_LOCAL, QuadratureSpec
+from .meanfield import ShiftQuadrature
 from .parallel import map_ordered, pairwise_sum
 
 KIND_INTENSITY = "intensity"
@@ -104,10 +104,7 @@ def noisy_transverse_scan(
     n_samples: int = 201,
     s0: float | None = None,
     delta_offset: float | None = None,
-    quad: QuadratureSpec | None = None,
-    mask: str = MASK_LOCAL,
-    threads: int = 1,
-    tail_tol: float = 0.01,
+    quadrature: ShiftQuadrature = ShiftQuadrature(),
 ) -> NoisyScan:
     """Averaged transverse cut sigma_rr(x) through the core under drive noise.
 
@@ -116,7 +113,8 @@ def noisy_transverse_scan(
     the calibrated working point (z = 3 lambda_c/4, delta - Delta_c0 = s_0)
     unless `delta_offset` detunes it deliberately. Averages accumulate as
     offsets from the first trajectory, so identical trajectories average to
-    the identical profile.
+    the identical profile. Trajectories run on `quadrature.threads` workers,
+    which never changes a result.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
@@ -127,15 +125,13 @@ def noisy_transverse_scan(
         raise ValueError(f"x_max must be finite, got {x_max}")
     if x_max <= 0:
         raise ValueError("x_max must be positive")
-    s0, delta_offset, quad = _resolve_offsets(config, s0, delta_offset, quad, mask, threads, tail_tol)
+    s0, delta_offset, _ = _resolve_offsets(config, s0, delta_offset, quadrature)
 
     r = np.linspace(0.0, x_max, n_samples)
     x = np.concatenate([-r[:0:-1], r])
     u = np.abs(x)
 
-    ip = config.probe.omega_p0 ** 2
     dp = config.probe.delta_p
-    gamma = config.medium.gamma
     mismatch0 = delta_offset - s0  # exactly 0.0 when calibrated
 
     def one_trajectory(index: int) -> tuple[np.ndarray, int]:
@@ -150,10 +146,10 @@ def noisy_transverse_scan(
             env = control_envelope(u, beam)
             two_photon = dp + mismatch0 + detuning_noise
             clamps = 0
-        sigma = sigma_rr_steady(ip, env * env, dp, two_photon, gamma)
+        sigma = steady_population(config, env * env, two_photon)
         return np.asarray(sigma, dtype=float), clamps
 
-    results = map_ordered(one_trajectory, range(spec.trajectories), threads=threads)
+    results = map_ordered(one_trajectory, range(spec.trajectories), threads=quadrature.threads)
     sigmas = [sigma for sigma, _ in results]
     clamp_count = int(sum(clamps for _, clamps in results))
 

@@ -75,10 +75,9 @@ class RunManifest:
     config: SystemConfig
     params: dict = field(default_factory=dict)
     seed: int | None = None
-    version: str = PACKAGE_VERSION
 
     def header_lines(self) -> list[str]:
-        lines = [f"# {PACKAGE_NAME} {self.version}", f"# subcommand: {self.subcommand}"]
+        lines = [f"# {PACKAGE_NAME} {PACKAGE_VERSION}", f"# subcommand: {self.subcommand}"]
         for key, value in config_echo(self.config).items():
             lines.append(f"# config.{key} = {render_value(value)}")
         lines.append(f"# config.fingerprint = {self.config.fingerprint()}")
@@ -91,7 +90,7 @@ class RunManifest:
     def to_dict(self) -> dict:
         return {
             "tool": PACKAGE_NAME,
-            "version": self.version,
+            "version": PACKAGE_VERSION,
             "subcommand": self.subcommand,
             "config": {k: _jsonable(v) for k, v in config_echo(self.config).items()},
             "config_fingerprint": self.config.fingerprint(),

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import pytest
 
-from vortexloc import QuadratureSpec, calibrated_offset, make_config
+from vortexloc import QuadratureSpec, ShiftQuadrature, calibrated_offset, make_config
 
 
 @lru_cache(maxsize=None)
@@ -19,7 +19,7 @@ def _calibration(kappa: float, fast: bool) -> tuple[float, float]:
     config = make_config(kappa=kappa)
     lam = config.beam.wavelength_c
     quad = QuadratureSpec.fast(lam) if fast else QuadratureSpec.paper_default(lam)
-    return calibrated_offset(config, quad=quad)
+    return calibrated_offset(config, quadrature=ShiftQuadrature(quad))
 
 
 @pytest.fixture(scope="session")

@@ -33,7 +33,7 @@ from vortexloc.localization import (
     oam_broadening_scan,
     transverse_scan,
 )
-from vortexloc.meanfield import QuadratureSpec
+from vortexloc.meanfield import QuadratureSpec, ShiftQuadrature
 from vortexloc.noise import (
     KIND_FREQUENCY,
     KIND_INTENSITY,
@@ -198,8 +198,8 @@ def test_criterion_08_antiblockade_ordering():
     checks = []
     for kappa in (10.0, 100.0, 500.0):
         wide = make_config(kappa=kappa, waist_w0_um=5.0)
-        partial = transverse_scan(wide, mode=MODE_PARTIAL, quad=quad, n_samples=100)
-        perfect = transverse_scan(wide, mode=MODE_PERFECT, quad=quad, n_samples=100)
+        partial = transverse_scan(wide, mode=MODE_PARTIAL, quadrature=ShiftQuadrature(quad), n_samples=100)
+        perfect = transverse_scan(wide, mode=MODE_PERFECT, quadrature=ShiftQuadrature(quad), n_samples=100)
         checks.append(
             (
                 partial.fwhm < perfect.fwhm,
@@ -207,8 +207,8 @@ def test_criterion_08_antiblockade_ordering():
             )
         )
     narrow = make_config(kappa=10.0)
-    partial = transverse_scan(narrow, mode=MODE_PARTIAL, quad=quad, n_samples=100)
-    perfect = transverse_scan(narrow, mode=MODE_PERFECT, quad=quad, n_samples=100)
+    partial = transverse_scan(narrow, mode=MODE_PARTIAL, quadrature=ShiftQuadrature(quad), n_samples=100)
+    perfect = transverse_scan(narrow, mode=MODE_PERFECT, quadrature=ShiftQuadrature(quad), n_samples=100)
     gap = float(np.max(np.abs(partial.sigma - perfect.sigma)))
     checks.append((gap <= 0.01, f"W0=1 kappa=10 pointwise gap={gap:.4f} <= 0.01"))
     _verdict(8, checks)
@@ -281,7 +281,7 @@ def test_criterion_10_property_suites(full_calibration, fast_calibration):
 
     loud = NoiseSpec(kind=KIND_INTENSITY, std_dev=0.3, trajectories=8, seed=11)
     serial = noisy_transverse_scan(cfg, loud, x_max=0.06, n_samples=121, s0=s0_180)
-    pooled = noisy_transverse_scan(cfg, loud, x_max=0.06, n_samples=121, s0=s0_180, threads=4)
+    pooled = noisy_transverse_scan(cfg, loud, x_max=0.06, n_samples=121, s0=s0_180, quadrature=ShiftQuadrature(threads=4))
     thread_ok = (
         serial.profile.sigma.tobytes() == pooled.profile.sigma.tobytes()
         and serial.spread.tobytes() == pooled.spread.tobytes()

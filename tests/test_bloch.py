@@ -398,6 +398,9 @@ def test_steady_time_input_validation():
         steady_time(drive, rel_tol=0.5)
     with pytest.raises(ValueError, match="t_budget"):
         steady_time(drive, t_budget=-1.0)
+    for dt in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"dt must be finite, got {dt}"):
+            steady_time(drive, dt=dt)
     with pytest.raises(RuntimeError, match="no steady entry"):
         steady_time(drive_at_intensity_ratio(180.0), rel_tol=0.01, t_budget=0.5)
 

@@ -417,8 +417,10 @@ def test_runtime_errors_name_the_failing_operation(tmp_path, capsys):
         (["noise", "--x-max-um", "inf"], "error in noisy_transverse_scan: x_max must be finite, got inf"),
         (["noise", "--std", "inf"], "error in noisy_transverse_scan: std_dev must be finite"),
         (["steady-time", "--kappa", "10", "--intensity-ratio", "nan"], "error in steady_time: intensity ratio must be positive"),
+        (["map3d", "--xy-half-um", "inf", "--s0-mhz", "0.4", "--samples-per-axis", "5"],
+         "error in map3d: x extent [-inf, inf] and spacing inf must be finite"),
     ],
-    ids=["r-max-nan", "r-max-inf", "x-max-nan", "x-max-inf", "std-inf", "intensity-ratio-nan"],
+    ids=["r-max-nan", "r-max-inf", "x-max-nan", "x-max-inf", "std-inf", "intensity-ratio-nan", "xy-half-inf"],
 )
 def test_non_finite_inputs_are_bad_input(argv, message, tmp_path, capsys):
     if argv[0] == "noise":
@@ -429,6 +431,44 @@ def test_non_finite_inputs_are_bad_input(argv, message, tmp_path, capsys):
     assert out == ""
     assert err.strip().splitlines()[-1] == f"vortex-localize {argv[0]}: {message}"
     assert "integrating" not in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "argv", [["steady", "--s-mhz"], ["scan-z", "--s0-mhz"], ["scan-z", "--delta-offset-mhz"]], ids=lambda a: a[1]
+)
+def test_non_finite_frequencies_are_rejected_at_parse_time(argv, value, tmp_path, monkeypatch, capsys):
+    _forbid_handlers(monkeypatch)
+    out_file = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value, "--kappa", "180", "--out", str(out_file)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines()[-1].endswith(
+        f"error: argument {argv[1]}: must be a finite frequency, got '{value}'"
+    )
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_bad_tail_tolerance_is_rejected_before_any_quadrature(value, tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no quadrature may run")
+
+    monkeypatch.setattr(meanfield, "masked_kernel_sum", forbidden)
+    out_file = tmp_path / "out.csv"
+    code, out, err = run(
+        ["calibrate-delta", "--kappa", "10", "--grid-spacing", "0.04", "--tail-tol", value, "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [
+        f"vortex-localize calibrate-delta: error in ShiftQuadrature: tail_tol must be a finite fraction above 0, "
+        f"got {float(value)}"
+    ]
     assert not out_file.exists()
 
 

@@ -27,7 +27,7 @@ from vortexloc.localization import (
     _run_around,
     transverse_scan,
 )
-from vortexloc.meanfield import QuadratureSpec, localized_point, shift_at
+from vortexloc.meanfield import QuadratureSpec, ShiftQuadrature, localized_point, shift_at
 
 CFG = make_config()
 
@@ -88,7 +88,7 @@ def test_perfect_tracking_restores_the_unshifted_profile():
 def test_partial_compensation_pins_the_core():
     quad = QuadratureSpec.scaled(CFG.beam.wavelength_c, 0.1)
     cfg = make_config(kappa=10.0)
-    partial = transverse_scan(cfg, mode=MODE_PARTIAL, n_samples=100, quad=quad)
+    partial = transverse_scan(cfg, mode=MODE_PARTIAL, n_samples=100, quadrature=ShiftQuadrature(quad))
     none = transverse_scan(cfg, mode=MODE_NONE, n_samples=100)
     assert partial.sigma[0] == 1.0
     assert partial.s0 is not None and partial.s0 > 0.0
@@ -107,7 +107,7 @@ def _partial_scan_oracle(config, n_samples, quad):
     r = np.linspace(0.0, 1.5 * config.beam.waist_w0, n_samples)
 
     def s_of(radius):
-        return shift_at(Position(r=float(radius), phi=0.0, z=z_loc), config, quad=quad)
+        return shift_at(Position(r=float(radius), phi=0.0, z=z_loc), config, quadrature=ShiftQuadrature(quad))
 
     s_grid = np.array([s_of(x) for x in r])
     s0 = float(s_grid[0])
@@ -133,7 +133,7 @@ def _partial_scan_oracle(config, n_samples, quad):
 @pytest.mark.parametrize("kappa", [10.0, 180.0])
 def test_partial_scan_equals_the_per_position_oracle(kappa):
     cfg = make_config(kappa=kappa)
-    scan = transverse_scan(cfg, mode=MODE_PARTIAL, n_samples=100, quad=TINY)
+    scan = transverse_scan(cfg, mode=MODE_PARTIAL, n_samples=100, quadrature=ShiftQuadrature(TINY))
     sigma, s0, fwhm = _partial_scan_oracle(cfg, 100, TINY)
     assert np.array_equal(scan.sigma, sigma)
     assert scan.s0 == s0
@@ -144,7 +144,7 @@ def test_partial_scans_leave_no_state_behind():
     a, b = make_config(kappa=180.0), make_config(kappa=250.0)
 
     def scans(configs):
-        return [transverse_scan(c, mode=MODE_PARTIAL, n_samples=100, quad=TINY) for c in configs]
+        return [transverse_scan(c, mode=MODE_PARTIAL, n_samples=100, quadrature=ShiftQuadrature(TINY)) for c in configs]
 
     first = scans((a, b))
     second = scans((b, a))[::-1]
@@ -265,9 +265,9 @@ def test_per_voxel_shifts_stay_close_to_the_frozen_core_value():
     quad = QuadratureSpec.scaled(CFG.beam.wavelength_c, 0.1)
     ext = ((-0.02, 0.02), (-0.02, 0.02), (0.35, 0.37))
     spacing = (0.005, 0.005, 0.002)
-    s0 = shift_at(localized_point(CFG), CFG, quad=quad)
-    frozen = map3d(CFG, extents=ext, spacing=spacing, s0=s0, quad=quad)
-    exact = map3d(CFG, extents=ext, spacing=spacing, s0=s0, quad=quad, per_voxel_exact=True)
+    s0 = shift_at(localized_point(CFG), CFG, quadrature=ShiftQuadrature(quad))
+    frozen = map3d(CFG, extents=ext, spacing=spacing, s0=s0, quadrature=ShiftQuadrature(quad))
+    exact = map3d(CFG, extents=ext, spacing=spacing, s0=s0, quadrature=ShiftQuadrature(quad), per_voxel_exact=True)
     # the shift profile is flat across this window, so freezing it at the
     # core value is a sub-2% approximation of the exact field
     assert np.max(np.abs(exact.field - frozen.field)) < 0.02
@@ -277,7 +277,7 @@ def test_per_voxel_field_equals_the_per_position_oracle():
     ext = ((-0.02, 0.02), (-0.02, 0.02), (0.35, 0.37))
     spacing = (0.005, 0.005, 0.002)
     s0 = 2.6
-    exact = map3d(CFG, extents=ext, spacing=spacing, s0=s0, quad=TINY, per_voxel_exact=True)
+    exact = map3d(CFG, extents=ext, spacing=spacing, s0=s0, quadrature=ShiftQuadrature(TINY), per_voxel_exact=True)
     ip, dp, gamma = CFG.probe.omega_p0**2, CFG.probe.delta_p, CFG.medium.gamma
     mod = CFG.detuning
     tp_z = dp + mod.delta_c0 * (np.sin(TWO_PI * exact.z / mod.period) + 1.0)
@@ -287,7 +287,7 @@ def test_per_voxel_field_equals_the_per_position_oracle():
             r = float(np.hypot(x, y))
             env = control_envelope(r, CFG.beam)
             for k, z in enumerate(exact.z):
-                s_here = shift_at(Position(r=r, phi=0.0, z=float(z)), CFG, quad=TINY)
+                s_here = shift_at(Position(r=r, phi=0.0, z=float(z)), CFG, quadrature=ShiftQuadrature(TINY))
                 oracle[i, j, k] = sigma_rr_steady(ip, env * env, dp, tp_z[k] + s0 - s_here, gamma)
     assert np.array_equal(exact.field, oracle)
 
@@ -308,6 +308,10 @@ def test_map_input_validation(fast_calibration):
         map3d(CFG, delta_offset_mode="shifted", s0=s0)
     with pytest.raises(ValueError, match="extents"):
         map3d(CFG, extents=((0.1, -0.1), (-0.1, 0.1), (0.3, 0.4)), s0=s0)
+    with pytest.raises(ValueError, match=r"x extent \[-inf, inf\] and spacing inf must be finite"):
+        map3d(CFG, extents=((-np.inf, np.inf), (-0.1, 0.1), (0.3, 0.4)), spacing=np.inf, s0=s0)
+    with pytest.raises(ValueError, match=r"z extent \[0.3, 0.4\] and spacing nan must be finite"):
+        map3d(CFG, extents=((-0.1, 0.1),) * 2 + ((0.3, 0.4),), spacing=(0.01, 0.01, np.nan), s0=s0)
     with pytest.raises(ValueError, match="impractical"):
         map3d(CFG, s0=s0, per_voxel_exact=True)
     with pytest.raises(RuntimeError, match="too coarse"):

@@ -1,6 +1,7 @@
 """Blockade-masked mean-field shift: scalars, quadrature, calibration, boundary."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from vortexloc.meanfield import (
     MASK_ATOM,
     MASK_LOCAL,
     QuadratureSpec,
+    ShiftQuadrature,
     blockade_boundary,
     blockade_radius,
     calibrated_offset,
@@ -310,25 +312,27 @@ def test_one_position_gives_a_float_and_a_batch_of_one_an_array():
     single = masked_kernel_sum(pos, CFG, ODD)
     assert type(single) is float
     assert np.array_equal(masked_kernel_sum((pos,), CFG, ODD), [single])
-    assert type(shift_at(pos, CFG, quad=ODD, tail_tol=1.0)) is float
+    assert type(shift_at(pos, CFG, quadrature=ShiftQuadrature(ODD, tail_tol=1.0))) is float
 
 
-@pytest.mark.parametrize("fn", [masked_kernel_sum, shift_at])
-def test_batches_need_one_shared_z_and_at_least_one_atom(fn):
+@pytest.mark.parametrize(
+    "fn, lattice", [(masked_kernel_sum, COARSE), (shift_at, ShiftQuadrature(COARSE))], ids=["masked_kernel_sum", "shift_at"]
+)
+def test_batches_need_one_shared_z_and_at_least_one_atom(fn, lattice):
     mixed = [Position(r=0.0, phi=0.0, z=0.75 * LAM), Position(r=0.0, phi=0.0, z=0.5 * LAM)]
     with pytest.raises(ValueError, match="non-empty sequence sharing one z"):
-        fn(mixed, CFG, COARSE)
+        fn(mixed, CFG, lattice)
     with pytest.raises(ValueError, match="non-empty"):
-        fn([], CFG, COARSE)
+        fn([], CFG, lattice)
 
 
 def test_batched_shift_equals_the_per_position_loop():
     cfg = make_config(kappa=180.0)
     atoms = _at_node(0.0, 0.4, 0.4, 5.0)
-    oracle = [shift_at(p, cfg, quad=COARSE, verify_convergence=True) for p in atoms]
-    got = shift_at(atoms, cfg, quad=COARSE, verify_convergence=True)
+    oracle = [shift_at(p, cfg, quadrature=ShiftQuadrature(COARSE), verify_convergence=True) for p in atoms]
+    got = shift_at(atoms, cfg, quadrature=ShiftQuadrature(COARSE), verify_convergence=True)
     assert np.array_equal(got, oracle)
-    assert np.array_equal(shift_at(atoms, make_config(c6_mhz_um6=0.0), quad=COARSE), np.zeros(4))
+    assert np.array_equal(shift_at(atoms, make_config(c6_mhz_um6=0.0), quadrature=ShiftQuadrature(COARSE)), np.zeros(4))
 
 
 @pytest.mark.parametrize("tail_tol", [0.001, 0.01, 0.05])
@@ -339,7 +343,7 @@ def test_batched_tail_guard_fails_when_any_position_fails(tail_tol):
 
     def fails(arg):
         try:
-            shift_at(arg, cfg, quad=COARSE, tail_tol=tail_tol)
+            shift_at(arg, cfg, quadrature=ShiftQuadrature(COARSE, tail_tol=tail_tol))
         except RuntimeError as exc:
             assert "quadrature domain too small" in str(exc)
             return True
@@ -355,10 +359,10 @@ def test_batched_convergence_check_fails_when_any_position_fails():
     # to about 1%, the far atom only to about 13%
     quad = QuadratureSpec.scaled(LAM, 0.4)
     core, far = _at_node(0.0, 30.0)
-    shift_at(core, CFG, quad=quad, tail_tol=1.0, verify_convergence=True)
+    shift_at(core, CFG, quadrature=ShiftQuadrature(quad, tail_tol=1.0), verify_convergence=True)
     for batch in ([core, far], [far, core]):
         with pytest.raises(RuntimeError, match="quadrature spacing too coarse"):
-            shift_at(batch, CFG, quad=quad, tail_tol=1.0, verify_convergence=True)
+            shift_at(batch, CFG, quadrature=ShiftQuadrature(quad, tail_tol=1.0), verify_convergence=True)
 
 
 def _core_linewidth(config):
@@ -409,7 +413,7 @@ def test_shift_is_the_prefactor_times_the_masked_kernel():
     kernel = masked_kernel_sum(pos, cfg, FAST)
     ip = cfg.probe.omega_p0**2
     expected = TWO_PI * cfg.medium.c6 * cfg.medium.density_rho * ip * kernel
-    assert shift_at(pos, cfg, quad=FAST) == expected
+    assert shift_at(pos, cfg, quadrature=ShiftQuadrature(FAST)) == expected
     assert kernel > 0.0
 
 
@@ -427,12 +431,36 @@ def test_unresolved_blockade_sphere_is_rejected():
 
 def test_zero_interaction_means_zero_shift():
     cfg = make_config(c6_mhz_um6=0.0)
-    assert shift_at(localized_point(cfg), cfg, quad=FAST) == 0.0
+    assert shift_at(localized_point(cfg), cfg, quadrature=ShiftQuadrature(FAST)) == 0.0
 
 
 def test_unknown_mask_is_rejected():
     with pytest.raises(ValueError, match="unknown blockade mask"):
         masked_kernel_sum(localized_point(CFG), CFG, FAST, mask="global")
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"tail_tol": math.nan}, "tail_tol must be a finite fraction above 0, got nan"),
+        ({"tail_tol": math.inf}, "tail_tol must be a finite fraction above 0, got inf"),
+        ({"tail_tol": 0.0}, "tail_tol must be a finite fraction above 0, got 0.0"),
+        ({"tail_tol": -1.0}, "tail_tol must be a finite fraction above 0, got -1.0"),
+        ({"mask": "global"}, "unknown blockade mask 'global'"),
+        ({"threads": 0}, "threads must be an integer of at least 1, got 0"),
+        ({"threads": 2.0}, "threads must be an integer of at least 1, got 2.0"),
+        ({"threads": True}, "threads must be an integer of at least 1, got True"),
+    ],
+)
+def test_shift_quadrature_rejects_bad_settings(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ShiftQuadrature(FAST, **kwargs)
+
+
+def test_shift_quadrature_fills_in_only_a_missing_lattice():
+    chosen = ShiftQuadrature(COARSE, mask=MASK_ATOM, tail_tol=0.5, threads=2)
+    assert chosen.or_lattice(FAST) is chosen
+    assert ShiftQuadrature(mask=MASK_ATOM, tail_tol=0.5, threads=2).or_lattice(COARSE) == chosen
 
 
 def test_atom_centered_mask_blockades_more_near_the_core():
@@ -449,17 +477,17 @@ def test_atom_centered_mask_blockades_more_near_the_core():
 def test_shift_at_reference_points():
     # antiblockade-calibrated working points; shifts quoted in MHz
     cfg10 = make_config(kappa=10.0, delta_shift_mhz=37.77)
-    s10 = shift_at(localized_point(cfg10), cfg10, quad=FAST)
+    s10 = shift_at(localized_point(cfg10), cfg10, quadrature=ShiftQuadrature(FAST))
     assert s10 / TWO_PI == pytest.approx(7.77, rel=0.02)
     cfg500 = make_config(kappa=500.0, delta_shift_mhz=30.063)
-    s500 = shift_at(localized_point(cfg500), cfg500, quad=FAST)
+    s500 = shift_at(localized_point(cfg500), cfg500, quadrature=ShiftQuadrature(FAST))
     assert s500 / TWO_PI == pytest.approx(0.063, rel=0.05)
 
 
 def test_too_small_domain_raises():
     quad = QuadratureSpec.scaled(CFG.beam.wavelength_c, 0.02, extent_multiple=40.0)
     with pytest.raises(RuntimeError, match="quadrature domain too small"):
-        shift_at(localized_point(CFG), CFG, quad=quad)
+        shift_at(localized_point(CFG), CFG, quadrature=ShiftQuadrature(quad))
 
 
 def test_aliased_longitudinal_lattice_fails_the_convergence_check():
@@ -468,17 +496,17 @@ def test_aliased_longitudinal_lattice_fails_the_convergence_check():
     lam = CFG.beam.wavelength_c
     quad = QuadratureSpec(100.0 * lam, 2.0 * lam, 0.02 * lam, lam)
     with pytest.raises(RuntimeError, match="quadrature spacing too coarse"):
-        shift_at(localized_point(CFG), CFG, quad=quad, tail_tol=1.0, verify_convergence=True)
+        shift_at(localized_point(CFG), CFG, quadrature=ShiftQuadrature(quad, tail_tol=1.0), verify_convergence=True)
 
 
 def test_fast_lattice_passes_the_convergence_check():
-    s = shift_at(localized_point(CFG), CFG, quad=FAST, verify_convergence=True)
+    s = shift_at(localized_point(CFG), CFG, quadrature=ShiftQuadrature(FAST), verify_convergence=True)
     assert s == pytest.approx(S0_FAST[100.0], rel=1e-6)
 
 
 def test_s0_reference_values_and_saturation_trend():
     kappas = sorted(S0_FAST)
-    values = [s0_integral(make_config(kappa=k), quad=FAST) for k in kappas]
+    values = [s0_integral(make_config(kappa=k), quadrature=ShiftQuadrature(FAST)) for k in kappas]
     for got, k in zip(values, kappas):
         assert got == pytest.approx(S0_FAST[k], rel=1e-6)
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -490,14 +518,14 @@ def test_s0_reference_values_and_saturation_trend():
 def test_s0_requires_the_standing_wave_mode():
     cfg = make_config(detuning_mode="constant", delta_c_const_mhz=30.0)
     with pytest.raises(ValueError, match="standing-wave"):
-        s0_integral(cfg, quad=FAST)
+        s0_integral(cfg, quadrature=ShiftQuadrature(FAST))
     with pytest.raises(ValueError, match="standing-wave"):
-        calibrated_offset(cfg, quad=FAST)
+        calibrated_offset(cfg, quadrature=ShiftQuadrature(FAST))
 
 
 def test_calibration_without_interactions_is_the_identity():
     cfg = make_config(c6_mhz_um6=0.0)
-    s0, delta = calibrated_offset(cfg, quad=FAST)
+    s0, delta = calibrated_offset(cfg, quadrature=ShiftQuadrature(FAST))
     assert s0 == 0.0
     assert delta == cfg.detuning.delta_c0
 
@@ -516,7 +544,7 @@ def test_calibrated_shift_shrinks_with_saturation(fast_calibration):
 
 def test_radial_profile_is_flat_across_the_core():
     lam = CFG.beam.wavelength_c
-    grid = shift_profile("radial", np.array([0.0, 0.05 * lam, 0.1 * lam]), CFG, quad=FAST)
+    grid = shift_profile("radial", np.array([0.0, 0.05 * lam, 0.1 * lam]), CFG, quadrature=ShiftQuadrature(FAST))
     assert grid.near_core_flatness is not None
     assert grid.near_core_flatness < 0.05
     assert np.all(grid.s_values > 0.0)
@@ -526,7 +554,7 @@ def test_radial_shift_drops_with_saturation_pointwise():
     quad = QuadratureSpec.scaled(CFG.beam.wavelength_c, 0.05)
     radii = np.array([0.0, 0.5, 1.0])
     rows = [
-        shift_profile("radial", radii, make_config(kappa=k), quad=quad).s_values
+        shift_profile("radial", radii, make_config(kappa=k), quadrature=ShiftQuadrature(quad)).s_values
         for k in (10.0, 100.0, 500.0)
     ]
     assert np.all(rows[0] > rows[1])
@@ -538,22 +566,22 @@ def test_radial_profile_equals_the_per_position_shifts(radii):
     # the second case lacks r = 0 among its near-core points, the third has
     # no near-core point at all
     positions = np.array(radii) * LAM
-    grid = shift_profile("radial", positions, CFG, quad=COARSE)
-    oracle = np.array([shift_at(p, CFG, quad=COARSE) for p in _at_node(*radii)])
+    grid = shift_profile("radial", positions, CFG, quadrature=ShiftQuadrature(COARSE))
+    oracle = np.array([shift_at(p, CFG, quadrature=ShiftQuadrature(COARSE)) for p in _at_node(*radii)])
     assert np.array_equal(grid.s_values, oracle)
     near = positions <= 0.1 * LAM
     if not near.any():
         assert grid.near_core_flatness is None
         return
-    s0 = shift_at(_at_node(0.0)[0], CFG, quad=COARSE)
+    s0 = shift_at(_at_node(0.0)[0], CFG, quadrature=ShiftQuadrature(COARSE))
     assert grid.near_core_flatness == float(np.max(np.abs(oracle[near] - s0)) / s0)
 
 
 def test_longitudinal_profile_is_periodic_and_nearly_flat():
     lam = CFG.beam.wavelength_c
     z = np.array([0.25 * lam, 0.5 * lam, 0.75 * lam])
-    grid = shift_profile("longitudinal", z, CFG, quad=FAST)
-    grid_next = shift_profile("longitudinal", z + lam, CFG, quad=FAST)
+    grid = shift_profile("longitudinal", z, CFG, quadrature=ShiftQuadrature(FAST))
+    grid_next = shift_profile("longitudinal", z + lam, CFG, quadrature=ShiftQuadrature(FAST))
     assert grid.s_values == pytest.approx(grid_next.s_values, rel=1e-6)
     # the on-axis shift barely feels the standing-wave phase
     swing = (grid.s_values.max() - grid.s_values.min()) / grid.s_values.mean()
@@ -562,7 +590,7 @@ def test_longitudinal_profile_is_periodic_and_nearly_flat():
 
 def test_shift_profile_rejects_unknown_axis():
     with pytest.raises(ValueError, match="axis"):
-        shift_profile("azimuthal", np.array([0.0]), CFG, quad=FAST)
+        shift_profile("azimuthal", np.array([0.0]), CFG, quadrature=ShiftQuadrature(FAST))
 
 
 @pytest.mark.parametrize(
@@ -577,7 +605,7 @@ def test_shift_profile_rejects_unknown_axis():
 )
 def test_shift_profile_rejects_empty_or_non_finite_positions(positions, message):
     with pytest.raises(ValueError, match=message):
-        shift_profile("radial", positions, CFG, quad=FAST)
+        shift_profile("radial", positions, CFG, quadrature=ShiftQuadrature(FAST))
 
 
 def test_localized_point_sits_at_the_node():

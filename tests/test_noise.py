@@ -5,6 +5,7 @@ import pytest
 
 from vortexloc import make_config
 from vortexloc.config import TWO_PI
+from vortexloc.meanfield import ShiftQuadrature
 from vortexloc.localization import MODE_NONE, transverse_scan
 from vortexloc.noise import (
     KIND_FREQUENCY,
@@ -91,7 +92,7 @@ def test_reruns_and_worker_counts_leave_the_average_unchanged(fast_calibration):
     spec = NoiseSpec(kind=KIND_INTENSITY, std_dev=0.3, trajectories=8, seed=11)
     one = noisy_transverse_scan(CFG180, spec, x_max=0.06, n_samples=121, s0=s0)
     again = noisy_transverse_scan(CFG180, spec, x_max=0.06, n_samples=121, s0=s0)
-    pooled = noisy_transverse_scan(CFG180, spec, x_max=0.06, n_samples=121, s0=s0, threads=4)
+    pooled = noisy_transverse_scan(CFG180, spec, x_max=0.06, n_samples=121, s0=s0, quadrature=ShiftQuadrature(threads=4))
     assert np.array_equal(one.profile.sigma, again.profile.sigma)
     assert np.array_equal(one.spread, again.spread)
     assert np.array_equal(one.profile.sigma, pooled.profile.sigma)
