@@ -438,7 +438,7 @@ class _Command:
 
     help: str
     op: str  # the operation named when the handler raises ValueError/RuntimeError/OSError
-    # handler(args, config[, quadrature]) -> (params, columns, summary, stdout line)
+    # handler(args, config[, quadrature=]) -> (params, columns, summary, stdout line)
     run: Callable
     arguments: tuple[tuple[str, dict], ...] = ()  # (flag, add_argument keywords)
     # takes --threads --grid-spacing --grid-extent --mask --tail-tol, and gets
@@ -556,20 +556,18 @@ def main(argv=None) -> int:
                 setattr(args, dest, value)
         op = "make_config"
         config = _build_config(args, physics, cmd.default_kappa)
-        echo = {}
+        echo, extra = {}, {}
         if cmd.quadrature:
             op = "QuadratureSpec.scaled"
             lattice = _resolve_quad(args, config, cmd.default_quad)
             op = "ShiftQuadrature"
-            quadrature = ShiftQuadrature(lattice, args.mask, args.tail_tol, args.threads)
-            echo["mask"] = quadrature.mask
+            extra["quadrature"] = ShiftQuadrature(lattice, args.mask, args.tail_tol, args.threads)
+            echo["mask"] = args.mask
             if lattice is not None:
                 for name in ("extent_r", "extent_z", "spacing_r", "spacing_z"):
                     echo[f"quad_{name}_um"] = getattr(lattice, name)
         op = cmd.op
-        params, columns, summary, line = (
-            cmd.run(args, config, quadrature) if cmd.quadrature else cmd.run(args, config)
-        )
+        params, columns, summary, line = cmd.run(args, config, **extra)
         manifest = output.RunManifest(
             subcommand=args.command,
             config=config,

@@ -30,6 +30,7 @@ any thread count.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -121,10 +122,14 @@ class ShiftQuadrature:
     def __post_init__(self) -> None:
         if self.mask not in _MASKS:
             raise ValueError(f"unknown blockade mask '{self.mask}'")
-        if not (isinstance(self.tail_tol, (int, float)) and math.isfinite(self.tail_tol) and self.tail_tol > 0):
-            raise ValueError(f"tail_tol must be a finite fraction above 0, got {self.tail_tol}")
-        if isinstance(self.threads, bool) or not isinstance(self.threads, int) or self.threads < 1:
-            raise ValueError(f"threads must be an integer of at least 1, got {self.threads!r}")
+        tail_tol, threads = self.tail_tol, self.threads
+        # numpy scalars count as numbers; bools do not
+        if isinstance(tail_tol, bool) or not isinstance(tail_tol, numbers.Real) or not (
+            math.isfinite(tail_tol) and tail_tol > 0
+        ):
+            raise ValueError(f"tail_tol must be a finite fraction above 0, got {tail_tol!r}")
+        if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
+            raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
 
     def or_lattice(self, default: QuadratureSpec) -> "ShiftQuadrature":
         """This value, on `default` when it names no lattice."""

@@ -450,11 +450,19 @@ def test_unknown_mask_is_rejected():
         ({"threads": 0}, "threads must be an integer of at least 1, got 0"),
         ({"threads": 2.0}, "threads must be an integer of at least 1, got 2.0"),
         ({"threads": True}, "threads must be an integer of at least 1, got True"),
+        ({"tail_tol": True}, "tail_tol must be a finite fraction above 0, got True"),
+        ({"tail_tol": "0.01"}, "tail_tol must be a finite fraction above 0, got '0.01'"),
     ],
 )
 def test_shift_quadrature_rejects_bad_settings(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ShiftQuadrature(FAST, **kwargs)
+
+
+def test_shift_quadrature_takes_numpy_scalars():
+    atoms = _at_node(0.2, 0.5)
+    numpy_scalars = ShiftQuadrature(COARSE, tail_tol=np.float32(0.01), threads=np.int64(2))
+    assert np.array_equal(shift_at(atoms, CFG, numpy_scalars), shift_at(atoms, CFG, ShiftQuadrature(COARSE)))
 
 
 def test_shift_quadrature_fills_in_only_a_missing_lattice():

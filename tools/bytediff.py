@@ -1,11 +1,11 @@
 """Byte-diff two trees of vortex-localize over a fixed list of command lines.
 
 Usage:
-    python tools/bytediff.py BASE [--tree DIR] [--list FILE]
+    python tools/bytediff.py BASE [--list FILE]
 
 BASE is a git revision of this repository or a directory: a checkout holding
 src/vortexloc, or a directory holding vortexloc itself. It is compared with
---tree, by default the checkout this script sits in. Each line of the list
+the checkout this script sits in. Each line of the list
 (default: tools/bytediff/invocations.txt; '#' starts a comment) is one
 vortex-localize argument list. It runs once per tree, in a fresh interpreter
 and an empty working directory seeded with the *.ini files next to the list.
@@ -76,7 +76,6 @@ def run_once(src: Path, argv: list[str], fixtures: list[Path], workdir: Path) ->
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="git revision or directory of the tree to compare against")
-    parser.add_argument("--tree", default=str(ROOT), help="directory of the tree under test (default: this checkout)")
     parser.add_argument("--list", type=Path, default=DEFAULT_LIST, help="invocation list")
     args = parser.parse_args(argv)
 
@@ -85,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
     differing = 0
     with tempfile.TemporaryDirectory(prefix="bytediff-") as tmp:
         scratch = Path(tmp)
-        trees = {"base": source_dir(args.base, scratch), "tree": source_dir(args.tree, scratch)}
+        trees = {"base": source_dir(args.base, scratch), "tree": source_dir(str(ROOT), scratch)}
         for i, line in enumerate(invocations):
             base, tree = (
                 run_once(src, shlex.split(line), fixtures, scratch / f"{i}-{side}") for side, src in trees.items()
