@@ -372,16 +372,6 @@ def linewidth_from(ip, ic, delta_p, gamma):
     return (ip + ic) / np.sqrt(under)
 
 
-def dark_state_weights(omega_p: float, omega_c: complex) -> tuple[complex, complex]:
-    """Normalized (|r>, |g>) components (Omega_p, -Omega_c)/sqrt(I_p + I_c) of the dark state."""
-    ip = omega_p * omega_p
-    ic = (omega_c * omega_c.conjugate()).real
-    norm = math.sqrt(ip + ic)
-    if norm == 0.0:
-        raise ValueError("dark state undefined for zero fields")
-    return (omega_p / norm, -omega_c / norm)
-
-
 def steady_time(
     drive: LocalDrive,
     rel_tol: float = 0.01,
@@ -436,6 +426,5 @@ __all__ = [
     "approx_sigma",
     "linewidth_w",
     "linewidth_from",
-    "dark_state_weights",
     "steady_time",
 ]

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Parameters resolve in precedence order: command-line flags, then the INI
-config file, then built-in defaults. All progress goes to stderr; stdout
-carries exactly one summary line per successful run, and result files are
+config file, then built-in defaults. A successful run prints exactly one
+summary line to stdout and the result path to stderr. Result files are
 byte-reproducible for equal inputs (worker count and wall time never enter
 file content).
 
@@ -153,10 +153,6 @@ def _parse_l_values(text: str) -> tuple[int, ...]:
     return values
 
 
-def _progress(message: str) -> None:
-    print(message, file=sys.stderr)
-
-
 def _line(summary: dict, *keys: str) -> str:
     """The stdout line 'key=value ...' over `keys` (default: all); an absent key reads none."""
     return " ".join(f"{key}={output.render_value(summary.get(key))}" for key in keys or summary)
@@ -188,12 +184,11 @@ def _cmd_steady(args, config):
     beam = config.beam
     r = args.r_um if args.r_um is not None else beam.waist_w0 * math.sqrt(abs(beam.winding_l) / 2.0)
     z = args.z_um if args.z_um is not None else meanfield.localized_point(config).z
-    pos = Position(r=r, phi=args.phi_rad, z=z)
-    drive = bloch.LocalDrive.from_config(config, pos, s_shift=angular_from_mhz(args.s_mhz))
+    drive = bloch.LocalDrive.from_config(config, Position(r=r, z=z), s_shift=angular_from_mhz(args.s_mhz))
     sigma = bloch.steady_sigma_rr(drive)
     eta = eta_of_radius(r, config)
     w_mhz = mhz_from_angular(bloch.linewidth_w(drive))
-    params = {"r_um": r, "phi_rad": args.phi_rad, "z_um": z, "s_mhz": args.s_mhz}
+    params = {"r_um": r, "z_um": z, "s_mhz": args.s_mhz}
     columns = _one_row({"r_um": r, "z_um": z, "eta": eta, "sigma_rr": sigma, "linewidth_w_mhz": w_mhz})
     summary = {"sigma_rr": sigma, "eta": eta, "linewidth_w_mhz": w_mhz}
     return params, columns, summary, _line({"sigma_rr": sigma, "eta": eta, "w_mhz": w_mhz})
@@ -215,8 +210,6 @@ def _cmd_scan_z(args, config, quadrature):
     if (args.z_min_um is None) != (args.z_max_um is None):
         raise ValueError("give both --z-min-um and --z-max-um or neither")
     z_range = None if args.z_min_um is None else (args.z_min_um, args.z_max_um)
-    if args.s0 is None:
-        _progress("calibrating the core shift (quadrature)...")
     profile = localization.longitudinal_scan(
         config, z_range=z_range, n_samples=args.samples, s0=args.s0, delta_offset=args.delta_offset,
         quadrature=quadrature,
@@ -260,9 +253,6 @@ def _cmd_map3d(args, config, quadrature):
     extents = ((-half, half), (-half, half), (z_node - z_half, z_node + z_half))
     # spacing derives from the extents so each axis lands exactly on n samples
     spacing = tuple((hi - lo) / (n - 1) for lo, hi in extents)
-    if args.s0 is None:
-        _progress("calibrating the core shift (quadrature)...")
-    _progress(f"computing {n}^3 voxels...")
     vol = localization.map3d(
         config,
         extents=extents,
@@ -306,10 +296,11 @@ def _cmd_shift(args, config, quadrature):
         max_um = args.max_um if args.max_um is not None else 0.5 * config.beam.waist_w0
         positions = np.linspace(0.0, max_um, args.samples)
     else:
+        if args.max_um is not None:
+            raise ValueError("--max-um sets the radial extent; the longitudinal axis spans one period")
         period = config.detuning.period
         lo = meanfield.localized_point(config).z - 0.5 * period
         positions = np.linspace(lo, lo + period, args.samples)
-    _progress(f"evaluating {positions.size} quadratures...")
     grid = meanfield.shift_profile(args.axis, positions, config, quadrature)
     params = {"axis": args.axis, "samples": args.samples}
     columns = {
@@ -329,7 +320,6 @@ def _cmd_shift(args, config, quadrature):
 
 
 def _cmd_calibrate(args, config, quadrature):
-    _progress("iterating the calibration fixed point...")
     s0, delta = meanfield.calibrated_offset(config, quadrature, max_iter=args.max_iter)
     values = {
         "kappa": config.kappa,
@@ -374,7 +364,6 @@ def _cmd_steady_time(args, config):
         delta_c=0.0,
     )
     sigma_ss = bloch.steady_sigma_rr(drive)
-    _progress(f"integrating the density matrix at r={r_sample:.4g} um...")
     t_steady = bloch.steady_time(drive, rel_tol=args.rel_tol, t_budget=args.budget_us, dt=args.dt_us)
     params = {
         "rel_tol": args.rel_tol,
@@ -395,9 +384,6 @@ def _cmd_steady_time(args, config):
 def _cmd_noise(args, config, quadrature):
     std = angular_from_mhz(args.std) if args.kind == noise.KIND_FREQUENCY else args.std
     spec = noise.NoiseSpec(kind=args.kind, std_dev=std, trajectories=args.trajectories, seed=args.seed)
-    if args.s0 is None:
-        _progress("calibrating the core shift (quadrature)...")
-    _progress(f"averaging {args.trajectories} noisy trajectories...")
     scan = noise.noisy_transverse_scan(
         config,
         spec,
@@ -452,7 +438,6 @@ class _Command:
 _COMMANDS = {
     "steady": _Command("steady state at one point", "steady_sigma_rr", _cmd_steady, (
         ("--r-um", dict(type=float, help="radius (default: envelope peak)")),
-        ("--phi-rad", dict(type=float, default=0.0)),
         ("--z-um", dict(type=float, help="height (default: 3/4 wavelength)")),
         ("--s-mhz", dict(type=_finite_mhz, default=0.0, help="interaction shift to include (MHz)")),
     )),

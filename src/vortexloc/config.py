@@ -137,13 +137,6 @@ class Position:
         _require_finite(self.z, "z")
         object.__setattr__(self, "phi", self.phi % TWO_PI)
 
-    @classmethod
-    def from_cartesian(cls, x: float, y: float, z: float) -> "Position":
-        return cls(r=math.hypot(x, y), phi=math.atan2(y, x), z=z)
-
-    def to_cartesian(self) -> tuple[float, float, float]:
-        return (self.r * math.cos(self.phi), self.r * math.sin(self.phi), self.z)
-
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -242,11 +235,6 @@ def make_config(
 def with_delta_shift(config: SystemConfig, delta_shift: float) -> SystemConfig:
     """Copy of `config` with the standing-wave offset delta replaced (rad/us)."""
     return replace(config, detuning=replace(config.detuning, delta_shift=delta_shift))
-
-
-def with_probe_amplitude(config: SystemConfig, omega_p0: float) -> SystemConfig:
-    """Copy of `config` with a new probe amplitude (rad/us)."""
-    return replace(config, probe=replace(config.probe, omega_p0=omega_p0))
 
 
 def with_winding(config: SystemConfig, winding_l: int) -> SystemConfig:

@@ -164,22 +164,13 @@ def blockade_radius(w, c6: float):
     return float(r_b) if np.ndim(r_b) == 0 else r_b
 
 
-def superatom_count(r_b: float, rho: float) -> float:
-    """Number of atoms (4 pi/3) R_b^3 rho inside one blockade sphere."""
-    if r_b <= 0:
+def superatom_count(r_b, rho: float):
+    """Atoms (4 pi/3) R_b^3 rho inside one blockade sphere; elementwise over an array of radii."""
+    if np.any(np.asarray(r_b) <= 0):
         raise ValueError("blockade radius must be positive")
     if rho < 0:
         raise ValueError("density must be nonnegative")
     return FOUR_THIRDS_PI * r_b**3 * rho
-
-
-def excitation_fraction(f0: float, n_sa: float) -> float:
-    """Saturated per-atom excitation f0 / (1 + (N_sa - 1) f0) of a superatom."""
-    if not 0.0 <= f0 <= 1.0:
-        raise ValueError("f0 must lie in [0, 1]")
-    if n_sa < 1.0:
-        raise ValueError("superatom count must be at least 1")
-    return f0 / (1.0 + (n_sa - 1.0) * f0)
 
 
 def local_linewidth(config: SystemConfig, r):
@@ -192,7 +183,7 @@ def _radial_profiles(config: SystemConfig, r: np.ndarray):
     """(I_c, w, R_b) on a radius grid."""
     env = control_envelope(r, config.beam)
     w = local_linewidth(config, r)
-    return env * env, w, (config.medium.c6 / w) ** (1.0 / 6.0)
+    return env * env, w, blockade_radius(w, config.medium.c6)
 
 
 def _series_constants(n_terms: int) -> tuple[np.ndarray, np.ndarray]:
@@ -377,7 +368,7 @@ def masked_kernel_sum(
 
     ic, _, rb = _radial_profiles(config, r)
     b_p, b_q, b_r = b_coefficients(
-        ip, ic, FOUR_THIRDS_PI * rb**3 * rho * ip, config.probe.delta_p, config.medium.gamma
+        ip, ic, superatom_count(rb, rho) * ip, config.probe.delta_p, config.medium.gamma
     )
     t_col = config.probe.delta_p + np.asarray(detuning_profile(z, config.detuning), dtype=float)
     dz2_col = (z - z_j) ** 2
@@ -523,7 +514,7 @@ def _tail_fraction(config: SystemConfig, lattice: QuadratureSpec, s_values: np.n
     ip = config.probe.omega_p0 ** 2
     r_far = np.array([lattice.extent_r])
     ic_far, _, rb_far = _radial_profiles(config, r_far)
-    nsa_ip_far = FOUR_THIRDS_PI * rb_far**3 * config.medium.density_rho * ip
+    nsa_ip_far = superatom_count(rb_far, config.medium.density_rho) * ip
     period = config.detuning.period
     z = (np.arange(1024) + 0.5) * (period / 1024.0)
     t = config.probe.delta_p + np.asarray(detuning_profile(z, config.detuning), dtype=float)
@@ -718,7 +709,6 @@ __all__ = [
     "BlockadeBoundary",
     "blockade_radius",
     "superatom_count",
-    "excitation_fraction",
     "local_linewidth",
     "masked_kernel_sum",
     "shift_at",

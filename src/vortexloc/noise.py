@@ -4,8 +4,8 @@ Each trajectory draws independent per-position disturbances of the control
 beam, either amplitude (intensity) or detuning (frequency) noise, recomputes
 the steady profile, and the ensemble is averaged pointwise. Per-trajectory
 generators derive from (master seed, trajectory index), so results are
-reproducible for any worker count, and a zero noise level reproduces the
-noiseless profile bit for bit.
+reproducible, and a zero noise level reproduces the noiseless profile bit
+for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .config import SystemConfig
 from .fields import control_envelope
 from .localization import ScanProfile, _resolve_offsets, extract_fwhm
 from .meanfield import ShiftQuadrature
-from .parallel import map_ordered, pairwise_sum
+from .parallel import pairwise_sum
 
 KIND_INTENSITY = "intensity"
 KIND_FREQUENCY = "frequency"
@@ -113,8 +113,7 @@ def noisy_transverse_scan(
     the calibrated working point (z = 3 lambda_c/4, delta - Delta_c0 = s_0)
     unless `delta_offset` detunes it deliberately. Averages accumulate as
     offsets from the first trajectory, so identical trajectories average to
-    the identical profile. Trajectories run on `quadrature.threads` workers,
-    which never changes a result.
+    the identical profile. `quadrature` serves only the s0 calibration.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
@@ -149,7 +148,7 @@ def noisy_transverse_scan(
         sigma = steady_population(config, env * env, two_photon)
         return np.asarray(sigma, dtype=float), clamps
 
-    results = map_ordered(one_trajectory, range(spec.trajectories), threads=quadrature.threads)
+    results = [one_trajectory(index) for index in range(spec.trajectories)]
     sigmas = [sigma for sigma, _ in results]
     clamp_count = int(sum(clamps for _, clamps in results))
 

@@ -2,8 +2,9 @@
 
 Work is split by fixed block boundaries and recombined in index order with a
 fixed pairwise reduction tree, so results are bit-identical for any worker
-count. Threads are sufficient here: the heavy kernels run inside numpy,
-which releases the interpreter lock.
+count. Threads do not pay off for the shift kernel, whose blocks are mostly
+small numpy calls under the interpreter lock: `BENCH_6.json` measured
+2 threads at 0.70 times the speed of one (`parallel.speedup_2t`).
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from vortexloc.bloch import (
     antiblockade_sigma,
     approx_sigma,
     bloch_rhs,
-    dark_state_weights,
     evolve,
     ground_state,
     linewidth_from,
@@ -371,17 +370,6 @@ def test_linewidth_limits():
     assert w2 == pytest.approx(2.0 * w1, rel=2e-3)
     with pytest.raises(ValueError, match="positive"):
         linewidth_from(0.0, 1.0, 0.0, 0.0)
-
-
-def test_dark_state_weights():
-    r_amp, g_amp = dark_state_weights(3.0, 0j)
-    assert (r_amp, g_amp) == (1.0, 0.0)
-    r_amp, g_amp = dark_state_weights(0.0, 2.0 + 0j)
-    assert (r_amp, g_amp) == (0.0, -1.0)
-    r_amp, g_amp = dark_state_weights(1.5, 2.0 - 1.0j)
-    assert abs(r_amp) ** 2 + abs(g_amp) ** 2 == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ValueError, match="zero fields"):
-        dark_state_weights(0.0, 0j)
 
 
 def test_steady_time_at_the_reference_working_points():

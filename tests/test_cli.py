@@ -297,7 +297,6 @@ def test_out_of_range_threads_are_rejected_before_any_work(threads, monkeypatch,
 
     monkeypatch.setattr(parallel, "map_ordered", forbidden)
     monkeypatch.setattr(meanfield, "map_ordered", forbidden)
-    monkeypatch.setattr(noise, "map_ordered", forbidden)
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", forbidden)
     _forbid_handlers(monkeypatch)
     with pytest.raises(SystemExit) as exc:
@@ -556,6 +555,64 @@ def test_probe_amplitude_whose_doubled_intensity_overflows_is_bad_input(tmp_path
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("vortex-localize steady: error in make_config: omega_p0 = ")
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["noise", "--x-max-um", "0", "--s0-mhz", "0.415"],
+        ["scan-z", "--kappa", "180", "--samples", "5"],
+        ["map3d", "--xy-half-um", "-0.1", "--s0-mhz", "0.4", "--samples-per-axis", "5"],
+        ["shift", "--samples", "0", "--grid-spacing", "1"],
+        ["steady-time", "--dt-us", "nan"],
+        ["steady-time", "--rel-tol", "nan"],
+    ],
+    ids=["noise-x-max", "scan-z-samples", "map3d-xy-half", "shift-samples", "steady-time-dt", "steady-time-rel-tol"],
+)
+def test_bad_input_prints_only_the_error(argv, tmp_path, capsys):
+    out_file = tmp_path / "out.csv"
+    code, out, err = run(argv + ["--out", str(out_file)], capsys)
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"vortex-localize {argv[0]}: error in ")
+    assert not out_file.exists()
+
+
+def test_steady_takes_no_azimuth(monkeypatch, capsys):
+    _forbid_handlers(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["steady", "--kappa", "100", "--phi-rad", "0.5"])
+    assert exc.value.code == 2
+    assert "--phi-rad" in capsys.readouterr().err
+
+
+def test_max_um_sets_the_radial_extent(tmp_path, capsys):
+    out_file = tmp_path / "out.csv"
+    code, _, _ = run(
+        ["shift", "--max-um", "0.3", "--samples", "3", "--grid-spacing", "0.2", "--out", str(out_file)], capsys
+    )
+    assert code == 0
+    assert _column(out_file.read_text(), "position_um") == ["0", "0.15", "0.3"]
+
+
+def test_max_um_is_rejected_on_the_longitudinal_axis(tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no quadrature may run")
+
+    monkeypatch.setattr(meanfield, "masked_kernel_sum", forbidden)
+    out_file = tmp_path / "out.csv"
+    code, out, err = run(
+        ["shift", "--axis", "longitudinal", "--grid-spacing", "0.05", "--samples", "7", "--max-um", "0.3",
+         "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    message = err.strip().splitlines()
+    assert len(message) == 1 and "--max-um" in message[0]
     assert not out_file.exists()
 
 

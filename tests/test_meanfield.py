@@ -20,7 +20,6 @@ from vortexloc.meanfield import (
     blockade_boundary,
     blockade_radius,
     calibrated_offset,
-    excitation_fraction,
     localized_point,
     masked_kernel_sum,
     s0_integral,
@@ -389,22 +388,14 @@ def test_superatom_count():
     assert superatom_count(9.437, 0.6) == pytest.approx(2112.47, abs=1.5)
     assert superatom_count(2.0, 0.6) == pytest.approx(8.0 * superatom_count(1.0, 0.6), rel=1e-12)
     assert superatom_count(5.0, 0.0) == 0.0
+    radii = np.array([1.0, 2.0, 9.437])
+    assert np.array_equal(superatom_count(radii, 0.6), [superatom_count(float(r), 0.6) for r in radii])
     with pytest.raises(ValueError, match="blockade radius"):
         superatom_count(0.0, 0.6)
+    with pytest.raises(ValueError, match="blockade radius"):
+        superatom_count(np.array([1.0, 0.0]), 0.6)
     with pytest.raises(ValueError, match="density"):
         superatom_count(1.0, -0.1)
-
-
-def test_excitation_fraction_saturates():
-    assert excitation_fraction(0.37, 1.0) == 0.37
-    assert excitation_fraction(0.0, 50.0) == 0.0
-    # a large saturated superatom carries about one excitation in total
-    n_sa = 1000.0
-    assert n_sa * excitation_fraction(0.5, n_sa) == pytest.approx(1.0, rel=0.01)
-    with pytest.raises(ValueError, match="f0"):
-        excitation_fraction(1.5, 10.0)
-    with pytest.raises(ValueError, match="superatom count"):
-        excitation_fraction(0.5, 0.5)
 
 
 def test_shift_is_the_prefactor_times_the_masked_kernel():

@@ -5,7 +5,7 @@ import pytest
 
 from vortexloc import make_config
 from vortexloc.config import TWO_PI
-from vortexloc.meanfield import ShiftQuadrature
+from vortexloc.meanfield import QuadratureSpec, ShiftQuadrature
 from vortexloc.localization import MODE_NONE, transverse_scan
 from vortexloc.noise import (
     KIND_FREQUENCY,
@@ -87,14 +87,19 @@ def test_zero_noise_reproduces_the_deterministic_scan(kind, fast_calibration):
     assert scan.profile.peak == 1.0 and scan.profile.peak_coord == 0.0
 
 
-def test_reruns_and_worker_counts_leave_the_average_unchanged(fast_calibration):
-    s0, _ = fast_calibration(180.0)
+def test_reruns_and_worker_counts_leave_the_average_unchanged():
+    # s0 is left to the calibration, the one step that uses the worker count
+    lattice = QuadratureSpec.scaled(CFG180.beam.wavelength_c, 0.1)
     spec = NoiseSpec(kind=KIND_INTENSITY, std_dev=0.3, trajectories=8, seed=11)
-    one = noisy_transverse_scan(CFG180, spec, x_max=0.06, n_samples=121, s0=s0)
-    again = noisy_transverse_scan(CFG180, spec, x_max=0.06, n_samples=121, s0=s0)
-    pooled = noisy_transverse_scan(CFG180, spec, x_max=0.06, n_samples=121, s0=s0, quadrature=ShiftQuadrature(threads=4))
+
+    def scan(threads):
+        quadrature = ShiftQuadrature(lattice, threads=threads)
+        return noisy_transverse_scan(CFG180, spec, x_max=0.06, n_samples=121, quadrature=quadrature)
+
+    one, again, pooled = scan(1), scan(1), scan(4)
     assert np.array_equal(one.profile.sigma, again.profile.sigma)
     assert np.array_equal(one.spread, again.spread)
+    assert one.profile.s0 == pooled.profile.s0
     assert np.array_equal(one.profile.sigma, pooled.profile.sigma)
     assert np.array_equal(one.spread, pooled.spread)
 
