@@ -15,12 +15,13 @@ stage evaluations per step.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import Position, SystemConfig
-from .fields import detuning_profile, lg_amplitude
+from .fields import control_envelope, detuning_profile
 
 
 @dataclass(frozen=True)
@@ -69,10 +70,14 @@ def ground_state() -> BlochState:
 
 @dataclass(frozen=True)
 class LocalDrive:
-    """All drive parameters entering the equations of motion at one point."""
+    """All drive parameters entering the equations of motion at one point.
+
+    Both Rabi amplitudes are real. The vortex phase of the control field is
+    not carried: it enters no result, which depends on |Omega_c|^2 only.
+    """
 
     omega_p: float
-    omega_c: complex
+    omega_c: float
     delta_p: float
     delta_c: float
     s_shift: float
@@ -80,12 +85,16 @@ class LocalDrive:
     gamma_e: float
     gamma_r: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.omega_c, numbers.Real):
+            raise ValueError(f"omega_c must be a real amplitude, got {self.omega_c!r}")
+
     @classmethod
     def from_config(cls, config: SystemConfig, pos: Position, s_shift: float = 0.0) -> "LocalDrive":
         m = config.medium
         return cls(
             omega_p=config.probe.omega_p0,
-            omega_c=lg_amplitude(pos, config.beam),
+            omega_c=control_envelope(pos.r, config.beam),
             delta_p=config.probe.delta_p,
             delta_c=detuning_profile(pos.z, config.detuning),
             s_shift=s_shift,
@@ -95,9 +104,8 @@ class LocalDrive:
         )
 
     def intensities(self) -> tuple[float, float]:
-        """(I_p, I_c) = (|Omega_p|^2, |Omega_c|^2); computed on demand, never stored."""
-        oc = self.omega_c
-        return self.omega_p * self.omega_p, (oc * oc.conjugate()).real
+        """(I_p, I_c) = (Omega_p^2, Omega_c^2); computed on demand, never stored."""
+        return self.omega_p * self.omega_p, self.omega_c * self.omega_c
 
 
 def bloch_rhs(state: BlochState, drive: LocalDrive) -> BlochState:
@@ -119,11 +127,11 @@ def bloch_rhs(state: BlochState, drive: LocalDrive) -> BlochState:
     d_ee = (
         drive.gamma_r * state.sigma_rr
         - drive.gamma_e * state.sigma_ee
-        - 2.0 * (oc.conjugate() * state.sigma_er).imag
+        - 2.0 * (oc * state.sigma_er).imag
         + 2.0 * (op * state.sigma_ge).imag
     )
     d_ge = (1j * dp - gamma) * state.sigma_ge + 1j * (
-        oc.conjugate() * state.sigma_gr - op * (state.sigma_ee - state.sigma_gg)
+        oc * state.sigma_gr - op * (state.sigma_ee - state.sigma_gg)
     )
     d_er = (1j * dc_eff - gamma) * state.sigma_er - 1j * (
         op * state.sigma_gr + oc * (state.sigma_rr - state.sigma_ee)
@@ -343,21 +351,6 @@ def steady_sigma_rr(drive: LocalDrive) -> float:
         raise ValueError("degenerate drive: steady-state denominator is zero") from None
 
 
-def antiblockade_sigma(eta: float) -> float:
-    """Steady population 1/(1+eta) under an exactly compensated two-photon detuning."""
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    return 1.0 / (1.0 + eta)
-
-
-def approx_sigma(delta_c: float, s: float, w: float) -> float:
-    """Lorentzian approximation 1/(1 + (Delta_c - s)^2 / w^2), valid for I_c << I_p."""
-    if w <= 0:
-        raise ValueError("linewidth w must be positive")
-    x = (delta_c - s) / w
-    return 1.0 / (1.0 + x * x)
-
-
 def linewidth_w(drive: LocalDrive) -> float:
     """Half-peak width w = (I_p + I_c) / sqrt(gamma^2 + Delta_p^2 + 2 I_p)."""
     ip, ic = drive.intensities()
@@ -422,8 +415,6 @@ __all__ = [
     "sigma_rr_steady",
     "steady_population",
     "steady_sigma_rr",
-    "antiblockade_sigma",
-    "approx_sigma",
     "linewidth_w",
     "linewidth_from",
     "steady_time",

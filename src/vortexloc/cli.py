@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bloch, localization, meanfield, noise, output
 from .config import Position, SystemConfig, angular_from_mhz, make_config, mhz_from_angular
-from .fields import control_envelope, eta_of_radius, radius_at_eta
+from .fields import envelope_peak_radius, eta_of_radius, radius_at_eta
 from .localization import MODE_NONE, MODE_PARTIAL, MODE_PERFECT, OFFSET_CALIBRATED, OFFSET_DETUNED
 from .meanfield import MASK_ATOM, MASK_LOCAL, QuadratureSpec, ShiftQuadrature
 
@@ -181,8 +181,7 @@ def _profile_table(profile: localization.ScanProfile) -> tuple[dict, dict]:
 
 
 def _cmd_steady(args, config):
-    beam = config.beam
-    r = args.r_um if args.r_um is not None else beam.waist_w0 * math.sqrt(abs(beam.winding_l) / 2.0)
+    r = args.r_um if args.r_um is not None else envelope_peak_radius(config.beam)
     z = args.z_um if args.z_um is not None else meanfield.localized_point(config).z
     drive = bloch.LocalDrive.from_config(config, Position(r=r, z=z), s_shift=angular_from_mhz(args.s_mhz))
     sigma = bloch.steady_sigma_rr(drive)
@@ -332,7 +331,7 @@ def _cmd_calibrate(args, config, quadrature):
 
 def _cmd_blockade(args, config):
     z = args.z_um if args.z_um is not None else meanfield.localized_point(config).z
-    boundary = meanfield.blockade_boundary(Position(r=args.r_um, phi=0.0, z=z), config, resolution=args.resolution)
+    boundary = meanfield.blockade_boundary(Position(r=args.r_um, z=z), config, resolution=args.resolution)
     w_atom = float(meanfield.local_linewidth(config, abs(args.r_um)))
     rb_atom = meanfield.blockade_radius(w_atom, config.medium.c6)
     n_sa = meanfield.superatom_count(rb_atom, config.medium.density_rho)
@@ -357,12 +356,8 @@ def _cmd_blockade(args, config):
 def _cmd_steady_time(args, config):
     q = args.intensity_ratio
     r_sample = radius_at_eta(q, config)
-    # the configured drive at r_sample with a resonant control of real amplitude
-    drive = dataclasses.replace(
-        bloch.LocalDrive.from_config(config, Position(r=r_sample, phi=0.0, z=0.0)),
-        omega_c=complex(control_envelope(r_sample, config.beam)),
-        delta_c=0.0,
-    )
+    # the configured drive at r_sample with a resonant control
+    drive = dataclasses.replace(bloch.LocalDrive.from_config(config, Position(r=r_sample)), delta_c=0.0)
     sigma_ss = bloch.steady_sigma_rr(drive)
     t_steady = bloch.steady_time(drive, rel_tol=args.rel_tol, t_budget=args.budget_us, dt=args.dt_us)
     params = {

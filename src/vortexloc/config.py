@@ -122,20 +122,21 @@ class AtomMedium:
         return 0.5 * (self.gamma_e + self.gamma_r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Position:
-    """Cylindrical position (r, phi, z); phi is normalized into [0, 2*pi)."""
+    """Position (r, z) about the beam axis, keyword-only.
+
+    There is no azimuth: the vortex phase exp(i*l*azimuth) enters no result,
+    which depends on the control field only through |Omega_c|^2.
+    """
 
     r: float
-    phi: float = 0.0
     z: float = 0.0
 
     def __post_init__(self) -> None:
         _require_finite(self.r, "radius")
         _require(self.r >= 0, "radius must be nonnegative")
-        _require_finite(self.phi, "phi")
         _require_finite(self.z, "z")
-        object.__setattr__(self, "phi", self.phi % TWO_PI)
 
 
 @dataclass(frozen=True)

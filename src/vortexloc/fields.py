@@ -1,8 +1,12 @@
-"""Spatial beam profiles: vortex control amplitude, intensity ratio, detuning modulation."""
+"""Spatial beam profiles: vortex control amplitude, intensity ratio, detuning modulation.
+
+The control amplitude is the real doughnut envelope. The vortex phase
+exp(i*l*azimuth) is left out: every result depends on the control field only
+through |Omega_c|^2, so the phase enters none of them.
+"""
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -13,34 +17,22 @@ from .config import (
     TWO_PI,
     BeamConfig,
     DetuningModulation,
-    Position,
     SystemConfig,
 )
 
 
-def lg_amplitude(pos: Position, beam: BeamConfig) -> complex:
-    """Doughnut vortex amplitude Omega_c0 * (r/W0)^|l| * exp(-r^2/W0^2) * exp(i*l*phi).
-
-    Collimated beam: the waist is constant in z and no propagation phase is
-    carried, since only |Omega|^2 and the two-photon detuning enter downstream.
-    """
-    u = pos.r / beam.waist_w0
-    envelope = beam.omega_c0 * u ** abs(beam.winding_l) * math.exp(-u * u)
-    return envelope * cmath.exp(1j * beam.winding_l * pos.phi)
-
-
-def envelope_maximum(beam: BeamConfig) -> float:
-    """Largest control modulus: Omega_c0 * (|l|/2)^(|l|/2) * exp(-|l|/2), at r = W0*sqrt(|l|/2)."""
-    half_l = 0.5 * abs(beam.winding_l)
-    return beam.omega_c0 * half_l**half_l * math.exp(-half_l)
+def envelope_peak_radius(beam: BeamConfig) -> float:
+    """Radius W0*sqrt(|l|/2) of the envelope maximum, where eta is largest too."""
+    return beam.waist_w0 * math.sqrt(abs(beam.winding_l) / 2.0)
 
 
 def control_envelope(r, beam: BeamConfig, amplitude=None):
-    """Real control modulus on a radius grid: amp * (r/W0)^|l| * exp(-r^2/W0^2).
+    """Real control amplitude amp * (r/W0)^|l| * exp(-r^2/W0^2), at one radius or on a grid.
 
-    `amplitude` defaults to the configured peak and may be an array of
-    per-position values (noisy beams). Every consumer of |Omega_c| on grids
-    goes through here so equal inputs give bit-equal intensities.
+    Collimated beam: the waist is constant in z and no propagation phase is
+    carried. `amplitude` defaults to the configured peak and may be an array
+    of per-position values (noisy beams). Every consumer of Omega_c goes
+    through here, so equal inputs give bit-equal intensities.
     """
     u = np.asarray(r, dtype=float) / beam.waist_w0
     amp = beam.omega_c0 if amplitude is None else amplitude
@@ -66,13 +58,13 @@ def eta_of_radius(r, config: SystemConfig):
 def radius_at_eta(q: float, config: SystemConfig) -> float:
     """The radius inside the envelope peak where eta = q, by bisection to 1e-12 W0.
 
-    eta rises monotonically on the bracket [0, W0*sqrt(|l|/2)], from 0 at the
-    core to its maximum at the envelope peak.
+    eta rises monotonically on the bracket [0, envelope_peak_radius], from 0
+    at the core to its maximum at the envelope peak.
     """
     if not q > 0:  # written so that NaN fails it too
         raise ValueError("intensity ratio must be positive")
     beam = config.beam
-    hi = beam.waist_w0 * math.sqrt(abs(beam.winding_l) / 2.0)
+    hi = envelope_peak_radius(beam)
     if eta_of_radius(hi, config) < q:
         raise ValueError("requested intensity ratio exceeds the envelope maximum")
     lo = 0.0
@@ -85,15 +77,6 @@ def radius_at_eta(q: float, config: SystemConfig) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def taylor_eta(r: float, config: SystemConfig) -> float:
-    """Small-radius expansion kappa^2 [(r/W0)^2 - 2 (r/W0)^4]; valid for |l| = 1 only."""
-    if abs(config.beam.winding_l) != 1:
-        raise ValueError("taylor expansion is defined for winding number +-1 only")
-    u2 = (r / config.beam.waist_w0) ** 2
-    k = config.kappa
-    return k * k * (u2 - 2.0 * u2 * u2)
 
 
 def detuning_profile(z, mod: DetuningModulation):
@@ -111,11 +94,9 @@ def detuning_profile(z, mod: DetuningModulation):
 __all__ = [
     "CONSTANT",
     "STANDING_WAVE",
-    "lg_amplitude",
-    "envelope_maximum",
+    "envelope_peak_radius",
     "control_envelope",
     "eta_of_radius",
     "radius_at_eta",
-    "taylor_eta",
     "detuning_profile",
 ]

@@ -128,13 +128,13 @@ def transverse_scan(
         quadrature = quadrature.or_lattice(QuadratureSpec.fast(lambda_c))
         # the grid is one batched quadrature; it seeds the shifts the
         # bisection reads back, and each new bisection radius adds one
-        s_grid = shift_at([Position(r=float(rj), phi=0.0, z=z_loc) for rj in r], config, quadrature)
+        s_grid = shift_at([Position(r=float(rj), z=z_loc) for rj in r], config, quadrature)
         known = dict(zip(r.tolist(), s_grid.tolist()))
 
         def s_of(radius: float) -> float:
             radius = float(radius)
             if radius not in known:
-                known[radius] = shift_at(Position(r=radius, phi=0.0, z=z_loc), config, quadrature)
+                known[radius] = shift_at(Position(r=radius, z=z_loc), config, quadrature)
             return known[radius]
 
         s0 = float(s_grid[0])
@@ -368,7 +368,7 @@ def map3d(
         # one batched quadrature per z plane, over that plane's distinct radii
         radii, where = np.unique(r_xy, return_inverse=True)
         for k, zk in enumerate(z):
-            plane = [Position(r=float(rr), phi=0.0, z=float(zk)) for rr in radii]
+            plane = [Position(r=float(rr), z=float(zk)) for rr in radii]
             s_here = shift_at(plane, config, quadrature)
             tp_base = tp_z[k] + s0  # undo the frozen shift, re-subtract per voxel
             field_grid[:, :, k] = steady_population(config, ic_xy, tp_base - s_here[where].reshape(r_xy.shape))

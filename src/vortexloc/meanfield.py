@@ -530,17 +530,14 @@ def shift_at(
     atom_pos: Position | Sequence[Position],
     config: SystemConfig,
     quadrature: ShiftQuadrature = ShiftQuadrature(),
-    verify_convergence: bool = False,
 ) -> float | np.ndarray:
     """Mean-field shift s(r_j, z_j) in rad/us by blockade-masked midpoint quadrature.
 
     One Position gives a float; a sequence of Positions sharing one z gives
     a 1-D array from one batched `masked_kernel_sum`, each entry
     bit-identical to its single-position call. The lattice defaults to the
-    reference one. `verify_convergence` re-evaluates on a half-spacing
-    lattice and rejects the spec if the two results disagree by more than
-    5%. The truncation tail estimate must stay below `quadrature.tail_tol`
-    of every result.
+    reference one. The truncation tail estimate must stay below
+    `quadrature.tail_tol` of every result.
     """
     single = isinstance(atom_pos, Position)
     atoms = [atom_pos] if single else atom_pos
@@ -556,17 +553,6 @@ def shift_at(
             f"quadrature domain too small: estimated truncation tail {fraction:.2%} "
             f"exceeds the allowed {quadrature.tail_tol:.2%}"
         )
-    if verify_convergence:
-        s_fine = prefactor * masked_kernel_sum(
-            atoms, config, quad.halved(), mask=quadrature.mask, threads=quadrature.threads
-        )
-        off = np.abs(s - s_fine) > 0.05 * np.abs(s_fine)
-        if off.any():
-            k = int(off.argmax())
-            raise RuntimeError(
-                f"quadrature spacing too coarse: {s[k]:.6g} vs {s_fine[k]:.6g} rad/us "
-                "on the half-spacing lattice (>5%)"
-            )
     return float(s[0]) if single else s
 
 
@@ -593,7 +579,7 @@ def shift_profile(
         near = positions <= 0.1 * config.beam.wavelength_c
         add_zero = near.any() and 0.0 not in positions[near]
         radii = np.append(positions, 0.0) if add_zero else positions
-        batch = shift_at([Position(r=float(p), phi=0.0, z=z_loc) for p in radii], config, quadrature)
+        batch = shift_at([Position(r=float(p), z=z_loc) for p in radii], config, quadrature)
         values = batch[: positions.size]
         if near.any():
             s0 = batch[-1] if add_zero else values[near][positions[near].argmin()]
@@ -601,14 +587,14 @@ def shift_profile(
                 flatness = float(np.max(np.abs(values[near] - s0)) / s0)
     else:
         # each z_j centres its own lattice, so these stay one quadrature each
-        values = np.array([shift_at(Position(r=0.0, phi=0.0, z=float(p)), config, quadrature) for p in positions])
+        values = np.array([shift_at(Position(r=0.0, z=float(p)), config, quadrature) for p in positions])
 
     return ShiftGrid(positions=positions, s_values=values, near_core_flatness=flatness)
 
 
 def localized_point(config: SystemConfig) -> Position:
     """The working atom position: on axis, at the standing-wave node z = 3 lambda_c/4."""
-    return Position(r=0.0, phi=0.0, z=0.75 * config.beam.wavelength_c)
+    return Position(r=0.0, z=0.75 * config.beam.wavelength_c)
 
 
 def s0_integral(config: SystemConfig, quadrature: ShiftQuadrature = ShiftQuadrature()) -> float:
@@ -648,15 +634,11 @@ def blockade_boundary(
     atom_pos: Position,
     config: SystemConfig,
     resolution: int = 256,
-    local_w_fn=None,
 ) -> BlockadeBoundary:
     """First blockade-condition crossing along each direction from the atom.
 
     A neighbor at planar offset d blocks the atom while d < R_b(w(r_neighbor));
-    the returned polyline is star-shaped around the atom by construction. The
-    linewidth model can be overridden through `local_w_fn(radii) -> w`, which
-    takes an array of radii and returns an array of linewidths (or a scalar
-    that broadcasts: a uniform control field then yields a sphere). Every
+    the returned polyline is star-shaped around the atom by construction. Every
     direction marches over the same 1024-point grid in one array call, and
     the first crossings are then bisected together to 1e-3 um.
     """
@@ -666,19 +648,15 @@ def blockade_boundary(
     if c6 <= 0:
         raise ValueError("blockade boundary requires c6 > 0")
 
-    if local_w_fn is None:
-        def local_w_fn(radius):
-            return local_linewidth(config, radius)
-
     angles = TWO_PI * np.arange(resolution) / resolution
     cos_t = np.cos(angles)
 
     def outside(d, cos):
         radius = np.abs(atom_pos.r + d * cos)
-        return d >= blockade_radius(np.broadcast_to(local_w_fn(radius), radius.shape), c6)
+        return d >= blockade_radius(local_linewidth(config, radius), c6)
 
     # w is smallest (R_b largest) where the control vanishes; cap the march there.
-    cap = 1.5 * float(np.max(blockade_radius(local_w_fn(np.abs([atom_pos.r, 0.0])), c6)))
+    cap = 1.5 * float(np.max(blockade_radius(local_linewidth(config, np.abs([atom_pos.r, 0.0])), c6)))
     march = np.linspace(0.0, cap, 1024)
     crossed = outside(march[1:], cos_t[:, np.newaxis])
     if not crossed.any(axis=1).all():

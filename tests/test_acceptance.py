@@ -280,10 +280,15 @@ def test_criterion_10_property_suites(full_calibration, fast_calibration):
     checks.append((zero_ok, "zero-noise run byte-identical to the deterministic scan"))
 
     loud = NoiseSpec(kind=KIND_INTENSITY, std_dev=0.3, trajectories=8, seed=11)
-    serial = noisy_transverse_scan(cfg, loud, x_max=0.06, n_samples=121, s0=s0_180)
-    pooled = noisy_transverse_scan(cfg, loud, x_max=0.06, n_samples=121, s0=s0_180, quadrature=ShiftQuadrature(threads=4))
+    # s0=None, so the threads reach the calibration quadrature
+    coarse = QuadratureSpec.scaled(cfg.beam.wavelength_c, 0.1)
+    serial, pooled = (
+        noisy_transverse_scan(cfg, loud, x_max=0.06, n_samples=121, quadrature=ShiftQuadrature(coarse, threads=t))
+        for t in (1, 4)
+    )
     thread_ok = (
-        serial.profile.sigma.tobytes() == pooled.profile.sigma.tobytes()
+        serial.profile.s0 == pooled.profile.s0
+        and serial.profile.sigma.tobytes() == pooled.profile.sigma.tobytes()
         and serial.spread.tobytes() == pooled.spread.tobytes()
     )
     checks.append((thread_ok, "threads=1 and threads=4 byte-identical"))

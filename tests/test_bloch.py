@@ -17,8 +17,6 @@ from vortexloc import bloch, make_config
 from vortexloc.bloch import (
     BlochState,
     LocalDrive,
-    antiblockade_sigma,
-    approx_sigma,
     bloch_rhs,
     evolve,
     ground_state,
@@ -29,7 +27,7 @@ from vortexloc.bloch import (
     steady_time,
 )
 from vortexloc.config import TWO_PI, Position
-from vortexloc.fields import control_envelope, detuning_profile, envelope_maximum, lg_amplitude, radius_at_eta
+from vortexloc.fields import control_envelope, detuning_profile, radius_at_eta
 
 SIGMA_GE = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)
 SIGMA_ER = np.array([[0, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
@@ -41,7 +39,7 @@ def _hamiltonian(drive):
         [
             [0.0, drive.omega_p, 0.0],
             [drive.omega_p, drive.delta_p, drive.omega_c],
-            [0.0, np.conj(drive.omega_c), two_photon],
+            [0.0, drive.omega_c, two_photon],
         ],
         dtype=complex,
     )
@@ -103,10 +101,9 @@ def _random_drive(rng, with_decay_chain=False):
     gamma_r = float(rng.uniform(0.0, 2.0)) if with_decay_chain else 0.0
     omega_p = float(rng.uniform(8.0, 25.0))
     ratio = float(rng.uniform(0.8, 1.4))
-    phase = float(rng.uniform(0.0, TWO_PI))
     return LocalDrive(
         omega_p=omega_p,
-        omega_c=omega_p * ratio * complex(math.cos(phase), math.sin(phase)),
+        omega_c=omega_p * ratio,
         delta_p=float(rng.uniform(-12.0, 12.0)),
         delta_c=float(rng.uniform(-12.0, 12.0)),
         s_shift=float(rng.uniform(-6.0, 6.0)),
@@ -180,15 +177,23 @@ def drive_at_intensity_ratio(kappa, q=2.0 / 3.0):
 
 def test_local_drive_from_config_reads_the_local_fields():
     cfg = make_config()
-    pos = Position(0.8, 0.6, 0.1)
+    pos = Position(r=0.8, z=0.1)
     drive = LocalDrive.from_config(cfg, pos, s_shift=0.25)
     assert drive.omega_p == cfg.probe.omega_p0
-    assert drive.omega_c == lg_amplitude(pos, cfg.beam)
+    assert drive.omega_c == control_envelope(pos.r, cfg.beam)
+    assert type(drive.omega_c) is float
     assert drive.delta_c == detuning_profile(pos.z, cfg.detuning)
-    assert abs(drive.omega_c) <= envelope_maximum(cfg.beam) + 1e-12
     assert (drive.delta_p, drive.s_shift) == (cfg.probe.delta_p, 0.25)
     m = cfg.medium
     assert (drive.gamma, drive.gamma_e, drive.gamma_r) == (m.gamma, m.gamma_e, m.gamma_r)
+
+
+def test_local_drive_rejects_a_complex_control_amplitude():
+    # the control amplitude is real; a complex one would silently give a wrong bloch_rhs
+    for bad in (10.0 + 0j, 10.0j, "10"):
+        with pytest.raises(ValueError, match="omega_c"):
+            LocalDrive(10.0, bad, 0.0, 0.0, 0.0, 19.0, 38.0)
+    assert LocalDrive(10.0, np.float64(10.0), 0.0, 0.0, 0.0, 19.0, 38.0).intensities() == (100.0, 100.0)
 
 
 def test_rhs_matches_the_independent_master_equation():
@@ -208,7 +213,7 @@ def test_rhs_matches_the_independent_master_equation():
 
 
 def test_ground_state_without_probe_is_stationary():
-    drive = LocalDrive(0.0, 10.0 + 0j, 1.0, 2.0, 0.0, 19.0, 38.0)
+    drive = LocalDrive(0.0, 10.0, 1.0, 2.0, 0.0, 19.0, 38.0)
     d = bloch_rhs(ground_state(), drive)
     assert d.sigma_gg == 0.0 and d.sigma_ee == 0.0 and d.sigma_rr == 0.0
     assert d.sigma_ge == 0.0 and d.sigma_er == 0.0 and d.sigma_gr == 0.0
@@ -223,7 +228,7 @@ def test_derivative_conserves_the_trace():
 
 
 def test_uncoupled_rydberg_level_stays_empty():
-    drive = LocalDrive(8.0, 0j, 0.0, 0.0, 0.0, 19.0, 38.0)
+    drive = LocalDrive(8.0, 0.0, 0.0, 0.0, 0.0, 19.0, 38.0)
     traj = evolve(ground_state(), drive, t_end=2.0, dt=1e-3)
     assert np.all(traj.sigma_rr == 0.0)
     assert np.all(np.abs(traj.sigma_gr) == 0.0)
@@ -250,14 +255,14 @@ def test_long_time_evolution_reaches_the_analytic_steady_state():
 
 
 def test_halving_the_step_barely_moves_the_endpoint():
-    drive = LocalDrive(12.0, 9.0 * np.exp(0.7j), 5.0, -8.0, 2.0, 19.0, 38.0)
+    drive = LocalDrive(12.0, 9.0, 5.0, -8.0, 2.0, 19.0, 38.0)
     coarse = evolve(ground_state(), drive, t_end=2.0, dt=1e-3, sample_every=2000)
     fine = evolve(ground_state(), drive, t_end=2.0, dt=5e-4, sample_every=4000)
     assert abs(coarse.sigma_rr[-1] - fine.sigma_rr[-1]) < 1e-8
 
 
 def test_step_size_guard_rejects_underresolved_integration():
-    drive = LocalDrive(10.0, 10.0 + 0j, 0.0, 0.0, 0.0, 19.0, 38.0)
+    drive = LocalDrive(10.0, 10.0, 0.0, 0.0, 0.0, 19.0, 38.0)
     with pytest.raises(ValueError, match="dt"):
         evolve(ground_state(), drive, t_end=1.0, dt=0.01)
     with pytest.raises(ValueError, match="t_end"):
@@ -270,7 +275,7 @@ def test_steady_sigma_special_points():
     # compensated two-photon detuning at equal intensities: 1/2
     assert sigma_rr_steady(4.0, 4.0, 0.0, 0.0, 19.0) == 0.5
     with pytest.raises(ValueError, match="degenerate"):
-        steady_sigma_rr(LocalDrive(0.0, 0j, 0.0, 0.0, 0.0, 19.0, 38.0))
+        steady_sigma_rr(LocalDrive(0.0, 0.0, 0.0, 0.0, 0.0, 19.0, 38.0))
 
 
 def _full_denominator_sigma(ip, ic, delta_p, two_photon, gamma):
@@ -309,6 +314,21 @@ def test_steady_sigma_stays_finite_where_the_full_denominator_overflows():
         assert math.isnan(_full_denominator_sigma(np.float64(ip), 1.0, 0.0, 0.0, 19.0))
     assert sigma_rr_steady(ip, 1.0, 0.0, 0.0, 19.0) == pytest.approx(1.0, rel=1e-15)
     assert 0.0 < sigma_rr_steady(ip, 0.0, 0.0, 1e150, 19.0) < 1.0
+
+
+def antiblockade_sigma(eta: float) -> float:
+    """Steady population 1/(1+eta) under an exactly compensated two-photon detuning."""
+    if eta < 0:
+        raise ValueError("eta must be nonnegative")
+    return 1.0 / (1.0 + eta)
+
+
+def approx_sigma(delta_c: float, s: float, w: float) -> float:
+    """Lorentzian approximation 1/(1 + (Delta_c - s)^2 / w^2), valid for I_c << I_p."""
+    if w <= 0:
+        raise ValueError("linewidth w must be positive")
+    x = (delta_c - s) / w
+    return 1.0 / (1.0 + x * x)
 
 
 def test_steady_formula_reduces_to_the_lorentzian_in_the_weak_control_limit():
@@ -357,7 +377,7 @@ def test_linewidth_at_the_reference_point():
     ip = cfg.probe.omega_p0**2
     w = linewidth_from(ip, 0.0, 0.0, cfg.medium.gamma)
     assert w / TWO_PI == pytest.approx(0.198, rel=1e-2)
-    drive = LocalDrive.from_config(cfg, Position(0.0, 0.0, 0.0))
+    drive = LocalDrive.from_config(cfg, Position(r=0.0, z=0.0))
     assert linewidth_w(drive) == pytest.approx(w, rel=1e-12)
 
 

@@ -110,7 +110,7 @@ def test_kappa_flag_wins_over_file_probe_settings(tmp_path, capsys):
     got = float(lines[0].split()[0].removeprefix("sigma_rr="))
     cfg = make_config(kappa=250.0)
     beam = cfg.beam
-    pos = Position(r=beam.waist_w0 / math.sqrt(2.0), phi=0.0, z=0.75 * beam.wavelength_c)
+    pos = Position(r=beam.waist_w0 / math.sqrt(2.0), z=0.75 * beam.wavelength_c)
     want = steady_sigma_rr(LocalDrive.from_config(cfg, pos))
     assert got == pytest.approx(want, rel=1e-9)
     assert "# config.kappa = 250" in out_file.read_text()

@@ -103,14 +103,17 @@ def test_probe_config_rejects_an_amplitude_whose_square_overflows():
         dataclasses.replace(make_config().probe, omega_p0=1e200)
 
 
-def test_position_normalizes_the_azimuthal_angle():
-    assert Position(1.0, TWO_PI + 0.5, 0.0).phi == pytest.approx(0.5)
-    assert Position(1.0, -0.25, 0.0).phi == pytest.approx(TWO_PI - 0.25)
-
-
 def test_position_rejects_negative_radius():
     with pytest.raises(ValueError, match="radius must be nonnegative"):
-        Position(-1.0, 0.0, 0.0)
+        Position(r=-1.0, z=0.0)
+
+
+def test_position_is_keyword_only():
+    # the old positional form Position(r, phi) must not read phi as z
+    with pytest.raises(TypeError):
+        Position(0.5, 0.25)
+    assert Position(r=0.5, z=0.25).z == 0.25
+    assert not hasattr(Position(r=0.5), "phi")
 
 
 def test_fingerprint_is_stable_and_parameter_sensitive():

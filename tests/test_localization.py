@@ -107,7 +107,7 @@ def _partial_scan_oracle(config, n_samples, quad):
     r = np.linspace(0.0, 1.5 * config.beam.waist_w0, n_samples)
 
     def s_of(radius):
-        return shift_at(Position(r=float(radius), phi=0.0, z=z_loc), config, quadrature=ShiftQuadrature(quad))
+        return shift_at(Position(r=float(radius), z=z_loc), config, quadrature=ShiftQuadrature(quad))
 
     s_grid = np.array([s_of(x) for x in r])
     s0 = float(s_grid[0])
@@ -287,7 +287,7 @@ def test_per_voxel_field_equals_the_per_position_oracle():
             r = float(np.hypot(x, y))
             env = control_envelope(r, CFG.beam)
             for k, z in enumerate(exact.z):
-                s_here = shift_at(Position(r=r, phi=0.0, z=float(z)), CFG, quadrature=ShiftQuadrature(TINY))
+                s_here = shift_at(Position(r=r, z=float(z)), CFG, quadrature=ShiftQuadrature(TINY))
                 oracle[i, j, k] = sigma_rr_steady(ip, env * env, dp, tp_z[k] + s0 - s_here, gamma)
     assert np.array_equal(exact.field, oracle)
 
