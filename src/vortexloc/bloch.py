@@ -1,15 +1,18 @@
 """Single-(super)atom density-matrix dynamics and steady states.
 
 The closed-form steady state is the primary path for every scan; the
-fixed-step integrator exists for steady-time diagnostics and as an
-independent check that the closed form is the true fixed point.
+fixed-step integrator serves only the steady-time settling time. The tests
+check the integrator against the closed form and against a plain
+four-stage RK4.
 
-The integrator is classical fixed-step RK4. The equations of motion are
-linear, x' = A x, so one RK4 step is exactly x <- M x with the degree-4
-Taylor polynomial M = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 of exp(hA).
-The same scheme is applied through that one-step propagator: samples come
-from a stack of powers of M applied to whole blocks at once, not from four
-stage evaluations per step.
+A state is the real 9-vector [gg, ee, rr, Re/Im ge, Re/Im er, Re/Im gr] of
+the density matrix of the ladder {g, e, r}. The integrator is classical
+fixed-step RK4. The equations of motion are linear, x' = A x, so one RK4
+step is exactly x <- M x with the degree-4 Taylor polynomial
+M = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 of exp(hA). The same scheme is
+applied through that one-step propagator: samples come from a stack of
+powers of M applied to whole blocks at once, not from four stage
+evaluations per step.
 """
 
 from __future__ import annotations
@@ -22,50 +25,6 @@ import numpy as np
 
 from .config import Position, SystemConfig
 from .fields import control_envelope, detuning_profile
-
-
-@dataclass(frozen=True)
-class BlochState:
-    """Density-matrix components of the three-level ladder {g, e, r}."""
-
-    sigma_gg: float
-    sigma_ee: float
-    sigma_rr: float
-    sigma_ge: complex
-    sigma_er: complex
-    sigma_gr: complex
-
-    def as_vector(self) -> np.ndarray:
-        """Real 9-vector [gg, ee, rr, Re/Im ge, Re/Im er, Re/Im gr]."""
-        return np.array(
-            [
-                self.sigma_gg,
-                self.sigma_ee,
-                self.sigma_rr,
-                self.sigma_ge.real,
-                self.sigma_ge.imag,
-                self.sigma_er.real,
-                self.sigma_er.imag,
-                self.sigma_gr.real,
-                self.sigma_gr.imag,
-            ],
-            dtype=float,
-        )
-
-    @classmethod
-    def from_vector(cls, v: np.ndarray) -> "BlochState":
-        return cls(
-            sigma_gg=float(v[0]),
-            sigma_ee=float(v[1]),
-            sigma_rr=float(v[2]),
-            sigma_ge=complex(v[3], v[4]),
-            sigma_er=complex(v[5], v[6]),
-            sigma_gr=complex(v[7], v[8]),
-        )
-
-
-def ground_state() -> BlochState:
-    return BlochState(1.0, 0.0, 0.0, 0j, 0j, 0j)
 
 
 @dataclass(frozen=True)
@@ -108,12 +67,15 @@ class LocalDrive:
         return self.omega_p * self.omega_p, self.omega_c * self.omega_c
 
 
-def bloch_rhs(state: BlochState, drive: LocalDrive) -> BlochState:
-    """Time derivative of the density-matrix components.
+def bloch_rhs(x: np.ndarray, drive: LocalDrive) -> np.ndarray:
+    """Time derivative of the real 9-vector [gg, ee, rr, Re/Im ge, Re/Im er, Re/Im gr].
 
-    Dephasings: gamma_ge = gamma_er = gamma, gamma_gr = gamma_r/2 (zero for a
-    stable Rydberg level). The Rydberg population derivative is defined as
-    -(d sigma_gg + d sigma_ee) so the trace is conserved identically.
+    `x` holds one state per column (any trailing axes), so the generator A
+    of x' = A x is bloch_rhs(np.eye(9), drive): the equations are linear
+    with no constant term. Dephasings: gamma_ge = gamma_er = gamma,
+    gamma_gr = gamma_r/2 (zero for a stable Rydberg level). The Rydberg
+    population derivative is defined as -(d sigma_gg + d sigma_ee) so the
+    trace is conserved identically.
     """
     op = drive.omega_p
     oc = drive.omega_c
@@ -122,39 +84,17 @@ def bloch_rhs(state: BlochState, drive: LocalDrive) -> BlochState:
     dc_eff = drive.delta_c - drive.s_shift
     gamma = drive.gamma
     gamma_gr = 0.5 * drive.gamma_r
+    gg, ee, rr = x[0], x[1], x[2]
+    ge, er, gr = x[3] + 1j * x[4], x[5] + 1j * x[6], x[7] + 1j * x[8]
 
-    d_gg = drive.gamma_e * state.sigma_ee - 2.0 * (op * state.sigma_ge).imag
-    d_ee = (
-        drive.gamma_r * state.sigma_rr
-        - drive.gamma_e * state.sigma_ee
-        - 2.0 * (oc * state.sigma_er).imag
-        + 2.0 * (op * state.sigma_ge).imag
+    d_gg = drive.gamma_e * ee - 2.0 * (op * ge).imag
+    d_ee = drive.gamma_r * rr - drive.gamma_e * ee - 2.0 * (oc * er).imag + 2.0 * (op * ge).imag
+    d_ge = (1j * dp - gamma) * ge + 1j * (oc * gr - op * (ee - gg))
+    d_er = (1j * dc_eff - gamma) * er - 1j * (op * gr + oc * (rr - ee))
+    d_gr = (1j * two_photon - gamma_gr) * gr + 1j * (oc * ge - op * er)
+    return np.stack(
+        [d_gg, d_ee, -(d_gg + d_ee), d_ge.real, d_ge.imag, d_er.real, d_er.imag, d_gr.real, d_gr.imag]
     )
-    d_ge = (1j * dp - gamma) * state.sigma_ge + 1j * (
-        oc * state.sigma_gr - op * (state.sigma_ee - state.sigma_gg)
-    )
-    d_er = (1j * dc_eff - gamma) * state.sigma_er - 1j * (
-        op * state.sigma_gr + oc * (state.sigma_rr - state.sigma_ee)
-    )
-    d_gr = (1j * two_photon - gamma_gr) * state.sigma_gr + 1j * (
-        oc * state.sigma_ge - op * state.sigma_er
-    )
-    d_rr = -(d_gg + d_ee)
-    return BlochState(d_gg, d_ee, d_rr, d_ge, d_er, d_gr)
-
-
-def _affine_generator(drive: LocalDrive) -> np.ndarray:
-    """Probe bloch_rhs into x' = A x over the real 9-vector representation.
-
-    The equations of motion have no constant term (bloch_rhs of the zero
-    state is zero), so the columns of A are bloch_rhs of the unit vectors.
-    """
-    a = np.empty((9, 9), dtype=float)
-    for j in range(9):
-        e = np.zeros(9)
-        e[j] = 1.0
-        a[:, j] = bloch_rhs(BlochState.from_vector(e), drive).as_vector()
-    return a
 
 
 def _fastest_scale(drive: LocalDrive) -> float:
@@ -204,19 +144,6 @@ def _check_population(states: np.ndarray, times: np.ndarray) -> None:
     )
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled solution of the equations of motion."""
-
-    times: np.ndarray
-    sigma_gg: np.ndarray
-    sigma_ee: np.ndarray
-    sigma_rr: np.ndarray
-    sigma_ge: np.ndarray
-    sigma_er: np.ndarray
-    sigma_gr: np.ndarray
-
-
 # Samples per block: the stack of propagator powers is _SAMPLE_BLOCK x 9 x 9
 # floats (about 1.3 MB), whatever the step count.
 _SAMPLE_BLOCK = 2048
@@ -235,70 +162,27 @@ def _power_stack(p: np.ndarray, count: int) -> np.ndarray:
     return powers
 
 
-def _rk4_samples(x0: np.ndarray, drive: LocalDrive, n_steps: int, dt: float, sample_every: int):
+def _rk4_samples(x0: np.ndarray, drive: LocalDrive, n_steps: int, dt: float):
     """Fixed-step classical RK4 run; yields (step indices, states) one block of samples at a time.
 
-    Samples fall on every `sample_every`-th step and on step n_steps. This is
-    the RK4 scheme applied as its exact one-step propagator, not a new
-    integrator: for x' = A x (A probed once from bloch_rhs) the four stages
-    of a step compose to x <- M x with M = I + hA + (hA)^2/2 + (hA)^3/6 +
-    (hA)^4/24. With P = M^sample_every, a block is the stack [P^0 .. P^(K-1)]
-    applied to its first state, and P^K carries the state to the next block,
-    so memory stays O(K) for any step count.
+    Samples fall on every step from 0 to n_steps. This is the RK4 scheme
+    applied as its exact one-step propagator, not a new integrator: for
+    x' = A x the four stages of a step compose to x <- M x with
+    M = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24. A block is the stack
+    [M^0 .. M^(K-1)] applied to its first state, and M^K carries the state
+    to the next block, so memory stays O(K) for any step count.
     """
-    ha = dt * _affine_generator(drive)
     eye = np.eye(9)
+    ha = dt * bloch_rhs(eye, drive)
     m = eye + ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)
-    p = np.linalg.matrix_power(m, sample_every)
-    n_samples = n_steps // sample_every + 1
-    powers = _power_stack(p, min(n_samples, _SAMPLE_BLOCK))
-    advance = p @ powers[-1]
+    n_samples = n_steps + 1
+    powers = _power_stack(m, min(n_samples, _SAMPLE_BLOCK))
+    advance = m @ powers[-1]
     x = np.array(x0, dtype=float)
     for first in range(0, n_samples, len(powers)):
         count = min(len(powers), n_samples - first)
-        block = (powers[:count].reshape(-1, 9) @ x).reshape(count, 9)
-        yield sample_every * np.arange(first, first + count), block
+        yield np.arange(first, first + count), (powers[:count].reshape(-1, 9) @ x).reshape(count, 9)
         x = advance @ x
-    if n_steps % sample_every:
-        last = np.linalg.matrix_power(m, n_steps % sample_every) @ block[-1]
-        yield np.array([n_steps]), last[np.newaxis]
-
-
-def evolve(
-    initial: BlochState,
-    drive: LocalDrive,
-    t_end: float,
-    dt: float,
-    sample_every: int = 1,
-) -> Trajectory:
-    """Integrate from `initial` for t_end microseconds with a fixed step dt.
-
-    Sampled populations drifting outside [0, 1] or off unit trace by more
-    than 1e-6 abort the run; nothing is silently clipped.
-    """
-    _check_step(dt, drive)
-    if not 0 < t_end < math.inf:
-        raise ValueError("t_end must be positive and finite")
-    if sample_every < 1:
-        raise ValueError("sample_every must be at least 1")
-    n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
-    times = []
-    samples = []
-    for steps, states in _rk4_samples(initial.as_vector(), drive, n_steps, dt, sample_every):
-        t = steps * dt
-        _check_population(states, t)
-        times.append(t)
-        samples.append(states)
-    arr = np.concatenate(samples)
-    return Trajectory(
-        times=np.concatenate(times),
-        sigma_gg=arr[:, 0],
-        sigma_ee=arr[:, 1],
-        sigma_rr=arr[:, 2],
-        sigma_ge=arr[:, 3] + 1j * arr[:, 4],
-        sigma_er=arr[:, 5] + 1j * arr[:, 6],
-        sigma_gr=arr[:, 7] + 1j * arr[:, 8],
-    )
 
 
 def b_coefficients(ip, ic, nsa_ip, delta_p, gamma):
@@ -392,7 +276,7 @@ def steady_time(
     n_steps = int(math.ceil(t_budget / dt - 1e-12))
     band = rel_tol * target
     last_outside = -1
-    for steps, states in _rk4_samples(ground_state().as_vector(), drive, n_steps, dt, sample_every=1):
+    for steps, states in _rk4_samples(np.eye(9)[0], drive, n_steps, dt):
         _check_population(states, steps * dt)
         outside = np.flatnonzero(np.abs(states[:, 2] - target) > band)
         if outside.size:
@@ -406,12 +290,8 @@ def steady_time(
 
 
 __all__ = [
-    "BlochState",
     "LocalDrive",
-    "Trajectory",
-    "ground_state",
     "bloch_rhs",
-    "evolve",
     "sigma_rr_steady",
     "steady_population",
     "steady_sigma_rr",

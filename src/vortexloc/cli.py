@@ -230,7 +230,7 @@ def _cmd_scan_l(args, config):
         config, l_values=args.l_values, r_max=args.r_max_um, n_samples=args.samples
     )
     lam = config.beam.wavelength_c
-    params = {"l_values": list(args.l_values), "samples": args.samples}
+    params = {"l_values": list(args.l_values), "r_max_um": args.r_max_um, "samples": args.samples}
     columns = {
         "winding_l": [l for l, _ in results],
         "fwhm_um": [f for _, f in results],
@@ -363,6 +363,7 @@ def _cmd_steady_time(args, config):
     params = {
         "rel_tol": args.rel_tol,
         "budget_us": args.budget_us,
+        "dt_us": args.dt_us,
         "intensity_ratio": q,
         "r_sample_um": r_sample,
     }

@@ -100,9 +100,6 @@ class QuadratureSpec:
             spacing_multiple * lambda_c,
         )
 
-    def halved(self) -> "QuadratureSpec":
-        return QuadratureSpec(self.extent_r, self.extent_z, 0.5 * self.spacing_r, 0.5 * self.spacing_z)
-
 
 @dataclass(frozen=True)
 class ShiftQuadrature:

@@ -248,6 +248,25 @@ def test_steady_time_at_the_reference_point(tmp_path, capsys):
     assert t_us == pytest.approx(3.535, abs=0.05)
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value, key",
+    [
+        (["steady-time", "--kappa", "10", "--budget-us", "5"], "--dt-us", "0.0005", "dt_us"),
+        (["scan-l", "--kappa", "10", "--l-values", "1"], "--r-max-um", "0.9", "r_max_um"),
+    ],
+)
+def test_flags_that_change_results_are_in_the_manifest(argv, flag, value, key, tmp_path, capsys):
+    # two runs that differ only in the flag must not write identical headers
+    out_file = tmp_path / "run.csv"
+    headers = []
+    for extra in ([], [flag, value]):
+        assert run(argv + extra + ["--out", str(out_file)], capsys)[0] == 0
+        headers.append([line for line in out_file.read_text().splitlines() if line.startswith("# param.")])
+    assert f"# param.{key} = none" in headers[0]
+    assert f"# param.{key} = {value}" in headers[1]
+    assert headers[0] != headers[1]
+
+
 def test_default_output_name_lands_in_the_working_directory(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, err = run(["steady", "--kappa", "100"], capsys)

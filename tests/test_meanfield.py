@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import halved
 from vortexloc import make_config, meanfield
 from vortexloc.bloch import b_coefficients, b_values, linewidth_from
 from vortexloc.config import TWO_PI, Position
@@ -358,7 +359,7 @@ def test_batched_tail_guard_fails_when_any_position_fails(tail_tol):
 def _shift_and_halving_change(atoms, config, quadrature):
     """shift_at, and the relative change of each shift when the lattice spacing is halved."""
     s = shift_at(atoms, config, quadrature)
-    fine = shift_at(atoms, config, dataclasses.replace(quadrature, lattice=quadrature.lattice.halved()))
+    fine = shift_at(atoms, config, dataclasses.replace(quadrature, lattice=halved(quadrature.lattice)))
     return s, np.abs(s - fine) / np.abs(fine)
 
 
@@ -699,7 +700,7 @@ def test_boundary_input_validation():
 def test_quadrature_spec_validation():
     lam = CFG.beam.wavelength_c
     full = QuadratureSpec.paper_default(lam)
-    assert FAST.halved() == full
+    assert halved(FAST) == full
     assert full.extent_r == full.extent_z == 100.0 * lam
     with pytest.raises(ValueError, match="positive finite length"):
         QuadratureSpec(1.0, 1.0, 0.0, 0.1)

@@ -32,3 +32,12 @@ def test_the_readme_quick_start_imports_work():
     assert imports, "README's python blocks import nothing"
     for node in imports:
         exec(compile(ast.Module(body=[node], type_ignores=[]), str(README), "exec"), {})
+
+
+def test_every_submodule_name_the_readme_mentions_resolves():
+    names = set(re.findall(r"\bvortexloc\.(\w+)\.(\w+)", README.read_text(encoding="utf-8")))
+    assert names, "README names no vortexloc.<module>.<name>"
+    missing = [
+        f"vortexloc.{m}.{n}" for m, n in sorted(names) if not hasattr(importlib.import_module(f"vortexloc.{m}"), n)
+    ]
+    assert not missing, f"README names what the package lacks: {missing}"
