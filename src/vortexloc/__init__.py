@@ -9,104 +9,78 @@ with half-maximum widths, and Monte-Carlo noise robustness, all with
 deterministic, worker-count-independent numerics.
 """
 
-# The names the README and the ten subcommands use: configuration and units,
-# each subcommand's library entry point with its inputs and result type, and
-# the mode, mask and kind constants. Oracles and helpers stay importable from
-# their submodules (vortexloc.bloch, vortexloc.fields, vortexloc.noise, ...).
-from .bloch import LocalDrive, steady_sigma_rr, steady_time
-from .config import (
-    CONSTANT,
-    STANDING_WAVE,
-    AtomMedium,
-    BeamConfig,
-    DetuningModulation,
-    Position,
-    ProbeConfig,
-    SystemConfig,
-    angular_from_mhz,
-    make_config,
-    mhz_from_angular,
-)
-from .localization import (
-    MODE_NONE,
-    MODE_PARTIAL,
-    MODE_PERFECT,
-    OFFSET_CALIBRATED,
-    OFFSET_DETUNED,
-    Map3D,
-    ScanProfile,
-    iso_extents,
-    longitudinal_scan,
-    map3d,
-    oam_broadening_scan,
-    transverse_scan,
-)
-from .meanfield import (
-    MASK_ATOM,
-    MASK_LOCAL,
-    BlockadeBoundary,
-    QuadratureSpec,
-    ShiftGrid,
-    ShiftQuadrature,
-    blockade_boundary,
-    calibrated_offset,
-    shift_at,
-    shift_profile,
-)
-from .noise import KIND_FREQUENCY, KIND_INTENSITY, NoiseSpec, NoisyScan, noisy_transverse_scan
-from .output import PACKAGE_VERSION, RunManifest, write_table
+import importlib
 
-__version__ = PACKAGE_VERSION
-
-__all__ = [
-    "__version__",
+# The names the README and the ten subcommands use, each with the submodule
+# that defines it: configuration and units, each subcommand's library entry
+# point with its inputs and result type, and the mode, mask and kind
+# constants. Oracles and helpers stay importable from their submodules
+# (vortexloc.bloch, vortexloc.fields, vortexloc.noise, ...). A name loads its
+# submodule on first access, so `import vortexloc` itself loads no numpy.
+_SUBMODULE = {
+    "__version__": "output",
     # configuration and units
-    "CONSTANT",
-    "STANDING_WAVE",
-    "BeamConfig",
-    "ProbeConfig",
-    "DetuningModulation",
-    "AtomMedium",
-    "Position",
-    "SystemConfig",
-    "make_config",
-    "angular_from_mhz",
-    "mhz_from_angular",
+    "CONSTANT": "config",
+    "STANDING_WAVE": "config",
+    "BeamConfig": "config",
+    "ProbeConfig": "config",
+    "DetuningModulation": "config",
+    "AtomMedium": "config",
+    "Position": "config",
+    "SystemConfig": "config",
+    "make_config": "config",
+    "angular_from_mhz": "config",
+    "mhz_from_angular": "config",
     # steady state (steady, steady-time)
-    "LocalDrive",
-    "steady_sigma_rr",
-    "steady_time",
+    "LocalDrive": "bloch",
+    "steady_sigma_rr": "bloch",
+    "steady_time": "bloch",
     # interaction shift (shift, calibrate-delta, blockade)
-    "MASK_LOCAL",
-    "MASK_ATOM",
-    "QuadratureSpec",
-    "ShiftQuadrature",
-    "ShiftGrid",
-    "BlockadeBoundary",
-    "shift_at",
-    "shift_profile",
-    "calibrated_offset",
-    "blockade_boundary",
+    "MASK_LOCAL": "meanfield",
+    "MASK_ATOM": "meanfield",
+    "QuadratureSpec": "meanfield",
+    "ShiftQuadrature": "meanfield",
+    "ShiftGrid": "meanfield",
+    "BlockadeBoundary": "meanfield",
+    "shift_at": "meanfield",
+    "shift_profile": "meanfield",
+    "calibrated_offset": "meanfield",
+    "blockade_boundary": "meanfield",
     # localization (scan-r, scan-z, scan-l, map3d)
-    "MODE_NONE",
-    "MODE_PARTIAL",
-    "MODE_PERFECT",
-    "OFFSET_CALIBRATED",
-    "OFFSET_DETUNED",
-    "ScanProfile",
-    "Map3D",
-    "transverse_scan",
-    "longitudinal_scan",
-    "oam_broadening_scan",
-    "map3d",
-    "iso_extents",
+    "MODE_NONE": "localization",
+    "MODE_PARTIAL": "localization",
+    "MODE_PERFECT": "localization",
+    "OFFSET_CALIBRATED": "localization",
+    "OFFSET_DETUNED": "localization",
+    "ScanProfile": "localization",
+    "Map3D": "localization",
+    "transverse_scan": "localization",
+    "longitudinal_scan": "localization",
+    "oam_broadening_scan": "localization",
+    "map3d": "localization",
+    "iso_extents": "localization",
     # noise
-    "KIND_INTENSITY",
-    "KIND_FREQUENCY",
-    "NoiseSpec",
-    "NoisyScan",
-    "noisy_transverse_scan",
+    "KIND_INTENSITY": "noise",
+    "KIND_FREQUENCY": "noise",
+    "NoiseSpec": "noise",
+    "NoisyScan": "noise",
+    "noisy_transverse_scan": "noise",
     # output
-    "RunManifest",
-    "write_table",
-]
+    "RunManifest": "output",
+    "write_table": "output",
+}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_SUBMODULE[name]}", __name__)
+    value = getattr(module, "PACKAGE_VERSION" if name == "__version__" else name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -10,6 +10,11 @@ Each subcommand is one `_Command` declaration. `main` does the rest once for
 all of them: config file and defaults, the system config, the one
 `ShiftQuadrature` a quadrature handler passes on (echoed into params), the
 writers.
+
+Importing this module caps numpy's OpenBLAS at one thread
+(`OPENBLAS_NUM_THREADS=1`) unless `OPENBLAS_NUM_THREADS`, `GOTO_NUM_THREADS`
+or `OMP_NUM_THREADS` is already set; `import vortexloc` by itself never
+touches the environment.
 """
 
 from __future__ import annotations
@@ -18,9 +23,15 @@ import argparse
 import configparser
 import dataclasses
 import math
+import os
 import sys
 import time
 from typing import Callable
+
+# Set before numpy loads: every product here is 9x9 or n x 3, and OpenBLAS
+# would otherwise start a spinning worker thread per core.
+if not any(var in os.environ for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

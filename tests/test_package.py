@@ -1,9 +1,13 @@
-"""The public surface: every exported name resolves, once, and the README's import works."""
+"""The public surface: every exported name resolves, once, lazily, and the README's import works."""
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +15,8 @@ import pytest
 import vortexloc
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(vortexloc.__path__))
 
 
@@ -41,3 +47,78 @@ def test_every_submodule_name_the_readme_mentions_resolves():
         f"vortexloc.{m}.{n}" for m, n in sorted(names) if not hasattr(importlib.import_module(f"vortexloc.{m}"), n)
     ]
     assert not missing, f"README names what the package lacks: {missing}"
+
+
+def test_dir_lists_every_exported_name():
+    assert set(vortexloc.__all__) <= set(dir(vortexloc))
+
+
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from vortexloc import *", namespace)
+    missing = [name for name in vortexloc.__all__ if name not in namespace]
+    assert not missing
+
+
+def test_an_unknown_attribute_is_an_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        vortexloc.no_such_name
+
+
+def test_version_is_the_package_version():
+    import vortexloc.output
+
+    assert vortexloc.__version__ == vortexloc.output.PACKAGE_VERSION
+
+
+def test_the_submodule_table_and_all_hold_the_same_names():
+    table = vortexloc._SUBMODULE
+    assert sorted(table) == sorted(vortexloc.__all__)
+    for name, module_name in table.items():
+        module = importlib.import_module(f"vortexloc.{module_name}")
+        source = "PACKAGE_VERSION" if name == "__version__" else name
+        assert getattr(vortexloc, name) is getattr(module, source), f"{name} is not vortexloc.{module_name}.{source}"
+
+
+def _child(code: str, **preset: str) -> object:
+    """Run `code` in a fresh interpreter with none of the BLAS thread variables but `preset`; its stdout as JSON."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env.update(preset)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_importing_the_package_loads_no_numpy_and_leaves_the_environment_alone():
+    seen = _child(
+        "import json, os, sys; before = dict(os.environ); import vortexloc; "
+        "print(json.dumps({'numpy': 'numpy' in sys.modules, 'same_env': dict(os.environ) == before}))"
+    )
+    assert seen == {"numpy": False, "same_env": True}
+
+
+def test_the_cli_sets_one_blas_thread_when_no_thread_variable_is_set():
+    seen = _child("import json, os; import vortexloc.cli; print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))")
+    assert seen == "1"
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2, reason="reads /proc; one core starts no worker"
+)
+def test_numpy_under_the_cli_starts_no_blas_worker_thread():
+    seen = _child(
+        "import json, sys; import vortexloc.cli; assert 'numpy' in sys.modules; "
+        "print(json.dumps([int(l.split()[1]) for l in open('/proc/self/status') if l.startswith('Threads:')]))"
+    )
+    assert seen == [1], "OpenBLAS started worker threads"
+
+
+@pytest.mark.parametrize("var, value", [("OMP_NUM_THREADS", "2"), ("OPENBLAS_NUM_THREADS", "3"), ("GOTO_NUM_THREADS", "2")])
+def test_the_cli_leaves_a_preset_blas_thread_count_as_set(var, value):
+    seen = _child(
+        "import json, os; import vortexloc.cli; "
+        f"print(json.dumps({{k: os.environ.get(k) for k in {BLAS_VARS!r}}}))",
+        **{var: value},
+    )
+    assert seen == {k: value if k == var else None for k in BLAS_VARS}
