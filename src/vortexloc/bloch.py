@@ -62,10 +62,6 @@ class LocalDrive:
             gamma_r=m.gamma_r,
         )
 
-    def intensities(self) -> tuple[float, float]:
-        """(I_p, I_c) = (Omega_p^2, Omega_c^2); computed on demand, never stored."""
-        return self.omega_p * self.omega_p, self.omega_c * self.omega_c
-
 
 def bloch_rhs(x: np.ndarray, drive: LocalDrive) -> np.ndarray:
     """Time derivative of the real 9-vector [gg, ee, rr, Re/Im ge, Re/Im er, Re/Im gr].
@@ -219,12 +215,13 @@ def sigma_rr_steady(ip, ic, delta_p, two_photon, gamma):
 
 def steady_population(config: SystemConfig, ic, two_photon):
     """sigma_rr_steady with the probe, Delta_p and gamma of `config`, at control intensity ic."""
-    return sigma_rr_steady(config.probe.omega_p0 ** 2, ic, config.probe.delta_p, two_photon, config.medium.gamma)
+    return sigma_rr_steady(config.probe.intensity, ic, config.probe.delta_p, two_photon, config.medium.gamma)
 
 
 def steady_sigma_rr(drive: LocalDrive) -> float:
     """Steady-state sigma_rr for one drive; errors on a degenerate zero denominator."""
-    ip, ic = drive.intensities()
+    ip = drive.omega_p * drive.omega_p
+    ic = drive.omega_c * drive.omega_c
     two_photon = drive.delta_p + drive.delta_c - drive.s_shift
     try:
         # plain floats, so that a zero denominator raises instead of giving inf
@@ -235,14 +232,8 @@ def steady_sigma_rr(drive: LocalDrive) -> float:
         raise ValueError("degenerate drive: steady-state denominator is zero") from None
 
 
-def linewidth_w(drive: LocalDrive) -> float:
-    """Half-peak width w = (I_p + I_c) / sqrt(gamma^2 + Delta_p^2 + 2 I_p)."""
-    ip, ic = drive.intensities()
-    return linewidth_from(ip, ic, drive.delta_p, drive.gamma)
-
-
 def linewidth_from(ip, ic, delta_p, gamma):
-    """Vectorized linewidth from intensities."""
+    """Half-peak width w = (I_p + I_c) / sqrt(gamma^2 + Delta_p^2 + 2 I_p), vectorized over intensities."""
     under = gamma * gamma + delta_p * delta_p + 2.0 * ip
     if np.ndim(under) == 0 and under <= 0:
         raise ValueError("gamma^2 + Delta_p^2 + 2 I_p must be positive")
@@ -295,7 +286,6 @@ __all__ = [
     "sigma_rr_steady",
     "steady_population",
     "steady_sigma_rr",
-    "linewidth_w",
     "linewidth_from",
     "steady_time",
 ]

@@ -117,15 +117,16 @@ def _build_config(args, physics: dict, default_kappa: float | None) -> SystemCon
 
 
 def _resolve_quad(args, config: SystemConfig, default) -> QuadratureSpec | None:
-    """The lattice the run pins down, else `default(lambda_c)`, or None to let the op choose."""
+    """The lattice the run pins down, else `default(lambda_c)`, or None to let the op choose.
+
+    An extent needs a spacing: the default spacing differs between subcommands.
+    """
     lam = config.beam.wavelength_c
-    if args.grid_spacing is None and args.grid_extent is None:
+    if args.grid_spacing is None:
+        if args.grid_extent is not None:
+            raise ValueError("--grid-extent ([quadrature] extent) needs --grid-spacing ([quadrature] spacing) too")
         return None if default is None else default(lam)
-    return QuadratureSpec.scaled(
-        lam,
-        args.grid_spacing if args.grid_spacing is not None else 0.01,
-        args.grid_extent if args.grid_extent is not None else 100.0,
-    )
+    return QuadratureSpec.scaled(lam, args.grid_spacing, args.grid_extent if args.grid_extent is not None else 100.0)
 
 
 def _parse_threads(text: str) -> int:
@@ -197,7 +198,7 @@ def _cmd_steady(args, config):
     drive = bloch.LocalDrive.from_config(config, Position(r=r, z=z), s_shift=angular_from_mhz(args.s_mhz))
     sigma = bloch.steady_sigma_rr(drive)
     eta = eta_of_radius(r, config)
-    w_mhz = mhz_from_angular(bloch.linewidth_w(drive))
+    w_mhz = mhz_from_angular(meanfield.local_linewidth(config, r))
     params = {"r_um": r, "z_um": z, "s_mhz": args.s_mhz}
     columns = _one_row({"r_um": r, "z_um": z, "eta": eta, "sigma_rr": sigma, "linewidth_w_mhz": w_mhz})
     summary = {"sigma_rr": sigma, "eta": eta, "linewidth_w_mhz": w_mhz}
@@ -256,11 +257,7 @@ def _cmd_map3d(args, config, quadrature):
     n = args.samples_per_axis
     if n < 2:
         raise ValueError("need at least 2 samples per axis")
-    half, z_half = localization.default_map_extents(config)
-    if args.xy_half_um is not None:
-        half = args.xy_half_um
-    z_node = meanfield.localized_point(config).z
-    extents = ((-half, half), (-half, half), (z_node - z_half, z_node + z_half))
+    extents = localization.map_window(config, args.xy_half_um)
     # spacing derives from the extents so each axis lands exactly on n samples
     spacing = tuple((hi - lo) / (n - 1) for lo, hi in extents)
     vol = localization.map3d(
@@ -343,7 +340,7 @@ def _cmd_calibrate(args, config, quadrature):
 def _cmd_blockade(args, config):
     z = args.z_um if args.z_um is not None else meanfield.localized_point(config).z
     boundary = meanfield.blockade_boundary(Position(r=args.r_um, z=z), config, resolution=args.resolution)
-    w_atom = float(meanfield.local_linewidth(config, abs(args.r_um)))
+    w_atom = float(meanfield.local_linewidth(config, args.r_um))
     rb_atom = meanfield.blockade_radius(w_atom, config.medium.c6)
     n_sa = meanfield.superatom_count(rb_atom, config.medium.density_rho)
     params = {"r_um": args.r_um, "z_um": z, "resolution": args.resolution}

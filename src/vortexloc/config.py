@@ -78,6 +78,11 @@ class ProbeConfig:
         )
         _require_finite(self.delta_p, "delta_p")
 
+    @property
+    def intensity(self) -> float:
+        """Probe intensity I_p = omega_p0 * omega_p0, the one formula every steady state and shift uses."""
+        return self.omega_p0 * self.omega_p0
+
 
 @dataclass(frozen=True)
 class DetuningModulation:

@@ -67,12 +67,20 @@ def radius_at_eta(q: float, config: SystemConfig) -> float:
     hi = envelope_peak_radius(beam)
     if eta_of_radius(hi, config) < q:
         raise ValueError("requested intensity ratio exceeds the envelope maximum")
-    lo = 0.0
+    return _bisect(lambda r: eta_of_radius(r, config) - q, 0.0, hi, 1e-12 * beam.waist_w0)
+
+
+def _bisect(fn, lo: float, hi: float, xtol: float) -> float:
+    """Root of fn between lo and hi (opposite signs assumed) to width xtol.
+
+    The midpoint replaces lo when fn(mid) > 0 holds exactly when fn(lo) > 0 does.
+    """
+    f_lo = fn(lo)
     for _ in range(200):
-        if hi - lo <= 1e-12 * beam.waist_w0:
+        if hi - lo <= xtol:
             break
         mid = 0.5 * (lo + hi)
-        if eta_of_radius(mid, config) < q:
+        if (fn(mid) > 0.0) == (f_lo > 0.0):
             lo = mid
         else:
             hi = mid

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bloch import steady_population
 from .config import STANDING_WAVE, TWO_PI, Position, SystemConfig, with_winding
-from .fields import control_envelope
+from .fields import _bisect, control_envelope
 from .meanfield import QuadratureSpec, ShiftQuadrature, calibrated_offset, local_linewidth, localized_point, shift_at
 
 MODE_NONE = "none"  # s = 0, exact two-photon resonance everywhere
@@ -57,20 +57,6 @@ class Map3D:
     delta_offset: float
 
 
-def _bisect_to(fn, lo: float, hi: float, xtol: float) -> float:
-    """Root of fn between lo and hi (opposite signs assumed) to width xtol."""
-    f_lo = fn(lo)
-    for _ in range(200):
-        if hi - lo <= xtol:
-            break
-        mid = 0.5 * (lo + hi)
-        if (fn(mid) > 0.0) == (f_lo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _run_around(values: np.ndarray, i: int, level: float) -> tuple[int, int]:
     """First and last index of the run of samples at or above `level` that holds index i.
 
@@ -88,6 +74,19 @@ def _axis_two_photon(config: SystemConfig, z, s0: float, delta_offset: float):
     mod = config.detuning
     mismatch0 = delta_offset - s0  # exactly 0.0 at the calibrated point
     return config.probe.delta_p + mod.delta_c0 * (np.sin(TWO_PI * np.asarray(z) / mod.period) + 1.0) + mismatch0
+
+
+def _radius_grid(config: SystemConfig, bound: float | None, n_samples: int, name: str) -> np.ndarray:
+    """n_samples radii from 0 to `bound` (default 1.5 W0); `name` is the caller's name for the bound."""
+    if n_samples < 100:
+        raise ValueError("n_samples must be at least 100")
+    if bound is None:
+        bound = 1.5 * config.beam.waist_w0
+    if not math.isfinite(bound):
+        raise ValueError(f"{name} must be finite, got {bound}")
+    if bound <= 0:
+        raise ValueError(f"{name} must be positive")
+    return np.linspace(0.0, bound, n_samples)
 
 
 def transverse_scan(
@@ -108,20 +107,12 @@ def transverse_scan(
     """
     if mode not in _MODES:
         raise ValueError(f"unknown antiblockade mode '{mode}'")
-    if n_samples < 100:
-        raise ValueError("n_samples must be at least 100")
-    beam = config.beam
-    if r_max is None:
-        r_max = 1.5 * beam.waist_w0
-    if not math.isfinite(r_max):
-        raise ValueError(f"r_max must be finite, got {r_max}")
-    if r_max <= 0:
-        raise ValueError("r_max must be positive")
+    r = _radius_grid(config, r_max, n_samples, "r_max")
 
+    beam = config.beam
     dp = config.probe.delta_p
     lambda_c = beam.wavelength_c
     z_loc = localized_point(config).z
-    r = np.linspace(0.0, r_max, n_samples)
 
     s0 = None
     if mode == MODE_PARTIAL:
@@ -161,9 +152,9 @@ def transverse_scan(
     _, last = _run_around(sigma, 0, HALF_MAX)
     if last == n_samples - 1:
         raise ValueError(
-            f"no crossing of the half maximum within r_max={r_max:g} um; widen the scan"
+            f"no crossing of the half maximum within r_max={r[-1]:g} um; widen the scan"
         )
-    crossing = _bisect_to(lambda radius: sigma_of(radius) - HALF_MAX, r[last], r[last + 1], 1e-4 * lambda_c)
+    crossing = _bisect(lambda radius: sigma_of(radius) - HALF_MAX, r[last], r[last + 1], 1e-4 * lambda_c)
 
     return ScanProfile(
         axis="r",
@@ -272,8 +263,8 @@ def longitudinal_scan(
     left_i, right_i = _run_around(sigma, peak_i, HALF_MAX)
     if right_i + 1 >= n_samples or left_i == 0:
         raise ValueError("no crossing of the half maximum inside the window; widen z_range")
-    right = _bisect_to(lambda zz: sigma_of(zz) - HALF_MAX, z[right_i], z[right_i + 1], xtol)
-    left = _bisect_to(lambda zz: sigma_of(zz) - HALF_MAX, z[left_i - 1], z[left_i], xtol)
+    right = _bisect(lambda zz: sigma_of(zz) - HALF_MAX, z[right_i], z[right_i + 1], xtol)
+    left = _bisect(lambda zz: sigma_of(zz) - HALF_MAX, z[left_i - 1], z[left_i], xtol)
 
     return ScanProfile(
         axis="z",
@@ -289,25 +280,28 @@ def longitudinal_scan(
     )
 
 
-def default_map_extents(config: SystemConfig) -> tuple[float, float]:
-    """(transverse half-extent, longitudinal half-extent) framing the peak.
+def map_window(config: SystemConfig, xy_half: float | None = None) -> tuple[tuple[float, float], ...]:
+    """(x, y, z) extents framing the peak: +-xy_half across, around the node along z.
 
-    Three analytic widths on each side keep the half-maximum region well
-    inside the window while a 101-per-axis grid still resolves it; the
-    longitudinal window never exceeds one modulation period.
+    The defaults are three analytic widths on each side, which keep the
+    half-maximum region well inside the window while a 101-per-axis grid
+    still resolves it; the longitudinal window never exceeds one modulation
+    period.
     """
     beam = config.beam
-    try:
-        half = 3.0 * analytic_a_r(config.kappa, beam.waist_w0)
-    except ValueError:
-        half = 1.5 * beam.waist_w0
+    if xy_half is None:
+        try:
+            xy_half = 3.0 * analytic_a_r(config.kappa, beam.waist_w0)
+        except ValueError:
+            xy_half = 1.5 * beam.waist_w0
     w_core = float(local_linewidth(config, 0.0))
     try:
         z_half = 3.0 * analytic_a_z(w_core, config.detuning.delta_c0, beam.wavelength_c)
     except ValueError:
         z_half = 0.5 * config.detuning.period
     z_half = min(z_half, 0.5 * config.detuning.period)
-    return half, z_half
+    z_node = localized_point(config).z
+    return (-xy_half, xy_half), (-xy_half, xy_half), (z_node - z_half, z_node + z_half)
 
 
 def map3d(
@@ -331,9 +325,7 @@ def map3d(
         raise ValueError(f"unknown delta offset mode '{delta_offset_mode}'")
 
     if extents is None:
-        half, z_half = default_map_extents(config)
-        z_node = localized_point(config).z
-        extents = ((-half, half), (-half, half), (z_node - z_half, z_node + z_half))
+        extents = map_window(config)
     if spacing is None:
         spacing = tuple((hi - lo) / 100.0 for lo, hi in extents)
     elif np.ndim(spacing) == 0:
@@ -472,8 +464,8 @@ def extract_fwhm(coords, values, lambda_c: float) -> float:
             coords[j] - coords[i]
         ) - HALF_MAX
 
-    left = _bisect_to(interp(a - 1, a), float(coords[a - 1]), float(coords[a]), xtol)
-    right = _bisect_to(interp(b, b + 1), float(coords[b]), float(coords[b + 1]), xtol)
+    left = _bisect(interp(a - 1, a), float(coords[a - 1]), float(coords[a]), xtol)
+    right = _bisect(interp(b, b + 1), float(coords[b]), float(coords[b + 1]), xtol)
     return right - left
 
 
@@ -486,7 +478,7 @@ __all__ = [
     "HALF_MAX",
     "ScanProfile",
     "Map3D",
-    "default_map_extents",
+    "map_window",
     "transverse_scan",
     "oam_broadening_scan",
     "analytic_a_r",

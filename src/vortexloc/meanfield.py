@@ -173,7 +173,7 @@ def superatom_count(r_b, rho: float):
 def local_linewidth(config: SystemConfig, r):
     """Linewidth w at radius r (scalar or array), from the local control intensity."""
     env = control_envelope(r, config.beam)
-    return linewidth_from(config.probe.omega_p0 ** 2, env * env, config.probe.delta_p, config.medium.gamma)
+    return linewidth_from(config.probe.intensity, env * env, config.probe.delta_p, config.medium.gamma)
 
 
 def _radial_profiles(config: SystemConfig, r: np.ndarray):
@@ -352,7 +352,7 @@ def masked_kernel_sum(
     if not atoms or any(atom.z != atoms[0].z for atom in atoms):
         raise ValueError("atom positions must be one Position or a non-empty sequence sharing one z")
     n_atoms = len(atoms)
-    ip = config.probe.omega_p0 ** 2
+    ip = config.probe.intensity
     rho = config.medium.density_rho
     z_j = atoms[0].z
     r_atoms = np.array([atom.r for atom in atoms])
@@ -508,7 +508,7 @@ def _tail_fraction(config: SystemConfig, lattice: QuadratureSpec, s_values: np.n
     period at the far radial edge) integrated over the exterior of the
     inscribed sphere: tail <= C6 rho f 4 pi / (3 R^3).
     """
-    ip = config.probe.omega_p0 ** 2
+    ip = config.probe.intensity
     r_far = np.array([lattice.extent_r])
     ic_far, _, rb_far = _radial_profiles(config, r_far)
     nsa_ip_far = superatom_count(rb_far, config.medium.density_rho) * ip
@@ -541,7 +541,7 @@ def shift_at(
     if config.medium.c6 == 0.0:
         return 0.0 if single else np.zeros(len(atoms))
     quad = quadrature.or_lattice(QuadratureSpec.paper_default(config.beam.wavelength_c)).lattice
-    ip = config.probe.omega_p0 ** 2
+    ip = config.probe.intensity
     prefactor = TWO_PI * config.medium.c6 * config.medium.density_rho * ip
     s = prefactor * masked_kernel_sum(atoms, config, quad, mask=quadrature.mask, threads=quadrature.threads)
     fraction = float(_tail_fraction(config, quad, s).max())
@@ -612,6 +612,8 @@ def calibrated_offset(
     quadrature, so the calibration is the fixed point of
     delta -> Delta_c0 + s_0(delta); it converges in a few iterations.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if config.detuning.mode != STANDING_WAVE:
         raise ValueError("calibration requires the standing-wave detuning mode")
     delta_c0 = config.detuning.delta_c0

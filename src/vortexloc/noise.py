@@ -18,7 +18,7 @@ import numpy as np
 from .bloch import steady_population
 from .config import SystemConfig
 from .fields import control_envelope
-from .localization import ScanProfile, _resolve_offsets, extract_fwhm
+from .localization import ScanProfile, _radius_grid, _resolve_offsets, extract_fwhm
 from .meanfield import ShiftQuadrature
 from .parallel import pairwise_sum
 
@@ -54,15 +54,6 @@ class NoiseSpec:
 
 
 @dataclass(frozen=True)
-class IntensityField:
-    """One noisy control-amplitude realization."""
-
-    amplitudes: np.ndarray  # rad/us, clamped at zero
-    offsets: np.ndarray  # rad/us, as drawn
-    clamp_count: int
-
-
-@dataclass(frozen=True)
 class NoisyScan:
     """Trajectory-averaged transverse profile with its pointwise spread."""
 
@@ -74,27 +65,6 @@ class NoisyScan:
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     """Independent stream for one trajectory of one run."""
     return np.random.default_rng([seed, index])
-
-
-def sample_intensity_field(
-    spec: NoiseSpec, n: int, omega_c0: float, rng: np.random.Generator
-) -> IntensityField:
-    """Per-position peak amplitudes omega_c0 + N(0, std_dev*omega_c0), clamped at zero."""
-    if spec.kind != KIND_INTENSITY:
-        raise ValueError("spec kind must be 'intensity'")
-    offsets = rng.normal(0.0, spec.std_dev * omega_c0, size=n)
-    raw = omega_c0 + offsets
-    clamp_count = int(np.count_nonzero(raw < 0.0))
-    return IntensityField(
-        amplitudes=np.maximum(raw, 0.0), offsets=offsets, clamp_count=clamp_count
-    )
-
-
-def sample_frequency_offsets(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-position two-photon detuning offsets N(0, std_dev) in rad/us."""
-    if spec.kind != KIND_FREQUENCY:
-        raise ValueError("spec kind must be 'frequency'")
-    return rng.normal(0.0, spec.std_dev, size=n)
 
 
 def noisy_transverse_scan(
@@ -115,42 +85,30 @@ def noisy_transverse_scan(
     offsets from the first trajectory, so identical trajectories average to
     the identical profile. `quadrature` serves only the s0 calibration.
     """
-    if n_samples < 100:
-        raise ValueError("n_samples must be at least 100")
-    beam = config.beam
-    if x_max is None:
-        x_max = 1.5 * beam.waist_w0
-    if not math.isfinite(x_max):
-        raise ValueError(f"x_max must be finite, got {x_max}")
-    if x_max <= 0:
-        raise ValueError("x_max must be positive")
+    r = _radius_grid(config, x_max, n_samples, "x_max")
     s0, delta_offset, _ = _resolve_offsets(config, s0, delta_offset, quadrature)
-
-    r = np.linspace(0.0, x_max, n_samples)
+    beam = config.beam
     x = np.concatenate([-r[:0:-1], r])
     u = np.abs(x)
 
     dp = config.probe.delta_p
     mismatch0 = delta_offset - s0  # exactly 0.0 when calibrated
+    intensity = spec.kind == KIND_INTENSITY
+    scale = spec.std_dev * beam.omega_c0 if intensity else spec.std_dev
 
-    def one_trajectory(index: int) -> tuple[np.ndarray, int]:
-        rng = trajectory_rng(spec.seed, index)
-        if spec.kind == KIND_INTENSITY:
-            realization = sample_intensity_field(spec, x.size, beam.omega_c0, rng)
-            env = control_envelope(u, beam, amplitude=realization.amplitudes)
+    sigmas = []
+    clamp_count = 0
+    for index in range(spec.trajectories):
+        draws = trajectory_rng(spec.seed, index).normal(0.0, scale, size=x.size)
+        if intensity:
+            amplitudes = beam.omega_c0 + draws
+            clamp_count += int(np.count_nonzero(amplitudes < 0.0))
+            env = control_envelope(u, beam, amplitude=np.maximum(amplitudes, 0.0))
             two_photon = dp + mismatch0
-            clamps = realization.clamp_count
         else:
-            detuning_noise = sample_frequency_offsets(spec, x.size, rng)
             env = control_envelope(u, beam)
-            two_photon = dp + mismatch0 + detuning_noise
-            clamps = 0
-        sigma = steady_population(config, env * env, two_photon)
-        return np.asarray(sigma, dtype=float), clamps
-
-    results = [one_trajectory(index) for index in range(spec.trajectories)]
-    sigmas = [sigma for sigma, _ in results]
-    clamp_count = int(sum(clamps for _, clamps in results))
+            two_photon = dp + mismatch0 + draws
+        sigmas.append(np.asarray(steady_population(config, env * env, two_photon), dtype=float))
 
     base = sigmas[0]
     n_traj = float(spec.trajectories)
@@ -191,11 +149,8 @@ __all__ = [
     "KIND_INTENSITY",
     "KIND_FREQUENCY",
     "NoiseSpec",
-    "IntensityField",
     "NoisyScan",
     "trajectory_rng",
-    "sample_intensity_field",
-    "sample_frequency_offsets",
     "noisy_transverse_scan",
     "spread_at",
 ]

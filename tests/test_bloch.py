@@ -30,13 +30,14 @@ from vortexloc.bloch import (
     LocalDrive,
     bloch_rhs,
     linewidth_from,
-    linewidth_w,
     sigma_rr_steady,
+    steady_population,
     steady_sigma_rr,
     steady_time,
 )
 from vortexloc.config import TWO_PI, Position
 from vortexloc.fields import control_envelope, detuning_profile
+from vortexloc.meanfield import local_linewidth
 
 
 def _random_state(rng):
@@ -62,7 +63,8 @@ def test_local_drive_rejects_a_complex_control_amplitude():
     for bad in (10.0 + 0j, 10.0j, "10"):
         with pytest.raises(ValueError, match="omega_c"):
             LocalDrive(10.0, bad, 0.0, 0.0, 0.0, 19.0, 38.0)
-    assert LocalDrive(10.0, np.float64(10.0), 0.0, 0.0, 0.0, 19.0, 38.0).intensities() == (100.0, 100.0)
+    # a numpy real is accepted; on resonance with I_p = I_c the population is I_p / (I_p + I_c)
+    assert steady_sigma_rr(LocalDrive(10.0, np.float64(10.0), 0.0, 0.0, 0.0, 19.0, 38.0)) == 0.5
 
 
 def test_rhs_matches_the_independent_master_equation():
@@ -237,11 +239,27 @@ def test_lorentzian_approximation_arithmetic():
 
 def test_linewidth_at_the_reference_point():
     cfg = make_config(kappa=100.0)
-    ip = cfg.probe.omega_p0**2
+    ip = cfg.probe.omega_p0 * cfg.probe.omega_p0
     w = linewidth_from(ip, 0.0, 0.0, cfg.medium.gamma)
     assert w / TWO_PI == pytest.approx(0.198, rel=1e-2)
-    drive = LocalDrive.from_config(cfg, Position(r=0.0, z=0.0))
-    assert linewidth_w(drive) == pytest.approx(w, rel=1e-12)
+    assert local_linewidth(cfg, 0.0) == w
+
+
+# the first three are kappas where libm's pow(x, 2) and x * x round apart on
+# glibc x86-64, so a square written two ways would tell the paths apart
+@pytest.mark.parametrize("kappa", [177.1, 186.39, 209.71, 100.0, 180.0, 500.0])
+def test_the_drive_path_and_the_config_path_agree_bit_for_bit(kappa):
+    # `steady` goes through a LocalDrive, the scans through the config; both
+    # square the probe amplitude the same way
+    cfg = make_config(kappa=kappa)
+    for r in np.linspace(0.0, 1.5, 40):
+        for z in (0.0, 0.36, 0.41):
+            drive = LocalDrive.from_config(cfg, Position(r=float(r), z=z))
+            ic = drive.omega_c * drive.omega_c
+            two_photon = drive.delta_p + drive.delta_c - drive.s_shift
+            assert steady_sigma_rr(drive) == steady_population(cfg, ic, two_photon)
+            ip = drive.omega_p * drive.omega_p
+            assert local_linewidth(cfg, float(r)) == linewidth_from(ip, ic, drive.delta_p, drive.gamma)
 
 
 def test_linewidth_limits():

@@ -490,6 +490,56 @@ def test_bad_tail_tolerance_is_rejected_before_any_quadrature(value, tmp_path, m
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("max_iter", ["0", "-3"])
+def test_a_calibration_without_iterations_is_refused_before_any_quadrature(max_iter, tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no quadrature may run")
+
+    monkeypatch.setattr(meanfield, "masked_kernel_sum", forbidden)
+    out_file = tmp_path / "out.csv"
+    code, out, err = run(
+        ["calibrate-delta", "--kappa", "10", "--grid-spacing", "0.04", "--max-iter", max_iter, "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [
+        f"vortex-localize calibrate-delta: error in calibrate_delta: max_iter must be at least 1, got {max_iter}"
+    ]
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_an_extent_without_a_spacing_is_refused(source, tmp_path, monkeypatch, capsys):
+    # the default spacing is 0.02 lambda_c for the scans and 0.01 for shift,
+    # so an extent alone names no lattice
+    _forbid_handlers(monkeypatch)
+    if source == "flag":
+        extra = ["--grid-extent", "100"]
+    else:
+        path = tmp_path / "run.ini"
+        path.write_text("[quadrature]\nextent = 100\n")
+        extra = ["--config", str(path)]
+    out_file = tmp_path / "out.csv"
+    code, out, err = run(["scan-z", "--kappa", "180", *extra, "--out", str(out_file)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [
+        "vortex-localize scan-z: error in QuadratureSpec.scaled: "
+        "--grid-extent ([quadrature] extent) needs --grid-spacing ([quadrature] spacing) too"
+    ]
+    assert not out_file.exists()
+
+
+def test_a_spacing_alone_keeps_the_default_extent():
+    config = make_config(kappa=180.0)
+    lam = config.beam.wavelength_c
+    args = build_parser().parse_args(["scan-z", "--grid-spacing", "0.02"])
+    assert cli._resolve_quad(args, config, None) == meanfield.QuadratureSpec.fast(lam)
+    args = build_parser().parse_args(["shift", "--grid-spacing", "0.01"])
+    assert cli._resolve_quad(args, config, None) == meanfield.QuadratureSpec.paper_default(lam)
+
+
 def test_internal_errors_propagate_with_their_traceback(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise KeyError("sigma_rr")

@@ -18,11 +18,11 @@ from vortexloc.localization import (
     OFFSET_DETUNED,
     analytic_a_r,
     analytic_a_z,
-    default_map_extents,
     extract_fwhm,
     iso_extents,
     longitudinal_scan,
     map3d,
+    map_window,
     oam_broadening_scan,
     _run_around,
     transverse_scan,
@@ -102,7 +102,7 @@ TINY = QuadratureSpec.scaled(CFG.beam.wavelength_c, 0.2)
 
 def _partial_scan_oracle(config, n_samples, quad):
     """Partial-mode sigma, s0 and FWHM with one shift_at call per radius, grid and bisection alike."""
-    ip, dp, gamma = config.probe.omega_p0**2, config.probe.delta_p, config.medium.gamma
+    ip, dp, gamma = config.probe.omega_p0 * config.probe.omega_p0, config.probe.delta_p, config.medium.gamma
     z_loc = 0.75 * config.beam.wavelength_c
     r = np.linspace(0.0, 1.5 * config.beam.waist_w0, n_samples)
 
@@ -223,9 +223,14 @@ def test_longitudinal_scan_input_validation(fast_calibration):
 
 
 def test_default_map_extents_frame_the_peak():
-    half, z_half = default_map_extents(CFG)
-    assert half == pytest.approx(3.0 * analytic_a_r(CFG.kappa, CFG.beam.waist_w0), rel=1e-12)
-    assert 0.0 < z_half <= 0.5 * CFG.detuning.period
+    x_ext, y_ext, (z_lo, z_hi) = map_window(CFG)
+    half = 3.0 * analytic_a_r(CFG.kappa, CFG.beam.waist_w0)
+    assert x_ext == y_ext == (-half, half)
+    z_node = 0.75 * CFG.beam.wavelength_c
+    assert z_hi - z_node == pytest.approx(z_node - z_lo, rel=1e-12)
+    assert 0.0 < z_hi - z_node <= 0.5 * CFG.detuning.period
+    # a given transverse half-extent replaces only the x and y windows
+    assert map_window(CFG, 0.05) == ((-0.05, 0.05), (-0.05, 0.05), (z_lo, z_hi))
 
 
 def test_map_is_symmetric_under_beam_rotations(fast_calibration):
@@ -278,7 +283,7 @@ def test_per_voxel_field_equals_the_per_position_oracle():
     spacing = (0.005, 0.005, 0.002)
     s0 = 2.6
     exact = map3d(CFG, extents=ext, spacing=spacing, s0=s0, quadrature=ShiftQuadrature(TINY), per_voxel_exact=True)
-    ip, dp, gamma = CFG.probe.omega_p0**2, CFG.probe.delta_p, CFG.medium.gamma
+    ip, dp, gamma = CFG.probe.omega_p0 * CFG.probe.omega_p0, CFG.probe.delta_p, CFG.medium.gamma
     mod = CFG.detuning
     tp_z = dp + mod.delta_c0 * (np.sin(TWO_PI * exact.z / mod.period) + 1.0)
     oracle = np.empty_like(exact.field)

@@ -413,7 +413,7 @@ def test_shift_is_the_prefactor_times_the_masked_kernel():
     cfg = make_config(kappa=10.0)
     pos = localized_point(cfg)
     kernel = masked_kernel_sum(pos, cfg, FAST)
-    ip = cfg.probe.omega_p0**2
+    ip = cfg.probe.omega_p0 * cfg.probe.omega_p0
     expected = TWO_PI * cfg.medium.c6 * cfg.medium.density_rho * ip * kernel
     assert shift_at(pos, cfg, quadrature=ShiftQuadrature(FAST)) == expected
     assert kernel > 0.0
@@ -540,6 +540,14 @@ def test_calibration_without_interactions_is_the_identity():
     assert delta == cfg.detuning.delta_c0
 
 
+def test_calibration_needs_at_least_one_iteration():
+    # refused as input before the c6 = 0 shortcut and before any quadrature
+    for cfg in (CFG, make_config(c6_mhz_um6=0.0)):
+        for max_iter in (0, -3):
+            with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {max_iter}"):
+                calibrated_offset(cfg, quadrature=ShiftQuadrature(FAST), max_iter=max_iter)
+
+
 def test_calibrated_offset_is_self_consistent(fast_calibration):
     s0, delta = fast_calibration(10.0)
     assert delta == CFG.detuning.delta_c0 + s0
@@ -651,7 +659,7 @@ def test_boundary_grows_with_saturation_along_the_axes():
 def _scalar_march_boundary(atom_pos, config, resolution, refine_tol=1e-3):
     """Oracle: one direction at a time, a scalar march to the first crossing, then bisection."""
     c6 = config.medium.c6
-    ip = config.probe.omega_p0 ** 2
+    ip = config.probe.omega_p0 * config.probe.omega_p0
 
     def rb_at(radius):
         env = control_envelope(abs(radius), config.beam)

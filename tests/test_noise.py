@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from vortexloc import make_config
+from vortexloc.bloch import steady_population
 from vortexloc.config import TWO_PI
+from vortexloc.fields import control_envelope
 from vortexloc.meanfield import QuadratureSpec, ShiftQuadrature
 from vortexloc.localization import MODE_NONE, transverse_scan
 from vortexloc.noise import (
@@ -12,8 +14,6 @@ from vortexloc.noise import (
     KIND_INTENSITY,
     NoiseSpec,
     noisy_transverse_scan,
-    sample_frequency_offsets,
-    sample_intensity_field,
     spread_at,
     trajectory_rng,
 )
@@ -46,32 +46,29 @@ def test_trajectory_streams_are_reproducible_and_independent():
     assert not np.array_equal(a, d)
 
 
-def test_intensity_draws_are_centered_and_clamped():
-    omega_c0 = CFG180.beam.omega_c0
-    spec = NoiseSpec(kind=KIND_INTENSITY, std_dev=0.2)
-    field = sample_intensity_field(spec, 10**6, omega_c0, trajectory_rng(1, 0))
-    # the sample mean of 10^6 centered draws stays within 3 standard errors
-    assert abs(field.offsets.mean()) < 3.0 * 0.2 * omega_c0 / 1000.0
-    assert field.clamp_count == 0
-    assert np.all(field.amplitudes >= 0.0)
-
-    wide = NoiseSpec(kind=KIND_INTENSITY, std_dev=0.5)
-    field_wide = sample_intensity_field(wide, 10**6, omega_c0, trajectory_rng(1, 0))
-    assert field_wide.clamp_count > 0
-    assert field_wide.amplitudes.min() == 0.0
-    with pytest.raises(ValueError, match="intensity"):
-        sample_intensity_field(NoiseSpec(kind=KIND_FREQUENCY, std_dev=0.1), 10, omega_c0, trajectory_rng(0, 0))
-
-
-def test_zero_width_draws_are_exactly_zero():
-    spec = NoiseSpec(kind=KIND_INTENSITY, std_dev=0.0)
-    field = sample_intensity_field(spec, 1000, 500.0, trajectory_rng(0, 0))
-    assert np.all(field.offsets == 0.0)
-    assert np.all(field.amplitudes == 500.0)
-    fspec = NoiseSpec(kind=KIND_FREQUENCY, std_dev=0.0)
-    assert np.all(sample_frequency_offsets(fspec, 1000, trajectory_rng(0, 0)) == 0.0)
-    with pytest.raises(ValueError, match="frequency"):
-        sample_frequency_offsets(spec, 10, trajectory_rng(0, 0))
+@pytest.mark.parametrize("kind, std_dev", [(KIND_INTENSITY, 0.6), (KIND_FREQUENCY, TWO_PI * 0.5)])
+def test_one_trajectory_is_its_draws_through_the_steady_formula(kind, std_dev):
+    # trajectory 0 rebuilt from its own stream: one N(0, scale) draw per x
+    # sample, on the peak amplitude (clamped at zero) or on the two-photon detuning
+    s0 = TWO_PI * 0.415
+    spec = NoiseSpec(kind=kind, std_dev=std_dev, trajectories=1, seed=21)
+    scan = noisy_transverse_scan(CFG180, spec, x_max=0.06, n_samples=121, s0=s0)
+    r = np.linspace(0.0, 0.06, 121)
+    u = np.abs(np.concatenate([-r[:0:-1], r]))
+    beam, dp = CFG180.beam, CFG180.probe.delta_p
+    if kind == KIND_INTENSITY:
+        raw = beam.omega_c0 + trajectory_rng(21, 0).normal(0.0, std_dev * beam.omega_c0, size=u.size)
+        env = control_envelope(u, beam, amplitude=np.maximum(raw, 0.0))
+        two_photon = dp
+        clamps = int(np.count_nonzero(raw < 0.0))
+        assert clamps > 0
+    else:
+        env = control_envelope(u, beam)
+        two_photon = dp + trajectory_rng(21, 0).normal(0.0, std_dev, size=u.size)
+        clamps = 0
+    assert np.array_equal(scan.profile.sigma, steady_population(CFG180, env * env, two_photon))
+    assert scan.clamp_count == clamps
+    assert np.all(scan.spread == 0.0)
 
 
 @pytest.mark.parametrize("kind", [KIND_INTENSITY, KIND_FREQUENCY])
