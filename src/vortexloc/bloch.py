@@ -40,7 +40,6 @@ class LocalDrive:
     delta_p: float
     delta_c: float
     s_shift: float
-    gamma: float
     gamma_e: float
     gamma_r: float = 0.0
 
@@ -48,18 +47,21 @@ class LocalDrive:
         if not isinstance(self.omega_c, numbers.Real):
             raise ValueError(f"omega_c must be a real amplitude, got {self.omega_c!r}")
 
+    @property
+    def gamma(self) -> float:
+        """Coherence dephasing rate (gamma_e + gamma_r)/2, the formula of AtomMedium.gamma."""
+        return 0.5 * (self.gamma_e + self.gamma_r)
+
     @classmethod
     def from_config(cls, config: SystemConfig, pos: Position, s_shift: float = 0.0) -> "LocalDrive":
-        m = config.medium
         return cls(
             omega_p=config.probe.omega_p0,
             omega_c=control_envelope(pos.r, config.beam),
             delta_p=config.probe.delta_p,
             delta_c=detuning_profile(pos.z, config.detuning),
             s_shift=s_shift,
-            gamma=m.gamma,
-            gamma_e=m.gamma_e,
-            gamma_r=m.gamma_r,
+            gamma_e=config.medium.gamma_e,
+            gamma_r=config.medium.gamma_r,
         )
 
 

@@ -442,7 +442,7 @@ class _Command:
 _COMMANDS = {
     "steady": _Command("steady state at one point", "steady_sigma_rr", _cmd_steady, (
         ("--r-um", dict(type=float, help="radius (default: envelope peak)")),
-        ("--z-um", dict(type=float, help="height (default: 3/4 wavelength)")),
+        ("--z-um", dict(type=float, help="height (default: 3/4 of the modulation period)")),
         ("--s-mhz", dict(type=_finite_mhz, default=0.0, help="interaction shift to include (MHz)")),
     )),
     "scan-r": _Command("transverse profile and width", "transverse_scan", _cmd_scan_r, (

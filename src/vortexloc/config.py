@@ -39,6 +39,11 @@ def _require_finite(value: float, name: str) -> None:
     _require(isinstance(value, (int, float)) and math.isfinite(value), f"{name} must be finite")
 
 
+def _require_positive(value: float, name: str) -> None:
+    _require_finite(value, name)
+    _require(value > 0, f"{name} must be positive")
+
+
 @dataclass(frozen=True)
 class BeamConfig:
     """Control-beam vortex parameters (peak Rabi amplitude, waist, winding, wavelength)."""
@@ -49,16 +54,13 @@ class BeamConfig:
     wavelength_c: float  # um
 
     def __post_init__(self) -> None:
-        _require_finite(self.omega_c0, "omega_c0")
-        _require(self.omega_c0 > 0, "omega_c0 must be positive")
-        _require_finite(self.waist_w0, "waist")
-        _require(self.waist_w0 > 0, "waist must be positive")
+        _require_positive(self.omega_c0, "omega_c0")
+        _require_positive(self.waist_w0, "waist")
         _require(
             isinstance(self.winding_l, int) and self.winding_l != 0,
             "winding number must be a nonzero integer",
         )
-        _require_finite(self.wavelength_c, "wavelength")
-        _require(self.wavelength_c > 0, "wavelength must be positive")
+        _require_positive(self.wavelength_c, "wavelength")
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,7 @@ class ProbeConfig:
     delta_p: float = 0.0  # rad/us
 
     def __post_init__(self) -> None:
-        _require_finite(self.omega_p0, "omega_p0")
-        _require(self.omega_p0 > 0, "omega_p0 must be positive")
+        _require_positive(self.omega_p0, "omega_p0")
         _require(
             math.isfinite(2.0 * self.omega_p0 * self.omega_p0),
             f"omega_p0 = {self.omega_p0!r} rad/us is too large: "
@@ -98,8 +99,7 @@ class DetuningModulation:
         _require(self.mode in (CONSTANT, STANDING_WAVE), f"unknown detuning mode '{self.mode}'")
         for name in ("delta_c_const", "delta_c0", "delta_shift"):
             _require_finite(getattr(self, name), name)
-        _require_finite(self.period, "period")
-        _require(self.period > 0, "period must be positive")
+        _require_positive(self.period, "period")
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,10 @@ class AtomMedium:
     c6: float = 0.0  # rad/us * um^6; zero switches interactions off
 
     def __post_init__(self) -> None:
-        _require_finite(self.gamma_e, "gamma_e")
-        _require(self.gamma_e > 0, "gamma_e must be positive")
+        _require_positive(self.gamma_e, "gamma_e")
         _require_finite(self.gamma_r, "gamma_r")
         _require(self.gamma_r >= 0, "gamma_r must be nonnegative")
-        _require_finite(self.density_rho, "density")
-        _require(self.density_rho > 0, "density must be positive")
+        _require_positive(self.density_rho, "density")
         _require_finite(self.c6, "c6")
         _require(self.c6 >= 0, "c6 must be nonnegative")
 
@@ -200,8 +198,7 @@ def make_config(
         raise ValueError("give either kappa or omega_p0, not both")
     if omega_p0_mhz is None:
         k = DEFAULT_KAPPA if kappa is None else kappa
-        _require_finite(k, "kappa")
-        _require(k > 0, "kappa must be positive")
+        _require_positive(k, "kappa")
         omega_p0_mhz = omega_c0_mhz / k
     if delta_shift_mhz is None:
         delta_shift_mhz = delta_c0_mhz

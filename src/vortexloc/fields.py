@@ -43,16 +43,12 @@ def control_envelope(r, beam: BeamConfig, amplitude=None):
 
 
 def eta_of_radius(r, config: SystemConfig):
-    """Control-to-probe intensity ratio eta = I_c/I_p = kappa^2 (r/W0)^(2|l|) e^(-2 r^2/W0^2).
+    """Control-to-probe intensity ratio eta = I_c/I_p, with I_c the squared control envelope.
 
     Takes a scalar radius or, for grid work, an ndarray of radii.
     """
-    u = np.asarray(r, dtype=float) / config.beam.waist_w0
-    k = config.kappa
-    eta = k * k * u ** (2 * abs(config.beam.winding_l)) * np.exp(-2.0 * u * u)
-    if np.ndim(r) == 0:
-        return float(eta)
-    return eta
+    env = control_envelope(r, config.beam)
+    return env * env / config.probe.intensity
 
 
 def radius_at_eta(q: float, config: SystemConfig) -> float:
@@ -70,21 +66,23 @@ def radius_at_eta(q: float, config: SystemConfig) -> float:
     return _bisect(lambda r: eta_of_radius(r, config) - q, 0.0, hi, 1e-12 * beam.waist_w0)
 
 
-def _bisect(fn, lo: float, hi: float, xtol: float) -> float:
-    """Root of fn between lo and hi (opposite signs assumed) to width xtol.
+def _bisect(fn, lo, hi, xtol: float):
+    """Root of fn between lo and hi (opposite signs assumed) to width xtol, per element of array brackets.
 
-    The midpoint replaces lo when fn(mid) > 0 holds exactly when fn(lo) > 0 does.
+    The midpoint replaces lo where fn(mid) > 0 holds exactly when fn(lo) > 0 does; floats give a float.
     """
-    f_lo = fn(lo)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    lo_positive = fn(lo) > 0.0
     for _ in range(200):
-        if hi - lo <= xtol:
+        active = hi - lo > xtol
+        if not active.any():
             break
         mid = 0.5 * (lo + hi)
-        if (fn(mid) > 0.0) == (f_lo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        to_lo = np.equal(fn(mid) > 0.0, lo_positive)  # a numpy bool: ~ on a Python bool is -1 or -2
+        lo = np.where(active & to_lo, mid, lo)
+        hi = np.where(active & ~to_lo, mid, hi)
+    root = 0.5 * (lo + hi)
+    return float(root) if root.ndim == 0 else root
 
 
 def detuning_profile(z, mod: DetuningModulation):

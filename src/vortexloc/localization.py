@@ -2,7 +2,7 @@
 
 The steady Rydberg population around the vortex core forms a sub-wavelength
 peak. Scans sample it transversely (through the core at the standing-wave
-node z = 3 lambda_c/4), longitudinally (along the axis), or on a full 3D
+node, 3/4 of the modulation period up), longitudinally (along the axis), or on a 3D
 grid; widths come from half-maximum crossings refined by bisection.
 """
 
@@ -96,7 +96,7 @@ def transverse_scan(
     n_samples: int = 201,
     quadrature: ShiftQuadrature = ShiftQuadrature(),
 ) -> ScanProfile:
-    """Radial profile sigma_rr(r) through the core at z = 3 lambda_c/4.
+    """Radial profile sigma_rr(r) through the core at the standing-wave node.
 
     Modes: 'none' ignores the interaction shift; 'partial' holds the
     two-photon detuning at the core value s(0), from shifts on the
@@ -130,19 +130,15 @@ def transverse_scan(
 
         s0 = float(s_grid[0])
         two_photon = dp + (s0 - s_grid)
-
-        def sigma_of(radius: float) -> float:
-            env = control_envelope(radius, beam)
-            return float(steady_population(config, env * env, dp + (s0 - s_of(radius))))
-
     else:
         # 'perfect' tracking cancels s exactly, so both remaining modes reduce
         # to the unshifted two-photon resonance profile.
         two_photon = dp
 
-        def sigma_of(radius: float) -> float:
-            env = control_envelope(radius, beam)
-            return float(steady_population(config, env * env, dp))
+    def sigma_of(radius: float) -> float:
+        env = control_envelope(radius, beam)
+        at_radius = dp + (s0 - s_of(radius)) if mode == MODE_PARTIAL else dp
+        return float(steady_population(config, env * env, at_radius))
 
     env = control_envelope(r, beam)
     sigma = steady_population(config, env * env, two_photon)

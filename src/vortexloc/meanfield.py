@@ -38,7 +38,7 @@ import numpy as np
 
 from .bloch import b_coefficients, b_values, linewidth_from
 from .config import STANDING_WAVE, TWO_PI, Position, SystemConfig, with_delta_shift
-from .fields import control_envelope, detuning_profile
+from .fields import _bisect, control_envelope, detuning_profile
 from .parallel import block_ranges, map_ordered, pairwise_sum
 
 # Blockade-mask variants: the radius can follow the local linewidth at each
@@ -238,20 +238,14 @@ def _panel_layout(n_units: int, unit: float, extent_z: float, a2: float) -> list
 
     split = next((j for j in range(n_units) if -0.5 * extent_z + (j + 0.5) * unit >= 0.0), n_units)
     panels = []
-    j = split
-    while j < n_units:  # outward above the atom
-        size = 1
-        while fits(j, j + 2 * size):
-            size *= 2
-        panels.append((j, j + size))
-        j += size
-    j = split
-    while j > 0:  # and below it
-        size = 1
-        while fits(j - 2 * size, j):
-            size *= 2
-        panels.append((j - size, j))
-        j -= size
+    for sign, end in ((1, n_units), (-1, 0)):  # outward above the atom, then below it
+        j = split
+        while j != end:
+            size = 1
+            while fits(*sorted((j, j + 2 * sign * size))):
+                size *= 2
+            panels.append(tuple(sorted((j, j + sign * size))))
+            j += sign * size
     return panels
 
 
@@ -559,7 +553,7 @@ def shift_profile(
     config: SystemConfig,
     quadrature: ShiftQuadrature = ShiftQuadrature(),
 ) -> ShiftGrid:
-    """Sample shift_at along the radial (z_j = 3 lambda_c/4) or longitudinal (r_j = 0) axis."""
+    """Sample shift_at along the radial (z_j at the node) or longitudinal (r_j = 0) axis."""
     if axis not in ("radial", "longitudinal"):
         raise ValueError("axis must be 'radial' or 'longitudinal'")
     positions = np.asarray(positions, dtype=float)
@@ -590,12 +584,12 @@ def shift_profile(
 
 
 def localized_point(config: SystemConfig) -> Position:
-    """The working atom position: on axis, at the standing-wave node z = 3 lambda_c/4."""
-    return Position(r=0.0, z=0.75 * config.beam.wavelength_c)
+    """The working atom position: on axis, at the standing-wave node z = 3/4 of the modulation period."""
+    return Position(r=0.0, z=0.75 * config.detuning.period)
 
 
 def s0_integral(config: SystemConfig, quadrature: ShiftQuadrature = ShiftQuadrature()) -> float:
-    """Shift s_0 at the localized point (r_j = 0, z_j = 3 lambda_c/4); standing-wave mode only."""
+    """Shift s_0 at the localized point (r_j = 0, z_j = 3/4 of the period); standing-wave mode only."""
     if config.detuning.mode != STANDING_WAVE:
         raise ValueError("s0 requires the standing-wave detuning mode")
     return shift_at(localized_point(config), config, quadrature)
@@ -661,15 +655,7 @@ def blockade_boundary(
     if not crossed.any(axis=1).all():
         raise RuntimeError("no blockade crossing found within the march cap")
     first = crossed.argmax(axis=1)
-    lo, hi = march[first], march[first + 1]
-    active = hi - lo > _REFINE_TOL
-    while active.any():
-        mid = 0.5 * (lo + hi)
-        out = outside(mid, cos_t)
-        hi = np.where(active & out, mid, hi)
-        lo = np.where(active & ~out, mid, lo)
-        active = hi - lo > _REFINE_TOL
-    distances = 0.5 * (lo + hi)
+    distances = _bisect(lambda d: outside(d, cos_t), march[first], march[first + 1], _REFINE_TOL)
 
     points = np.column_stack(
         (atom_pos.r + distances * cos_t, atom_pos.z + distances * np.sin(angles))

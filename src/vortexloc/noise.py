@@ -18,8 +18,8 @@ import numpy as np
 from .bloch import steady_population
 from .config import SystemConfig
 from .fields import control_envelope
-from .localization import ScanProfile, _radius_grid, _resolve_offsets, extract_fwhm
-from .meanfield import ShiftQuadrature
+from .localization import ScanProfile, _axis_two_photon, _radius_grid, _resolve_offsets, extract_fwhm
+from .meanfield import ShiftQuadrature, localized_point
 from .parallel import pairwise_sum
 
 KIND_INTENSITY = "intensity"
@@ -80,7 +80,7 @@ def noisy_transverse_scan(
 
     The x grid mirrors a radius grid through the origin, so the x >= 0 half
     coincides sample-for-sample with a radial scan. The profile is taken at
-    the calibrated working point (z = 3 lambda_c/4, delta - Delta_c0 = s_0)
+    the calibrated working point (the standing-wave node, delta - Delta_c0 = s_0)
     unless `delta_offset` detunes it deliberately. Averages accumulate as
     offsets from the first trajectory, so identical trajectories average to
     the identical profile. `quadrature` serves only the s0 calibration.
@@ -91,8 +91,7 @@ def noisy_transverse_scan(
     x = np.concatenate([-r[:0:-1], r])
     u = np.abs(x)
 
-    dp = config.probe.delta_p
-    mismatch0 = delta_offset - s0  # exactly 0.0 when calibrated
+    on_node = _axis_two_photon(config, localized_point(config).z, s0, delta_offset)
     intensity = spec.kind == KIND_INTENSITY
     scale = spec.std_dev * beam.omega_c0 if intensity else spec.std_dev
 
@@ -104,18 +103,15 @@ def noisy_transverse_scan(
             amplitudes = beam.omega_c0 + draws
             clamp_count += int(np.count_nonzero(amplitudes < 0.0))
             env = control_envelope(u, beam, amplitude=np.maximum(amplitudes, 0.0))
-            two_photon = dp + mismatch0
+            two_photon = on_node
         else:
             env = control_envelope(u, beam)
-            two_photon = dp + mismatch0 + draws
+            two_photon = on_node + draws
         sigmas.append(np.asarray(steady_population(config, env * env, two_photon), dtype=float))
 
     base = sigmas[0]
     n_traj = float(spec.trajectories)
-    if spec.trajectories == 1:
-        mean = base.copy()
-    else:
-        mean = base + pairwise_sum([s - base for s in sigmas[1:]]) / n_traj
+    mean = base + pairwise_sum([s - base for s in sigmas[1:]]) / n_traj
     variance = pairwise_sum([(s - mean) ** 2 for s in sigmas]) / n_traj
     spread = np.sqrt(variance)
 

@@ -93,7 +93,6 @@ def random_drive(rng, with_decay_chain=False):
         delta_p=float(rng.uniform(-12.0, 12.0)),
         delta_c=float(rng.uniform(-12.0, 12.0)),
         s_shift=float(rng.uniform(-6.0, 6.0)),
-        gamma=0.5 * (gamma_e + gamma_r),
         gamma_e=gamma_e,
         gamma_r=gamma_r,
     )
@@ -134,7 +133,6 @@ def drive_at_intensity_ratio(kappa, q=2.0 / 3.0):
         delta_p=0.0,
         delta_c=0.0,
         s_shift=0.0,
-        gamma=m.gamma,
         gamma_e=m.gamma_e,
         gamma_r=m.gamma_r,
     )

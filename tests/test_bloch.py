@@ -62,9 +62,20 @@ def test_local_drive_rejects_a_complex_control_amplitude():
     # the control amplitude is real; a complex one would silently give a wrong bloch_rhs
     for bad in (10.0 + 0j, 10.0j, "10"):
         with pytest.raises(ValueError, match="omega_c"):
-            LocalDrive(10.0, bad, 0.0, 0.0, 0.0, 19.0, 38.0)
+            LocalDrive(10.0, bad, 0.0, 0.0, 0.0, 38.0)
     # a numpy real is accepted; on resonance with I_p = I_c the population is I_p / (I_p + I_c)
-    assert steady_sigma_rr(LocalDrive(10.0, np.float64(10.0), 0.0, 0.0, 0.0, 19.0, 38.0)) == 0.5
+    assert steady_sigma_rr(LocalDrive(10.0, np.float64(10.0), 0.0, 0.0, 0.0, 38.0)) == 0.5
+
+
+def test_the_dephasing_rate_is_derived_from_the_decay_rates():
+    # gamma is not a field, so no drive can contradict (gamma_e + gamma_r)/2
+    with pytest.raises(TypeError, match="gamma"):
+        LocalDrive(10.0, 10.0, 0.0, 0.0, 0.0, gamma=19.0, gamma_e=38.0)
+    assert LocalDrive(10.0, 10.0, 0.0, 0.0, 0.0, 38.0, 2.0).gamma == 20.0
+    cfg = make_config(gamma_r_mhz=0.4)
+    drive = LocalDrive.from_config(cfg, Position(r=0.5, z=0.2))
+    assert drive.gamma == cfg.medium.gamma
+    assert drive.gamma_r == cfg.medium.gamma_r > 0.0
 
 
 def test_rhs_matches_the_independent_master_equation():
@@ -84,7 +95,7 @@ def test_rhs_matches_the_independent_master_equation():
 
 
 def test_ground_state_without_probe_is_stationary():
-    drive = LocalDrive(0.0, 10.0, 1.0, 2.0, 0.0, 19.0, 38.0)
+    drive = LocalDrive(0.0, 10.0, 1.0, 2.0, 0.0, 38.0)
     assert np.all(bloch_rhs(GROUND, drive) == 0.0)
 
 
@@ -97,7 +108,7 @@ def test_derivative_conserves_the_trace():
 
 
 def test_uncoupled_rydberg_level_stays_empty():
-    drive = LocalDrive(8.0, 0.0, 0.0, 0.0, 0.0, 19.0, 38.0)
+    drive = LocalDrive(8.0, 0.0, 0.0, 0.0, 0.0, 38.0)
     states = rk4_run(GROUND, drive, n_steps=2000, dt=1e-3)
     assert np.all(states[:, 2] == 0.0)
     assert np.all(states[:, 7:9] == 0.0)
@@ -122,14 +133,14 @@ def test_long_time_evolution_reaches_the_analytic_steady_state():
 
 
 def test_halving_the_step_barely_moves_the_endpoint():
-    drive = LocalDrive(12.0, 9.0, 5.0, -8.0, 2.0, 19.0, 38.0)
+    drive = LocalDrive(12.0, 9.0, 5.0, -8.0, 2.0, 38.0)
     coarse = rk4_run(GROUND, drive, n_steps=2000, dt=1e-3)
     fine = rk4_run(GROUND, drive, n_steps=4000, dt=5e-4)
     assert abs(coarse[-1, 2] - fine[-1, 2]) < 1e-8
 
 
 def test_step_size_guard_rejects_underresolved_integration():
-    drive = LocalDrive(10.0, 10.0, 0.0, 0.0, 0.0, 19.0, 38.0)
+    drive = LocalDrive(10.0, 10.0, 0.0, 0.0, 0.0, 38.0)
     with pytest.raises(ValueError, match="dt"):
         steady_time(drive, dt=0.01)
 
@@ -140,7 +151,7 @@ def test_steady_sigma_special_points():
     # compensated two-photon detuning at equal intensities: 1/2
     assert sigma_rr_steady(4.0, 4.0, 0.0, 0.0, 19.0) == 0.5
     with pytest.raises(ValueError, match="degenerate"):
-        steady_sigma_rr(LocalDrive(0.0, 0.0, 0.0, 0.0, 0.0, 19.0, 38.0))
+        steady_sigma_rr(LocalDrive(0.0, 0.0, 0.0, 0.0, 0.0, 38.0))
 
 
 def _full_denominator_sigma(ip, ic, delta_p, two_photon, gamma):

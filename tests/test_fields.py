@@ -8,6 +8,7 @@ import pytest
 from vortexloc import make_config
 from vortexloc.config import TWO_PI, with_winding
 from vortexloc.fields import (
+    _bisect,
     control_envelope,
     detuning_profile,
     envelope_peak_radius,
@@ -69,6 +70,42 @@ def test_radius_at_eta_inverts_eta_inside_the_envelope_peak(winding):
         r = radius_at_eta(q, cfg)
         assert 0.0 < r < r_peak
         assert eta_of_radius(r, cfg) == pytest.approx(q, rel=1e-9)
+
+
+def test_eta_is_the_squared_control_envelope_over_the_probe_intensity():
+    cfg = make_config(kappa=177.1)
+    r = np.linspace(0.0, 3.0, 301)
+    env = control_envelope(r, cfg.beam)
+    assert np.array_equal(eta_of_radius(r, cfg), env * env / cfg.probe.intensity)
+    for radius in r[::10].tolist():
+        env = control_envelope(radius, cfg.beam)
+        eta = eta_of_radius(radius, cfg)
+        assert type(eta) is float
+        assert eta == env * env / cfg.probe.intensity
+    for q in (1e-3, 1.0, 0.99 * eta_of_radius(envelope_peak_radius(cfg.beam), cfg)):
+        env = control_envelope(radius_at_eta(q, cfg), cfg.beam)
+        assert env * env / cfg.probe.intensity == pytest.approx(q, rel=1e-9)
+
+
+@pytest.mark.parametrize("xtol", [1e-3, 1e-12, 0.0])
+def test_bisect_on_array_brackets_equals_the_scalar_call_per_element(xtol):
+    rng = np.random.default_rng(17)
+    roots = rng.uniform(-2.0, 2.0, 40)
+    lo = roots - rng.uniform(0.0, 1.0, roots.size)
+    hi = roots + rng.uniform(0.0, 1.0, roots.size)
+    predicates = (
+        lambda c: lambda x: (x - c) ** 3 + 0.5 * (x - c),  # rising
+        lambda c: lambda x: c - x,  # falling
+        lambda c: lambda x: x >= c,  # boolean, as the blockade march's
+    )
+    for predicate in predicates:
+        together = _bisect(predicate(roots), lo, hi, xtol)
+        assert isinstance(together, np.ndarray) and together.shape == roots.shape
+        for k in range(roots.size):
+            alone = _bisect(predicate(roots[k]), float(lo[k]), float(hi[k]), xtol)
+            assert type(alone) is float
+            assert alone == together[k]
+            assert abs(alone - roots[k]) <= max(xtol, 1e-15)
 
 
 def test_radius_at_eta_rejects_ratios_it_cannot_reach():

@@ -233,6 +233,22 @@ def test_default_map_extents_frame_the_peak():
     assert map_window(CFG, 0.05) == ((-0.05, 0.05), (-0.05, 0.05), (z_lo, z_hi))
 
 
+def test_a_custom_period_puts_the_working_point_and_its_windows_on_the_node():
+    # the node is three quarters of the modulation period up, not of the control wavelength
+    config = make_config(kappa=180.0, period_um=0.4567)
+    z_node = localized_point(config).z
+    assert z_node == 0.75 * config.detuning.period
+    s0 = TWO_PI * 0.415
+    window = map_window(config)
+    assert 0.5 * (window[2][0] + window[2][1]) == pytest.approx(z_node, abs=1e-12)
+    volume = map3d(config, extents=window, spacing=tuple((hi - lo) / 30.0 for lo, hi in window), s0=s0)
+    assert volume.field.max() == pytest.approx(1.0, abs=1e-12)
+    z_lo, z_hi = iso_extents(volume)["z"]
+    assert 0.5 * (z_lo + z_hi) == pytest.approx(z_node, abs=1e-9)
+    profile = longitudinal_scan(config, s0=s0)
+    assert abs(profile.peak_coord - z_node) <= 0.5 * (profile.coords[1] - profile.coords[0])
+
+
 def test_map_is_symmetric_under_beam_rotations(fast_calibration):
     s0, _ = fast_calibration(100.0)
     # binary-exact grid values keep the x -> -x reflection bitwise exact

@@ -13,7 +13,7 @@ from oracles import halved
 from vortexloc import make_config, meanfield
 from vortexloc.bloch import b_coefficients, b_values, linewidth_from
 from vortexloc.config import TWO_PI, Position
-from vortexloc.fields import control_envelope, detuning_profile
+from vortexloc.fields import _bisect, control_envelope, detuning_profile
 from vortexloc.meanfield import (
     MASK_ATOM,
     MASK_LOCAL,
@@ -22,6 +22,7 @@ from vortexloc.meanfield import (
     blockade_boundary,
     blockade_radius,
     calibrated_offset,
+    local_linewidth,
     localized_point,
     masked_kernel_sum,
     s0_integral,
@@ -688,13 +689,39 @@ def _scalar_march_boundary(atom_pos, config, resolution, refine_tol=1e-3):
 
 @pytest.mark.parametrize(
     "kappa, r_um, resolution",
-    [(10.0, 0.0, 16), (180.0, 0.0, 64), (500.0, 0.0, 256), (150.0, 0.71, 64), (300.0, 1.37, 16), (500.0, 0.3, 16)],
+    [
+        (10.0, 0.0, 16),
+        (180.0, 0.0, 64),
+        (500.0, 0.0, 256),
+        (300.0, 0.0, 512),
+        (150.0, 0.71, 64),
+        (300.0, 1.37, 16),
+        (500.0, 0.3, 16),
+    ],
 )
 def test_boundary_equals_the_scalar_march_oracle(kappa, r_um, resolution):
     config = make_config(kappa=kappa)
     pos = Position(r=r_um, z=0.75 * config.beam.wavelength_c)
     got = blockade_boundary(pos, config, resolution=resolution)
     assert np.array_equal(got.distances, _scalar_march_boundary(pos, config, resolution))
+
+
+@pytest.mark.parametrize("kappa, r_um", [(300.0, 0.0), (150.0, 0.71)])
+def test_boundary_bisects_all_directions_as_each_alone(kappa, r_um):
+    # the one array bisection gives each direction what a scalar bisection of
+    # its own first march bracket gives, bit for bit
+    config = make_config(kappa=kappa)
+    pos = Position(r=r_um, z=localized_point(config).z)
+    got = blockade_boundary(pos, config, resolution=128)
+    c6 = config.medium.c6
+    cap = 1.5 * float(np.max(blockade_radius(local_linewidth(config, np.abs([r_um, 0.0])), c6)))
+    march = np.linspace(0.0, cap, 1024)
+    for cos, distance in zip(np.cos(got.angles), got.distances):
+        def outside(d, cos=cos):
+            return d >= blockade_radius(local_linewidth(config, np.abs(r_um + d * cos)), c6)
+
+        first = int(np.argmax(outside(march[1:])))
+        assert _bisect(outside, march[first], march[first + 1], 1e-3) == distance
 
 
 def test_boundary_input_validation():
