@@ -292,7 +292,7 @@ def map_window(config: SystemConfig, xy_half: float | None = None) -> tuple[tupl
             xy_half = 1.5 * beam.waist_w0
     w_core = float(local_linewidth(config, 0.0))
     try:
-        z_half = 3.0 * analytic_a_z(w_core, config.detuning.delta_c0, beam.wavelength_c)
+        z_half = 3.0 * analytic_a_z(w_core, config.detuning.delta_c0, config.detuning.period)
     except ValueError:
         z_half = 0.5 * config.detuning.period
     z_half = min(z_half, 0.5 * config.detuning.period)

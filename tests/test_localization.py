@@ -249,6 +249,14 @@ def test_a_custom_period_puts_the_working_point_and_its_windows_on_the_node():
     assert abs(profile.peak_coord - z_node) <= 0.5 * (profile.coords[1] - profile.coords[0])
 
 
+def test_the_map_window_along_z_scales_with_the_modulation_period():
+    # three longitudinal widths of the standing wave, which scale with its period, not with lambda_c
+    config = make_config(kappa=180.0, period_um=0.4567)
+    z_lo, z_hi = map_window(config)[2]
+    assert 0.5 * (z_hi - z_lo) == pytest.approx(0.02848, abs=5e-6)
+    assert 0.5 * (z_hi - z_lo) == pytest.approx(3.0 * analytic_a_z(_core_w(config), config.detuning.delta_c0, 0.4567))
+
+
 def test_map_is_symmetric_under_beam_rotations(fast_calibration):
     s0, _ = fast_calibration(100.0)
     # binary-exact grid values keep the x -> -x reflection bitwise exact

@@ -1,6 +1,8 @@
 """Result file rendering: manifests, tables, reproducible bytes."""
 
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,19 @@ from vortexloc.output import (
 )
 
 CFG = make_config(kappa=10.0)
+# chunk sizes the renderers are checked at: a few rows, so every test table
+# spans several chunks, and the size the library uses
+CHUNK_ROWS = [1, 2, 7, output._CHUNK_ROWS]
+
+
+def rendered(render, manifest, columns, summary, chunk_rows=None):
+    """The text render writes into a handle, with chunk_rows rows per chunk if given."""
+    handle = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk_rows is not None:
+            patch.setattr(output, "_CHUNK_ROWS", chunk_rows)
+        render(manifest, columns, summary, handle)
+    return handle.getvalue()
 
 
 def test_fmt_number_is_type_stable():
@@ -66,8 +81,8 @@ def test_manifest_header_layout():
 
 def test_csv_layout_and_column_length_check():
     manifest = RunManifest("scan-r", CFG, params={"samples": 3})
-    text = render_csv(manifest, {"r_um": [0.0, 0.1, 0.2], "sigma_rr": [1.0, 0.5, 0.25]},
-                      {"fwhm_um": 0.2})
+    text = rendered(render_csv, manifest, {"r_um": [0.0, 0.1, 0.2], "sigma_rr": [1.0, 0.5, 0.25]},
+                    {"fwhm_um": 0.2})
     lines = text.splitlines()
     header = [line for line in lines if line.startswith("#")]
     body = [line for line in lines if not line.startswith("#")]
@@ -76,12 +91,12 @@ def test_csv_layout_and_column_length_check():
     assert body[1] == "0,1"
     assert body[3] == "0.2,0.25"
     with pytest.raises(ValueError, match="equal length"):
-        render_csv(manifest, {"a": [1.0, 2.0], "b": [1.0]}, None)
+        rendered(render_csv, manifest, {"a": [1.0, 2.0], "b": [1.0]}, None)
 
 
 def test_json_payload_parses_and_echoes_everything():
     manifest = RunManifest("scan-z", CFG, params={"samples": 2}, seed=9)
-    payload = json.loads(render_json(manifest, {"z_um": np.array([0.1, 0.2])}, {"peak": 1.0}))
+    payload = json.loads(rendered(render_json, manifest, {"z_um": np.array([0.1, 0.2])}, {"peak": 1.0}))
     assert payload["manifest"]["tool"] == PACKAGE_NAME
     assert payload["manifest"]["seed"] == 9
     assert payload["manifest"]["config"]["kappa"] == pytest.approx(10.0)
@@ -149,7 +164,7 @@ def explicit_columns(n=12):
         "f_big_endian": floats.astype(">f8"),
         "f_long": floats.astype(np.longdouble),
         "signed_zeros": np.array([0.0, -0.0, 0.0, 0.0, -0.0, 1.0] * (n // 6) + [-0.0] * (n % 6)),
-        "grid": np.meshgrid(np.linspace(-1.0, 1.0, 3), np.arange(n // 3), indexing="ij")[0].ravel(),
+        "grid": np.resize(np.meshgrid(np.linspace(-1.0, 1.0, 3), np.arange(max(n // 3, 1)), indexing="ij")[0], n),
         "i": np.arange(-5, n - 5),
         "u": np.arange(n, dtype=np.uint64) * (2**60),
         "b": np.arange(n) % 3 == 0,
@@ -159,32 +174,46 @@ def explicit_columns(n=12):
     }
 
 
+def table_lengths(chunk_rows):
+    """Row counts around the chunk boundaries, and the 12 rows of explicit_columns()."""
+    return (0, 1, chunk_rows, chunk_rows + 1, 12)
+
+
 def test_render_csv_equals_the_per_cell_oracle():
-    columns = explicit_columns()
     manifest = RunManifest("map3d", CFG, params={})
-    want = oracle_csv(manifest, columns, None)
-    assert render_csv(manifest, columns, None) == want
+    summary = {"peak": 1.0, "iso_x_um": (-0.5, 0.5), "absent": None}
+    empty = {"a": np.array([]), "b": np.array([], dtype=np.int64)}
+    for chunk_rows in CHUNK_ROWS:
+        for n in table_lengths(chunk_rows):
+            columns = explicit_columns(n)
+            for summ in (None, summary):
+                assert rendered(render_csv, manifest, columns, summ, chunk_rows) == oracle_csv(manifest, columns, summ)
+        assert rendered(render_csv, manifest, {}, None, chunk_rows) == oracle_csv(manifest, {}, None)
+        assert rendered(render_csv, manifest, empty, None, chunk_rows) == oracle_csv(manifest, empty, None)
+    want = rendered(render_csv, manifest, explicit_columns(), None)
     assert "nan,nan" in want and "-inf" in want and "1e-300" in want and "1e+16" in want
     assert ",-0," in want and ",0," in want
-    summary = {"peak": 1.0, "iso_x_um": (-0.5, 0.5), "absent": None}
-    assert render_csv(manifest, columns, summary) == oracle_csv(manifest, columns, summary)
-    assert render_csv(manifest, {}, None) == oracle_csv(manifest, {}, None)
-    empty = {"a": np.array([]), "b": np.array([], dtype=np.int64)}
-    assert render_csv(manifest, empty, None) == oracle_csv(manifest, empty, None)
 
 
-def test_render_json_equals_the_dumps_oracle_on_explicit_columns():
-    columns = explicit_columns()
+def explicit_json_columns(n=12):
+    columns = explicit_columns(n)
     columns["nested"] = [[1.0, -0.0], [np.nan, 2]]
     columns["empty"] = np.array([])
     columns["empty_list"] = []
     columns["text"] = np.array(["a", "b\nc"])
     columns["naïve \"name\""] = np.array([1.0, 1.0])
+    return columns
+
+
+def test_render_json_equals_the_dumps_oracle_on_explicit_columns():
     manifest = RunManifest("map3d", CFG, params={"samples": 3, "axes": ("x", "y")}, seed=2)
     summary = {"peak": np.float64(1.0), "iso_x_um": np.array([-0.5, 0.5]), "absent": None, "n": np.int64(3)}
-    for cols, summ in ((columns, summary), (columns, None), ({}, None), ({}, summary)):
-        assert render_json(manifest, cols, summ) == oracle_json(manifest, cols, summ)
-    text = render_json(manifest, columns, summary)
+    for chunk_rows in CHUNK_ROWS:
+        for n in table_lengths(chunk_rows):
+            columns = explicit_json_columns(n)
+            for cols, summ in ((columns, summary), (columns, None), ({}, None), ({}, summary)):
+                assert rendered(render_json, manifest, cols, summ, chunk_rows) == oracle_json(manifest, cols, summ)
+    text = rendered(render_json, manifest, explicit_json_columns(), summary)
     assert "NaN" in text and "-Infinity" in text and "5e-324" in text and "1e+16" in text
     assert "-0.0" in text and "true" in text
 
@@ -194,15 +223,63 @@ def test_renderers_raise_what_the_oracles_raise():
     with pytest.raises(TypeError):
         oracle_csv(manifest, {"m": np.zeros((2, 2))}, None)
     with pytest.raises(TypeError):
-        render_csv(manifest, {"m": np.zeros((2, 2))}, None)
+        rendered(render_csv, manifest, {"m": np.zeros((2, 2))}, None)
     for columns in ({"c": np.array([1 + 2j])}, {"o": np.array([object()], dtype=object)}):
         with pytest.raises(TypeError):
             oracle_json(manifest, columns, None)
         with pytest.raises(TypeError):
-            render_json(manifest, columns, None)
+            rendered(render_json, manifest, columns, None)
     for render in (render_csv, render_json):
         with pytest.raises(TypeError):
-            render(manifest, {0: np.array([1.0])}, None)
+            rendered(render, manifest, {0: np.array([1.0])}, None)
+
+
+# Tables each renderer refuses, with the error it raises: every check runs
+# before the first write, and the file is made by that write.
+REFUSED_TABLES = {
+    "csv_unequal_lengths": ("csv", {"a": np.arange(3.0), "b": [1.0]}, None, ValueError),
+    "csv_two_dimensional_cells": ("csv", {"v": np.arange(3.0), "m": np.zeros((3, 2))}, None, TypeError),
+    "csv_non_string_name": ("csv", {"v": np.arange(3.0), 0: np.arange(3.0)}, None, TypeError),
+    "csv_object_cell": ("csv", {"v": np.arange(3.0), "o": np.array([1.0, object(), 2.0], dtype=object)}, None,
+                        TypeError),
+    "json_non_string_name": ("json", {"v": np.arange(3.0), 0: np.arange(3.0)}, None, TypeError),
+    "json_complex_cells": ("json", {"a": np.arange(3.0), "c": np.array([1.0, 1 + 2j, 3.0])}, None, TypeError),
+    "json_object_cell": ("json", {"a": np.arange(3.0), "o": np.array([1.0, object(), 2.0], dtype=object)}, None,
+                         TypeError),
+    "json_complex_summary": ("json", {"a": np.arange(3.0)}, {"peak": 1j}, TypeError),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_TABLES))
+def test_a_refused_table_leaves_no_file(case, tmp_path):
+    file_format, columns, summary, error = REFUSED_TABLES[case]
+    path = tmp_path / f"t.{file_format}"
+    with pytest.raises(error):
+        write_table(str(path), RunManifest("steady", CFG, params={}), columns, summary, file_format)
+    assert not path.exists()
+
+
+class Discard:
+    """A text sink that keeps nothing."""
+
+    def write(self, text):
+        pass
+
+
+@pytest.mark.parametrize("render", [render_csv, render_json])
+def test_rendering_a_large_grid_holds_one_chunk_not_the_text(render):
+    # a 64^3 map-like table: three grid columns and a field of the radius and z
+    axis = np.linspace(-1.0, 1.0, 64)
+    x, y, z = (c.ravel() for c in np.meshgrid(axis, axis, axis, indexing="ij"))
+    columns = {"x_um": x, "y_um": y, "z_um": z, "sigma_rr": np.exp(-(x * x + y * y)) * np.cos(z)}
+    manifest = RunManifest("map3d", CFG, params={})
+    tracemalloc.start()
+    try:
+        render(manifest, columns, None, Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / x.size < 64
 
 
 SOME_FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
@@ -251,14 +328,18 @@ def csv_tables(draw):
 def test_render_json_equals_the_dumps_oracle(table):
     columns, summary = table
     manifest = RunManifest("scan-r", CFG, params={"samples": 3})
-    assert render_json(manifest, columns, summary) == oracle_json(manifest, columns, summary)
+    want = oracle_json(manifest, columns, summary)
+    for chunk_rows in CHUNK_ROWS:
+        assert rendered(render_json, manifest, columns, summary, chunk_rows) == want
 
 
 @settings(max_examples=200, deadline=None)
 @given(csv_tables())
 def test_render_csv_equals_the_per_cell_oracle_on_random_tables(columns):
     manifest = RunManifest("scan-r", CFG, params={"samples": 3})
-    assert render_csv(manifest, columns, None) == oracle_csv(manifest, columns, None)
+    want = oracle_csv(manifest, columns, None)
+    for chunk_rows in CHUNK_ROWS:
+        assert rendered(render_csv, manifest, columns, None, chunk_rows) == want
 
 
 @pytest.mark.parametrize("file_format", ["csv", "json"])
@@ -266,9 +347,9 @@ def test_map3d_files_equal_the_oracle_renderers(file_format, tmp_path, monkeypat
     calls = {}
     real = getattr(output, f"render_{file_format}")
 
-    def spy(manifest, columns, summary):
+    def spy(manifest, columns, summary, handle):
         calls["args"] = (manifest, columns, summary)
-        return real(manifest, columns, summary)
+        real(manifest, columns, summary, handle)
 
     monkeypatch.setattr(output, f"render_{file_format}", spy)
     ini = tmp_path / "run.ini"
@@ -276,11 +357,13 @@ def test_map3d_files_equal_the_oracle_renderers(file_format, tmp_path, monkeypat
     out = tmp_path / f"map.{file_format}"
     argv = ["map3d", "--samples-per-axis", "9", "--kappa", "10", "--s0-mhz", "3", "--xy-half-um", "0.2",
             "--config", str(ini), "--format", file_format, "--out", str(out)]
-    assert cli.main(argv) == 0
-    manifest, columns, summary = calls["args"]
-    assert len(columns["sigma_rr"]) == 9**3
-    oracle = oracle_csv if file_format == "csv" else oracle_json
-    assert out.read_text(encoding="utf-8") == oracle(manifest, columns, summary)
-    sidecar = {"manifest": manifest.to_dict(), "summary": _jsonable(summary)}
-    want = json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
-    assert (tmp_path / f"map.{file_format}.summary.json").read_text(encoding="utf-8") == want
+    for chunk_rows in CHUNK_ROWS:
+        monkeypatch.setattr(output, "_CHUNK_ROWS", chunk_rows)
+        assert cli.main(argv) == 0
+        manifest, columns, summary = calls["args"]
+        assert len(columns["sigma_rr"]) == 9**3
+        oracle = oracle_csv if file_format == "csv" else oracle_json
+        assert out.read_text(encoding="utf-8") == oracle(manifest, columns, summary)
+        sidecar = {"manifest": manifest.to_dict(), "summary": _jsonable(summary)}
+        want = json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
+        assert (tmp_path / f"map.{file_format}.summary.json").read_text(encoding="utf-8") == want
