@@ -39,7 +39,7 @@ from . import bloch, localization, meanfield, noise, output
 from .config import Position, SystemConfig, angular_from_mhz, make_config, mhz_from_angular
 from .fields import envelope_peak_radius, eta_of_radius, radius_at_eta
 from .localization import MODE_NONE, MODE_PARTIAL, MODE_PERFECT, OFFSET_CALIBRATED, OFFSET_DETUNED
-from .meanfield import MASK_ATOM, MASK_LOCAL, QuadratureSpec, ShiftQuadrature
+from .meanfield import MASK_ATOM, MASK_LOCAL, REFERENCE_SPACING, QuadratureSpec, ShiftQuadrature
 
 # Where each (section, key) accepted in config files goes: a make_config
 # kwarg for the physics sections, else the dest of the flag it stands in for.
@@ -116,17 +116,16 @@ def _build_config(args, physics: dict, default_kappa: float | None) -> SystemCon
     return make_config(**kwargs)
 
 
-def _resolve_quad(args, config: SystemConfig, default) -> QuadratureSpec | None:
-    """The lattice the run pins down, else `default(lambda_c)`, or None to let the op choose.
+def _resolve_quad(args, config: SystemConfig, default_spacing: float | None) -> QuadratureSpec | None:
+    """The lattice the run pins down, else the one of `default_spacing`, or None to let the op choose.
 
     An extent needs a spacing: the default spacing differs between subcommands.
     """
-    lam = config.beam.wavelength_c
-    if args.grid_spacing is None:
-        if args.grid_extent is not None:
-            raise ValueError("--grid-extent ([quadrature] extent) needs --grid-spacing ([quadrature] spacing) too")
-        return None if default is None else default(lam)
-    return QuadratureSpec.scaled(lam, args.grid_spacing, args.grid_extent if args.grid_extent is not None else 100.0)
+    if args.grid_spacing is None and args.grid_extent is not None:
+        raise ValueError("--grid-extent ([quadrature] extent) needs --grid-spacing ([quadrature] spacing) too")
+    spacing = default_spacing if args.grid_spacing is None else args.grid_spacing
+    extent = 100.0 if args.grid_extent is None else args.grid_extent
+    return None if spacing is None else QuadratureSpec.scaled(config.beam.wavelength_c, spacing, extent)
 
 
 def _parse_threads(text: str) -> int:
@@ -178,9 +177,9 @@ def _one_row(values: dict) -> dict:
     return {k: [v] for k, v in values.items()}
 
 
-def _profile_table(profile: localization.ScanProfile) -> tuple[dict, dict]:
+def _profile_table(profile: localization.ScanProfile, config: SystemConfig) -> tuple[dict, dict]:
     """Columns (coordinate in um and in lambda_c, sigma_rr) and the width summary of a 1-D profile."""
-    lam = profile.lambda_c
+    lam = config.beam.wavelength_c
     columns = {
         f"{profile.axis}_um": profile.coords,
         f"{profile.axis}_lambda": profile.coords / lam,
@@ -209,7 +208,7 @@ def _cmd_scan_r(args, config, quadrature):
     profile = localization.transverse_scan(
         config, mode=args.mode, r_max=args.r_max_um, n_samples=args.samples, quadrature=quadrature
     )
-    columns, summary = _profile_table(profile)
+    columns, summary = _profile_table(profile, config)
     summary["mode"] = args.mode
     if profile.s0 is not None:
         summary["s0_mhz"] = mhz_from_angular(profile.s0)
@@ -226,7 +225,7 @@ def _cmd_scan_z(args, config, quadrature):
         quadrature=quadrature,
     )
     params = {"samples": args.samples, "z_min_um": profile.coords[0], "z_max_um": profile.coords[-1]}
-    columns, summary = _profile_table(profile)
+    columns, summary = _profile_table(profile, config)
     summary.update(
         mode=profile.mode,
         peak_z_um=profile.peak_coord,
@@ -254,16 +253,11 @@ def _cmd_scan_l(args, config):
 
 
 def _cmd_map3d(args, config, quadrature):
-    n = args.samples_per_axis
-    if n < 2:
-        raise ValueError("need at least 2 samples per axis")
     extents = localization.map_window(config, args.xy_half_um)
-    # spacing derives from the extents so each axis lands exactly on n samples
-    spacing = tuple((hi - lo) / (n - 1) for lo, hi in extents)
     vol = localization.map3d(
         config,
         extents=extents,
-        spacing=spacing,
+        samples_per_axis=args.samples_per_axis,
         delta_offset_mode=args.mode,
         s0=args.s0,
         quadrature=quadrature,
@@ -278,7 +272,7 @@ def _cmd_map3d(args, config, quadrature):
         "z_um": zg.ravel(),
         "sigma_rr": vol.field.ravel(),
     }
-    params = {"mode": args.mode, "samples_per_axis": n, "per_voxel_exact": args.per_voxel_exact}
+    params = {"mode": args.mode, "samples_per_axis": args.samples_per_axis, "per_voxel_exact": args.per_voxel_exact}
     for name, (lo, hi) in zip("xyz", extents):
         params[f"{name}_min_um"] = lo
         params[f"{name}_max_um"] = hi
@@ -405,7 +399,7 @@ def _cmd_noise(args, config, quadrature):
         "samples": args.samples,
         "x_max_um": profile.coords[-1],
     }
-    columns, summary = _profile_table(profile)
+    columns, summary = _profile_table(profile, config)
     columns["sigma_rr_std"] = scan.spread
     summary.update(
         kind=args.kind,
@@ -434,8 +428,8 @@ class _Command:
     # takes --threads --grid-spacing --grid-extent --mask --tail-tol, and gets
     # them as one ShiftQuadrature
     quadrature: bool = False
-    # lattice passed (and echoed) when the run names none; None lets the op choose
-    default_quad: Callable[[float], QuadratureSpec] | None = None
+    # lattice spacing (lambda_c multiples) passed, and echoed, when the run names none; None lets the op choose
+    default_spacing: float | None = None
     default_kappa: float | None = None
 
 
@@ -473,7 +467,7 @@ _COMMANDS = {
         ("--axis", dict(choices=("radial", "longitudinal"), default="radial")),
         ("--max-um", dict(type=float, help="radial extent (radial axis only)")),
         ("--samples", dict(type=int, default=21)),
-    ), quadrature=True, default_quad=QuadratureSpec.paper_default),
+    ), quadrature=True, default_spacing=REFERENCE_SPACING),
     "calibrate-delta": _Command("self-consistent detuning offset", "calibrate_delta", _cmd_calibrate, (
         ("--max-iter", dict(type=int, default=8)),
     ), quadrature=True),
@@ -548,7 +542,7 @@ def main(argv=None) -> int:
         echo, extra = {}, {}
         if cmd.quadrature:
             op = "QuadratureSpec.scaled"
-            lattice = _resolve_quad(args, config, cmd.default_quad)
+            lattice = _resolve_quad(args, config, cmd.default_spacing)
             op = "ShiftQuadrature"
             extra["quadrature"] = ShiftQuadrature(lattice, args.mask, args.tail_tol, args.threads)
             echo["mask"] = args.mask

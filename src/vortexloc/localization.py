@@ -9,6 +9,7 @@ grid; widths come from half-maximum crossings refined by bisection.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,9 @@ import numpy as np
 from .bloch import steady_population
 from .config import STANDING_WAVE, TWO_PI, Position, SystemConfig, with_winding
 from .fields import _bisect, control_envelope
-from .meanfield import QuadratureSpec, ShiftQuadrature, calibrated_offset, local_linewidth, localized_point, shift_at
+from .meanfield import (
+    FAST_SPACING, QuadratureSpec, ShiftQuadrature, calibrated_offset, local_linewidth, localized_point, shift_at,
+)
 
 MODE_NONE = "none"  # s = 0, exact two-photon resonance everywhere
 MODE_PARTIAL = "partial"  # fixed detuning compensates the core shift s(0) only
@@ -39,7 +42,6 @@ class ScanProfile:
     fwhm: float | None  # um
     peak: float
     peak_coord: float  # um
-    lambda_c: float
     s0: float | None = None  # rad/us
     delta_offset: float | None = None  # delta - Delta_c0, rad/us
 
@@ -52,7 +54,6 @@ class Map3D:
     y: np.ndarray
     z: np.ndarray
     field: np.ndarray  # shape (nx, ny, nz)
-    mode: str
     s0: float
     delta_offset: float
 
@@ -111,12 +112,11 @@ def transverse_scan(
 
     beam = config.beam
     dp = config.probe.delta_p
-    lambda_c = beam.wavelength_c
     z_loc = localized_point(config).z
 
     s0 = None
     if mode == MODE_PARTIAL:
-        quadrature = quadrature.or_lattice(QuadratureSpec.fast(lambda_c))
+        quadrature = quadrature.or_lattice(QuadratureSpec.scaled(beam.wavelength_c, FAST_SPACING))
         # the grid is one batched quadrature; it seeds the shifts the
         # bisection reads back, and each new bisection radius adds one
         s_grid = shift_at([Position(r=float(rj), z=z_loc) for rj in r], config, quadrature)
@@ -150,7 +150,7 @@ def transverse_scan(
         raise ValueError(
             f"no crossing of the half maximum within r_max={r[-1]:g} um; widen the scan"
         )
-    crossing = _bisect(lambda radius: sigma_of(radius) - HALF_MAX, r[last], r[last + 1], 1e-4 * lambda_c)
+    crossing = _bisect(lambda radius: sigma_of(radius) - HALF_MAX, r[last], r[last + 1], 1e-4 * beam.wavelength_c)
 
     return ScanProfile(
         axis="r",
@@ -160,7 +160,6 @@ def transverse_scan(
         fwhm=2.0 * crossing,
         peak=float(sigma.max()),
         peak_coord=float(r[int(np.argmax(sigma))]),
-        lambda_c=lambda_c,
         s0=s0,
     )
 
@@ -212,7 +211,7 @@ def _resolve_offsets(
     """(s_0, delta offset, quadrature on its lattice), calibrating s_0 on the fast lattice when not given."""
     if config.detuning.mode != STANDING_WAVE:
         raise ValueError("standing-wave detuning mode required")
-    quadrature = quadrature.or_lattice(QuadratureSpec.fast(config.beam.wavelength_c))
+    quadrature = quadrature.or_lattice(QuadratureSpec.scaled(config.beam.wavelength_c, FAST_SPACING))
     if s0 is None:
         s0, _ = calibrated_offset(config, quadrature)
     if delta_offset is None:
@@ -238,7 +237,6 @@ def longitudinal_scan(
         raise ValueError("n_samples must be at least 100")
     s0, delta_offset, _ = _resolve_offsets(config, s0, delta_offset, quadrature)
     mod = config.detuning
-    lambda_c = config.beam.wavelength_c
     if z_range is None:
         z_node = localized_point(config).z
         z_range = (z_node - 0.5 * mod.period, z_node + 0.5 * mod.period)
@@ -255,7 +253,7 @@ def longitudinal_scan(
     peak_i = int(np.argmax(sigma))
     if sigma[peak_i] < HALF_MAX:
         raise ValueError("profile never reaches the half maximum")
-    xtol = 1e-4 * lambda_c
+    xtol = 1e-4 * config.beam.wavelength_c
     left_i, right_i = _run_around(sigma, peak_i, HALF_MAX)
     if right_i + 1 >= n_samples or left_i == 0:
         raise ValueError("no crossing of the half maximum inside the window; widen z_range")
@@ -270,7 +268,6 @@ def longitudinal_scan(
         fwhm=right - left,
         peak=float(sigma[peak_i]),
         peak_coord=float(z[peak_i]),
-        lambda_c=lambda_c,
         s0=s0,
         delta_offset=delta_offset,
     )
@@ -303,7 +300,7 @@ def map_window(config: SystemConfig, xy_half: float | None = None) -> tuple[tupl
 def map3d(
     config: SystemConfig,
     extents: tuple[tuple[float, float], tuple[float, float], tuple[float, float]] | None = None,
-    spacing: float | tuple[float, float, float] | None = None,
+    samples_per_axis: int = 101,
     delta_offset_mode: str = OFFSET_CALIBRATED,
     s0: float | None = None,
     quadrature: ShiftQuadrature = ShiftQuadrature(),
@@ -311,29 +308,28 @@ def map3d(
 ) -> Map3D:
     """Steady excitation on a 3D cartesian grid around the localized point.
 
-    The calibrated mode sets delta - Delta_c0 = s_0 (peak pinned to the
-    node); the detuned mode doubles the offset, which suppresses and widens
-    the peak. By default the shift is frozen at s_0 over the whole grid;
-    `per_voxel_exact` re-evaluates the quadrature per voxel and is only
-    permitted on small grids.
+    Each axis holds `samples_per_axis` evenly spaced samples across its
+    extent (default: `map_window`). The calibrated mode sets delta -
+    Delta_c0 = s_0 (peak pinned to the node); the detuned mode doubles the
+    offset, which suppresses and widens the peak. By default the shift is
+    frozen at s_0 over the whole grid; `per_voxel_exact` re-evaluates the
+    quadrature per voxel and is only permitted on small grids.
     """
+    n = operator.index(samples_per_axis)  # a float count is a TypeError
+    if n < 2:
+        raise ValueError("need at least 2 samples per axis")
     if delta_offset_mode not in (OFFSET_CALIBRATED, OFFSET_DETUNED):
         raise ValueError(f"unknown delta offset mode '{delta_offset_mode}'")
 
     if extents is None:
         extents = map_window(config)
-    if spacing is None:
-        spacing = tuple((hi - lo) / 100.0 for lo, hi in extents)
-    elif np.ndim(spacing) == 0:
-        spacing = (float(spacing),) * 3
-
     axes = []
-    for name, (lo, hi), step in zip("xyz", extents, spacing):
+    for name, (lo, hi) in zip("xyz", extents):
+        step = (hi - lo) / (n - 1)
         if not all(map(math.isfinite, (lo, hi, step))):
             raise ValueError(f"{name} extent [{lo:g}, {hi:g}] and spacing {step:g} must be finite")
         if not (hi > lo and step > 0):
             raise ValueError("extents must be increasing and spacing positive")
-        n = int(round((hi - lo) / step)) + 1
         axes.append(lo + step * np.arange(n))
     x, y, z = axes
 
@@ -370,7 +366,6 @@ def map3d(
         y=y,
         z=z,
         field=field_grid,
-        mode=delta_offset_mode,
         s0=s0,
         delta_offset=offset,
     )

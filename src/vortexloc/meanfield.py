@@ -61,6 +61,10 @@ _MAX_FOLD_PERIODS = 8
 _BLOCK_FLOATS = 1 << 16
 _CALIBRATION_REL_TOL = 1e-3  # fixed-point stop: |delta step| <= this times |s_0|
 _REFINE_TOL = 1e-3  # blockade boundary crossings are bisected to this width, um
+# Default lattice spacings, multiples of lambda_c: the reference lattice, and the
+# fast one, which agrees with it to well under 1%.
+REFERENCE_SPACING = 0.01
+FAST_SPACING = 0.02
 FOUR_THIRDS_PI = 4.0 * math.pi / 3.0
 
 
@@ -82,17 +86,8 @@ class QuadratureSpec:
             raise ValueError("spacings must not exceed extents")
 
     @classmethod
-    def paper_default(cls, lambda_c: float) -> "QuadratureSpec":
-        """Reference lattice: 100 lambda_c extents, 0.01 lambda_c spacing."""
-        return cls(100.0 * lambda_c, 100.0 * lambda_c, 0.01 * lambda_c, 0.01 * lambda_c)
-
-    @classmethod
-    def fast(cls, lambda_c: float) -> "QuadratureSpec":
-        """Coarser 0.02 lambda_c lattice; agrees with the full grid to well under 1%."""
-        return cls(100.0 * lambda_c, 100.0 * lambda_c, 0.02 * lambda_c, 0.02 * lambda_c)
-
-    @classmethod
     def scaled(cls, lambda_c: float, spacing_multiple: float, extent_multiple: float = 100.0) -> "QuadratureSpec":
+        """The square lattice of the given spacing and extent, both multiples of lambda_c."""
         return cls(
             extent_multiple * lambda_c,
             extent_multiple * lambda_c,
@@ -176,11 +171,13 @@ def local_linewidth(config: SystemConfig, r):
     return linewidth_from(config.probe.intensity, env * env, config.probe.delta_p, config.medium.gamma)
 
 
-def _radial_profiles(config: SystemConfig, r: np.ndarray):
-    """(I_c, w, R_b) on a radius grid."""
+def _blockade_rows(config: SystemConfig, r: np.ndarray):
+    """(R_b, (P, Q, R)) on a radius grid: the blockade radius and the coefficients of B with N_sa(R_b)."""
+    ip, delta_p, gamma = config.probe.intensity, config.probe.delta_p, config.medium.gamma
     env = control_envelope(r, config.beam)
-    w = local_linewidth(config, r)
-    return env * env, w, blockade_radius(w, config.medium.c6)
+    ic = env * env
+    rb = blockade_radius(linewidth_from(ip, ic, delta_p, gamma), config.medium.c6)
+    return rb, b_coefficients(ip, ic, superatom_count(rb, config.medium.density_rho) * ip, delta_p, gamma)
 
 
 def _series_constants(n_terms: int) -> tuple[np.ndarray, np.ndarray]:
@@ -346,8 +343,6 @@ def masked_kernel_sum(
     if not atoms or any(atom.z != atoms[0].z for atom in atoms):
         raise ValueError("atom positions must be one Position or a non-empty sequence sharing one z")
     n_atoms = len(atoms)
-    ip = config.probe.intensity
-    rho = config.medium.density_rho
     z_j = atoms[0].z
     r_atoms = np.array([atom.r for atom in atoms])
 
@@ -357,15 +352,12 @@ def masked_kernel_sum(
     r = (np.arange(n_r) + 0.5) * dr
     z = z_j - 0.5 * quad.extent_z + (np.arange(n_z) + 0.5) * dz
 
-    ic, _, rb = _radial_profiles(config, r)
-    b_p, b_q, b_r = b_coefficients(
-        ip, ic, superatom_count(rb, rho) * ip, config.probe.delta_p, config.medium.gamma
-    )
+    rb, (b_p, b_q, b_r) = _blockade_rows(config, r)
     t_col = config.probe.delta_p + np.asarray(detuning_profile(z, config.detuning), dtype=float)
     dz2_col = (z - z_j) ** 2
 
     if mask == MASK_ATOM:  # one radius per atom, shape (atoms, 1)
-        rb_rows = np.array([_radial_profiles(config, np.array([abs(r_j)]))[2] for r_j in r_atoms])
+        rb_rows = _blockade_rows(config, r_atoms)[0][:, None]
     else:  # one radius per row, shape (1, rows)
         rb_rows = rb[None, :]
     rb_min = float(rb_rows.min())
@@ -502,16 +494,11 @@ def _tail_fraction(config: SystemConfig, lattice: QuadratureSpec, s_values: np.n
     period at the far radial edge) integrated over the exterior of the
     inscribed sphere: tail <= C6 rho f 4 pi / (3 R^3).
     """
-    ip = config.probe.intensity
-    r_far = np.array([lattice.extent_r])
-    ic_far, _, rb_far = _radial_profiles(config, r_far)
-    nsa_ip_far = superatom_count(rb_far, config.medium.density_rho) * ip
+    _, coefficients = _blockade_rows(config, np.array([lattice.extent_r]))
     period = config.detuning.period
     z = (np.arange(1024) + 0.5) * (period / 1024.0)
     t = config.probe.delta_p + np.asarray(detuning_profile(z, config.detuning), dtype=float)
-    coefficients = b_coefficients(ip, ic_far, nsa_ip_far, config.probe.delta_p, config.medium.gamma)
-    b_far = b_values(*coefficients, t)
-    f_cap = ip * float(np.mean(1.0 / b_far))
+    f_cap = config.probe.intensity * float(np.mean(1.0 / b_values(*coefficients, t)))
     radius = min(lattice.extent_r, 0.5 * lattice.extent_z)
     tail = config.medium.c6 * config.medium.density_rho * f_cap * FOUR_THIRDS_PI / radius**3
     return tail / (np.abs(s_values) + tail)
@@ -534,7 +521,7 @@ def shift_at(
     atoms = [atom_pos] if single else atom_pos
     if config.medium.c6 == 0.0:
         return 0.0 if single else np.zeros(len(atoms))
-    quad = quadrature.or_lattice(QuadratureSpec.paper_default(config.beam.wavelength_c)).lattice
+    quad = quadrature.or_lattice(QuadratureSpec.scaled(config.beam.wavelength_c, REFERENCE_SPACING)).lattice
     ip = config.probe.intensity
     prefactor = TWO_PI * config.medium.c6 * config.medium.density_rho * ip
     s = prefactor * masked_kernel_sum(atoms, config, quad, mask=quadrature.mask, threads=quadrature.threads)
@@ -666,6 +653,8 @@ def blockade_boundary(
 __all__ = [
     "MASK_LOCAL",
     "MASK_ATOM",
+    "REFERENCE_SPACING",
+    "FAST_SPACING",
     "QuadratureSpec",
     "ShiftQuadrature",
     "ShiftGrid",

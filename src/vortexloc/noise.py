@@ -128,7 +128,6 @@ def noisy_transverse_scan(
         fwhm=fwhm,
         peak=float(mean.max()),
         peak_coord=float(x[int(np.argmax(mean))]),
-        lambda_c=beam.wavelength_c,
         s0=s0,
         delta_offset=delta_offset,
     )

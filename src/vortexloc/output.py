@@ -35,11 +35,13 @@ PACKAGE_VERSION = "0.1.0"
 
 
 def fmt_number(value) -> str:
-    """Fixed decimal rendering used by every writer."""
+    """Fixed decimal rendering used by every writer; a complex value is a TypeError, as in JSON."""
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
+    if isinstance(value, (complex, np.complexfloating)):
+        raise TypeError(f"cannot render the complex value {value!r} as a number")
     return format(float(value), ".10g")
 
 

@@ -12,13 +12,13 @@ from functools import lru_cache
 import pytest
 
 from vortexloc import QuadratureSpec, ShiftQuadrature, calibrated_offset, make_config
+from vortexloc.meanfield import FAST_SPACING, REFERENCE_SPACING
 
 
 @lru_cache(maxsize=None)
 def _calibration(kappa: float, fast: bool) -> tuple[float, float]:
     config = make_config(kappa=kappa)
-    lam = config.beam.wavelength_c
-    quad = QuadratureSpec.fast(lam) if fast else QuadratureSpec.paper_default(lam)
+    quad = QuadratureSpec.scaled(config.beam.wavelength_c, FAST_SPACING if fast else REFERENCE_SPACING)
     return calibrated_offset(config, quadrature=ShiftQuadrature(quad))
 
 

@@ -27,7 +27,7 @@ from vortexloc.localization import (
     oam_broadening_scan,
     transverse_scan,
 )
-from vortexloc.meanfield import QuadratureSpec, ShiftQuadrature
+from vortexloc.meanfield import FAST_SPACING, REFERENCE_SPACING, QuadratureSpec, ShiftQuadrature
 from vortexloc.noise import (
     KIND_FREQUENCY,
     KIND_INTENSITY,
@@ -253,7 +253,8 @@ def test_criterion_10_property_suites(full_calibration, fast_calibration):
     halving = abs(s0_fast - s0_full) / s0_full
     checks.append(
         (
-            halved(QuadratureSpec.fast(LAMBDA_C)) == QuadratureSpec.paper_default(LAMBDA_C)
+            halved(QuadratureSpec.scaled(LAMBDA_C, FAST_SPACING))
+            == QuadratureSpec.scaled(LAMBDA_C, REFERENCE_SPACING)
             and halving <= 0.01,
             f"halving convergence {halving:.2e} <= 1e-2",
         )

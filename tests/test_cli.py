@@ -534,10 +534,10 @@ def test_an_extent_without_a_spacing_is_refused(source, tmp_path, monkeypatch, c
 def test_a_spacing_alone_keeps_the_default_extent():
     config = make_config(kappa=180.0)
     lam = config.beam.wavelength_c
-    args = build_parser().parse_args(["scan-z", "--grid-spacing", "0.02"])
-    assert cli._resolve_quad(args, config, None) == meanfield.QuadratureSpec.fast(lam)
-    args = build_parser().parse_args(["shift", "--grid-spacing", "0.01"])
-    assert cli._resolve_quad(args, config, None) == meanfield.QuadratureSpec.paper_default(lam)
+    for command, spacing in (("scan-z", 0.02), ("shift", 0.01)):
+        args = build_parser().parse_args([command, "--grid-spacing", str(spacing)])
+        expected = meanfield.QuadratureSpec(100.0 * lam, 100.0 * lam, spacing * lam, spacing * lam)
+        assert cli._resolve_quad(args, config, None) == expected
 
 
 def test_internal_errors_propagate_with_their_traceback(monkeypatch, capsys):

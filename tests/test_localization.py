@@ -241,7 +241,7 @@ def test_a_custom_period_puts_the_working_point_and_its_windows_on_the_node():
     s0 = TWO_PI * 0.415
     window = map_window(config)
     assert 0.5 * (window[2][0] + window[2][1]) == pytest.approx(z_node, abs=1e-12)
-    volume = map3d(config, extents=window, spacing=tuple((hi - lo) / 30.0 for lo, hi in window), s0=s0)
+    volume = map3d(config, extents=window, samples_per_axis=31, s0=s0)
     assert volume.field.max() == pytest.approx(1.0, abs=1e-12)
     z_lo, z_hi = iso_extents(volume)["z"]
     assert 0.5 * (z_lo + z_hi) == pytest.approx(z_node, abs=1e-9)
@@ -259,10 +259,10 @@ def test_the_map_window_along_z_scales_with_the_modulation_period():
 
 def test_map_is_symmetric_under_beam_rotations(fast_calibration):
     s0, _ = fast_calibration(100.0)
-    # binary-exact grid values keep the x -> -x reflection bitwise exact
+    # binary-exact grid values (a 1/256 step in x and y) keep the x -> -x reflection bitwise exact
     half = 1.0 / 16.0
     ext = ((-half, half), (-half, half), (0.30, 0.42))
-    volume = map3d(CFG, extents=ext, spacing=(1.0 / 256.0, 1.0 / 256.0, 0.004), s0=s0)
+    volume = map3d(CFG, extents=ext, samples_per_axis=33, s0=s0)
     assert np.array_equal(volume.field, volume.field.transpose(1, 0, 2))
     assert np.array_equal(volume.field, volume.field[::-1, :, :])
     assert np.array_equal(volume.field, volume.field[:, ::-1, :])
@@ -285,7 +285,6 @@ def test_map_half_maximum_extents_match_the_analytic_widths(fast_calibration):
 def test_detuned_map_suppresses_the_peak(fast_calibration):
     s0, _ = fast_calibration(100.0)
     volume = map3d(CFG, delta_offset_mode=OFFSET_DETUNED, s0=s0)
-    assert volume.mode == OFFSET_DETUNED
     assert volume.delta_offset == 2.0 * s0
     assert volume.field.max() < 1.0
 
@@ -293,10 +292,9 @@ def test_detuned_map_suppresses_the_peak(fast_calibration):
 def test_per_voxel_shifts_stay_close_to_the_frozen_core_value():
     quad = QuadratureSpec.scaled(CFG.beam.wavelength_c, 0.1)
     ext = ((-0.02, 0.02), (-0.02, 0.02), (0.35, 0.37))
-    spacing = (0.005, 0.005, 0.002)
     s0 = shift_at(localized_point(CFG), CFG, quadrature=ShiftQuadrature(quad))
-    frozen = map3d(CFG, extents=ext, spacing=spacing, s0=s0, quadrature=ShiftQuadrature(quad))
-    exact = map3d(CFG, extents=ext, spacing=spacing, s0=s0, quadrature=ShiftQuadrature(quad), per_voxel_exact=True)
+    frozen = map3d(CFG, extents=ext, samples_per_axis=9, s0=s0, quadrature=ShiftQuadrature(quad))
+    exact = map3d(CFG, extents=ext, samples_per_axis=9, s0=s0, quadrature=ShiftQuadrature(quad), per_voxel_exact=True)
     # the shift profile is flat across this window, so freezing it at the
     # core value is a sub-2% approximation of the exact field
     assert np.max(np.abs(exact.field - frozen.field)) < 0.02
@@ -304,9 +302,8 @@ def test_per_voxel_shifts_stay_close_to_the_frozen_core_value():
 
 def test_per_voxel_field_equals_the_per_position_oracle():
     ext = ((-0.02, 0.02), (-0.02, 0.02), (0.35, 0.37))
-    spacing = (0.005, 0.005, 0.002)
     s0 = 2.6
-    exact = map3d(CFG, extents=ext, spacing=spacing, s0=s0, quadrature=ShiftQuadrature(TINY), per_voxel_exact=True)
+    exact = map3d(CFG, extents=ext, samples_per_axis=9, s0=s0, quadrature=ShiftQuadrature(TINY), per_voxel_exact=True)
     ip, dp, gamma = CFG.probe.omega_p0 * CFG.probe.omega_p0, CFG.probe.delta_p, CFG.medium.gamma
     mod = CFG.detuning
     tp_z = dp + mod.delta_c0 * (np.sin(TWO_PI * exact.z / mod.period) + 1.0)
@@ -324,9 +321,8 @@ def test_per_voxel_field_equals_the_per_position_oracle():
 def test_per_voxel_mode_is_exact_when_the_shift_is_uniform():
     cfg = make_config(c6_mhz_um6=0.0)
     ext = ((-0.02, 0.02), (-0.02, 0.02), (0.35, 0.37))
-    spacing = (0.005, 0.005, 0.002)
-    frozen = map3d(cfg, extents=ext, spacing=spacing)
-    exact = map3d(cfg, extents=ext, spacing=spacing, per_voxel_exact=True)
+    frozen = map3d(cfg, extents=ext, samples_per_axis=9)
+    exact = map3d(cfg, extents=ext, samples_per_axis=9, per_voxel_exact=True)
     assert np.array_equal(exact.field, frozen.field)
     assert frozen.s0 == 0.0
 
@@ -338,13 +334,29 @@ def test_map_input_validation(fast_calibration):
     with pytest.raises(ValueError, match="extents"):
         map3d(CFG, extents=((0.1, -0.1), (-0.1, 0.1), (0.3, 0.4)), s0=s0)
     with pytest.raises(ValueError, match=r"x extent \[-inf, inf\] and spacing inf must be finite"):
-        map3d(CFG, extents=((-np.inf, np.inf), (-0.1, 0.1), (0.3, 0.4)), spacing=np.inf, s0=s0)
-    with pytest.raises(ValueError, match=r"z extent \[0.3, 0.4\] and spacing nan must be finite"):
-        map3d(CFG, extents=((-0.1, 0.1),) * 2 + ((0.3, 0.4),), spacing=(0.01, 0.01, np.nan), s0=s0)
+        map3d(CFG, extents=((-np.inf, np.inf), (-0.1, 0.1), (0.3, 0.4)), s0=s0)
+    with pytest.raises(ValueError, match=r"z extent \[0.3, nan\] and spacing nan must be finite"):
+        map3d(CFG, extents=((-0.1, 0.1),) * 2 + ((0.3, np.nan),), s0=s0)
     with pytest.raises(ValueError, match="impractical"):
         map3d(CFG, s0=s0, per_voxel_exact=True)
     with pytest.raises(RuntimeError, match="too coarse"):
-        map3d(CFG, extents=((-0.05, 0.05),) * 2 + ((0.30, 0.42),), spacing=0.05, s0=s0)
+        map3d(CFG, extents=((-0.05, 0.05),) * 2 + ((0.30, 0.42),), samples_per_axis=3, s0=s0)
+
+
+def test_map_axes_step_from_the_lower_extent_by_the_sample_count(fast_calibration):
+    s0, _ = fast_calibration(100.0)
+    extents = map_window(CFG)
+    n = 31
+    volume = map3d(CFG, extents=extents, samples_per_axis=n, s0=s0)
+    for axis, (lo, hi) in zip((volume.x, volume.y, volume.z), extents):
+        assert np.array_equal(axis, lo + (hi - lo) / (n - 1) * np.arange(n))
+    # the x step is not binary-exact: its last sample misses the upper extent
+    assert volume.x[-1] != extents[0][1]
+    with pytest.raises(ValueError, match="need at least 2 samples per axis"):
+        map3d(CFG, extents=extents, samples_per_axis=1, s0=s0)
+    # a fractional count would step past the upper extent
+    with pytest.raises(TypeError):
+        map3d(CFG, extents=extents, samples_per_axis=30.5, s0=s0)
 
 
 def test_extract_fwhm_on_a_lorentzian():

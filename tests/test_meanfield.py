@@ -17,6 +17,8 @@ from vortexloc.fields import _bisect, control_envelope, detuning_profile
 from vortexloc.meanfield import (
     MASK_ATOM,
     MASK_LOCAL,
+    FAST_SPACING,
+    REFERENCE_SPACING,
     QuadratureSpec,
     ShiftQuadrature,
     blockade_boundary,
@@ -32,7 +34,7 @@ from vortexloc.meanfield import (
 )
 
 CFG = make_config()
-FAST = QuadratureSpec.fast(CFG.beam.wavelength_c)
+FAST = QuadratureSpec.scaled(CFG.beam.wavelength_c, FAST_SPACING)
 
 # uncalibrated on-axis shifts on the fast lattice, frozen for regression
 S0_FAST = {
@@ -142,13 +144,13 @@ def _per_cell_kernel(atom_pos, config, quad, mask, tie_blocked=False):
     n_z = int(round(quad.extent_z / dz))
     r = (np.arange(n_r) + 0.5) * dr
     z = atom_pos.z - 0.5 * quad.extent_z + (np.arange(n_z) + 0.5) * dz
-    _, _, rb = meanfield._radial_profiles(config, r)
+    rb, _ = meanfield._blockade_rows(config, r)
     nsa_ip = 4.0 * math.pi / 3.0 * rb**3 * config.medium.density_rho * ip
     b_p, b_q, b_r = b_coefficients(ip, control_envelope(r, config.beam) ** 2, nsa_ip, dp, config.medium.gamma)
     t = dp + np.asarray(detuning_profile(z, config.detuning), dtype=float)
     dz2 = (z - atom_pos.z) ** 2
     if mask == MASK_ATOM:
-        rb = meanfield._radial_profiles(config, np.array([atom_pos.r]))[2]
+        rb, _ = meanfield._blockade_rows(config, np.array([atom_pos.r]))
     rb2 = np.broadcast_to(rb**2, r.shape)
     row_sums = np.empty(n_r)
     for a in range(0, n_r, 256):
@@ -231,11 +233,13 @@ def test_a_cell_exactly_on_the_blockade_sphere_is_unblocked(monkeypatch, mask):
     # (2.5, 0). On this lattice of 8-cell units the tie at (0, 2.5) is the
     # nearest cell of a Taylor panel, the tie at (1.5, -2) sits inside a panel
     # cut by the blockade edge, and the lone last cell is its own panel.
-    real = meanfield._radial_profiles
-
     def binary_exact_radius(config, r):
-        ic, w, rb = real(config, r)
-        return ic, w, np.full_like(rb, 2.5)
+        # B's superatom count follows the same radius, as in the oracle
+        rb = np.full_like(r, 2.5)
+        ip = config.probe.intensity
+        nsa_ip = superatom_count(rb, config.medium.density_rho) * ip
+        ic = control_envelope(r, config.beam) ** 2
+        return rb, b_coefficients(ip, ic, nsa_ip, config.probe.delta_p, config.medium.gamma)
 
     real_series = meanfield._panel_series
     taylor_centres = []  # Taylor panels of the atom's own row, row 10, where a^2 = 0
@@ -245,7 +249,7 @@ def test_a_cell_exactly_on_the_blockade_sphere_is_unblocked(monkeypatch, mask):
             taylor_centres.extend(group.centre[taylor[0, :, 10]])
         return real_series(d, taylor, group, moments)
 
-    monkeypatch.setattr(meanfield, "_radial_profiles", binary_exact_radius)
+    monkeypatch.setattr(meanfield, "_blockade_rows", binary_exact_radius)
     monkeypatch.setattr(meanfield, "_panel_series", recording_series)
     quad = QuadratureSpec(24.0, 24.0625, 0.0625, 0.0625)  # 384 x 385
     pos = Position(r=10.5 * 0.0625, z=0.375)
@@ -734,7 +738,7 @@ def test_boundary_input_validation():
 
 def test_quadrature_spec_validation():
     lam = CFG.beam.wavelength_c
-    full = QuadratureSpec.paper_default(lam)
+    full = QuadratureSpec.scaled(lam, REFERENCE_SPACING)
     assert halved(FAST) == full
     assert full.extent_r == full.extent_z == 100.0 * lam
     with pytest.raises(ValueError, match="positive finite length"):

@@ -242,6 +242,9 @@ REFUSED_TABLES = {
     "csv_non_string_name": ("csv", {"v": np.arange(3.0), 0: np.arange(3.0)}, None, TypeError),
     "csv_object_cell": ("csv", {"v": np.arange(3.0), "o": np.array([1.0, object(), 2.0], dtype=object)}, None,
                         TypeError),
+    "csv_complex_column": ("csv", {"a": np.arange(3.0), "c": np.array([1.0, 1 + 2j, 3.0])}, None, TypeError),
+    "csv_complex_cell": ("csv", {"a": np.arange(3.0), "o": np.array([1.0, np.complex64(1 + 2j), 2.0], dtype=object)},
+                         None, TypeError),
     "json_non_string_name": ("json", {"v": np.arange(3.0), 0: np.arange(3.0)}, None, TypeError),
     "json_complex_cells": ("json", {"a": np.arange(3.0), "c": np.array([1.0, 1 + 2j, 3.0])}, None, TypeError),
     "json_object_cell": ("json", {"a": np.arange(3.0), "o": np.array([1.0, object(), 2.0], dtype=object)}, None,
