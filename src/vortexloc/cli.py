@@ -20,7 +20,6 @@ touches the environment.
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import math
 import os
@@ -82,6 +81,8 @@ def parse_config(path: str) -> tuple[dict, dict]:
     Frequencies are MHz, lengths um; quadrature spacing and extent are
     multiples of the control wavelength. Unknown sections or keys are errors.
     """
+    import configparser  # only a run with --config reads a file
+
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)

@@ -8,9 +8,18 @@ once; no other operation accepts raw MHz.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, fields, replace
+
+# SHA-256 from CPython's built-in module: `hashlib` would load OpenSSL (about
+# 3.6 MB of resident memory) to hash one short string per run.
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 TWO_PI = 2.0 * math.pi
 
@@ -162,7 +171,7 @@ class SystemConfig:
         for section in (self.beam, self.probe, self.detuning, self.medium):
             for f in fields(section):
                 parts.append(f"{f.name}={getattr(section, f.name)!r}")
-        digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
+        digest = _sha256(";".join(parts).encode()).hexdigest()
         return digest[:12]
 
 

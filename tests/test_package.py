@@ -8,6 +8,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,9 @@ import vortexloc
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# Stdlib modules a command loads only when it needs them: OpenSSL through
+# hashlib, a thread pool (and its logging) for --threads 2+, an INI reader for --config.
+OPTIONAL_MODULES = ("_hashlib", "hashlib", "concurrent.futures", "logging", "configparser")
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(vortexloc.__path__))
 
 
@@ -122,3 +126,52 @@ def test_the_cli_leaves_a_preset_blas_thread_count_as_set(var, value):
         **{var: value},
     )
     assert seen == {k: value if k == var else None for k in BLAS_VARS}
+
+
+def test_the_fingerprint_falls_back_to_hashlib_without_a_builtin_sha256():
+    seen = _child(
+        "import json, sys; sys.modules.update(_sha2=None, _sha256=None); "
+        "from vortexloc.config import make_config; "
+        "print(json.dumps([make_config().fingerprint(), 'hashlib' in sys.modules]))"
+    )
+    assert seen == ["4435c55141f2", True]
+
+
+def _optional_modules_after(argv: list[str], out: Path) -> list[str]:
+    """The OPTIONAL_MODULES in sys.modules after cli.main(argv) writes to `out` in a fresh interpreter."""
+    code = textwrap.dedent(
+        f"""
+        import contextlib, io, json, sys
+        from vortexloc import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main({[*argv, "--out", str(out)]!r}) == 0
+        print(json.dumps([m for m in {OPTIONAL_MODULES!r} if m in sys.modules]))
+        """
+    )
+    return _child(code)
+
+
+# noise is left out: numpy.random imports secrets, and with it hashlib, by itself
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["steady"],
+        ["scan-r", "--mode", "partial", "--grid-spacing", "0.16", "--samples", "100"],
+        ["calibrate-delta", "--grid-spacing", "0.16"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_command_loads_no_optional_module_it_does_not_run(argv, tmp_path):
+    assert _optional_modules_after(argv, tmp_path / "out.csv") == []
+
+
+def test_two_threads_load_the_thread_pool(tmp_path):
+    argv = ["calibrate-delta", "--grid-spacing", "0.16", "--threads", "2"]
+    assert "concurrent.futures" in _optional_modules_after(argv, tmp_path / "out.csv")
+
+
+def test_a_config_file_loads_the_ini_reader(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[probe]\nkappa = 100\n", encoding="utf-8")
+    argv = ["steady", "--config", str(ini)]
+    assert "configparser" in _optional_modules_after(argv, tmp_path / "out.csv")
