@@ -11,12 +11,12 @@ deterministic, worker-count-independent numerics.
 
 import importlib
 
-# The names the README and the ten subcommands use, each with the submodule
-# that defines it: configuration and units, each subcommand's library entry
-# point with its inputs and result type, and the mode, mask and kind
-# constants. Oracles and helpers stay importable from their submodules
-# (vortexloc.bloch, vortexloc.fields, vortexloc.noise, ...). A name loads its
-# submodule on first access, so `import vortexloc` itself loads no numpy.
+# The package's only list of public names, each with the submodule that
+# defines it: what the README and the ten subcommands use (configuration and
+# units, each subcommand's entry point with its inputs and result type, and the
+# mode, mask and kind constants). Submodules carry no __all__; their helpers
+# are imported by name, and a leading underscore marks a private one. A name
+# loads its submodule on first access, so `import vortexloc` loads no numpy.
 _SUBMODULE = {
     "__version__": "output",
     # configuration and units

@@ -281,13 +281,3 @@ def steady_time(
         )
     return (last_outside + 1) * dt
 
-
-__all__ = [
-    "LocalDrive",
-    "bloch_rhs",
-    "sigma_rr_steady",
-    "steady_population",
-    "steady_sigma_rr",
-    "linewidth_from",
-    "steady_time",
-]

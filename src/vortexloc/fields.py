@@ -13,7 +13,6 @@ import numpy as np
 
 from .config import (
     CONSTANT,
-    STANDING_WAVE,
     TWO_PI,
     BeamConfig,
     DetuningModulation,
@@ -96,13 +95,3 @@ def detuning_profile(z, mod: DetuningModulation):
         return float(value)
     return value
 
-
-__all__ = [
-    "CONSTANT",
-    "STANDING_WAVE",
-    "envelope_peak_radius",
-    "control_envelope",
-    "eta_of_radius",
-    "radius_at_eta",
-    "detuning_profile",
-]

@@ -30,6 +30,7 @@ OFFSET_CALIBRATED = "calibrated"  # delta - Delta_c0 = s_0
 OFFSET_DETUNED = "detuned"  # delta - Delta_c0 = 2 s_0
 
 HALF_MAX = 0.5
+_MIN_SAMPLES = 4  # samples a map needs across each half-maximum width
 
 @dataclass(frozen=True)
 class ScanProfile:
@@ -40,10 +41,16 @@ class ScanProfile:
     coords: np.ndarray  # um
     sigma: np.ndarray
     fwhm: float | None  # um
-    peak: float
-    peak_coord: float  # um
     s0: float | None = None  # rad/us
     delta_offset: float | None = None  # delta - Delta_c0, rad/us
+
+    @property
+    def peak(self) -> float:
+        return float(self.sigma.max())
+
+    @property
+    def peak_coord(self) -> float:  # um, at the first maximum
+        return float(self.coords[int(np.argmax(self.sigma))])
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,15 @@ def _run_around(values: np.ndarray, i: int, level: float) -> tuple[int, int]:
     first = int(before[-1]) + 1 if before.size else 0
     last = int(after[0]) - 1 if after.size else values.size - 1
     return first, last
+
+
+def _crossings(coords: np.ndarray, values: np.ndarray, i: int, fn, xtol: float) -> tuple[float | None, float | None]:
+    """HALF_MAX crossings of fn, sampled as values, beside each end of the run holding sample i; None at an edge."""
+    start, end = _run_around(values, i, HALF_MAX)
+    # HALF_MAX - fn is positive only off the run, so a value on HALF_MAX sits in it at either end
+    left = None if start == 0 else _bisect(lambda x: HALF_MAX - fn(x), coords[start - 1], coords[start], xtol)
+    right = None if end == values.size - 1 else _bisect(lambda x: HALF_MAX - fn(x), coords[end], coords[end + 1], xtol)
+    return left, right
 
 
 def _axis_two_photon(config: SystemConfig, z, s0: float, delta_offset: float):
@@ -145,12 +161,11 @@ def transverse_scan(
 
     if sigma[0] < HALF_MAX:
         raise ValueError("profile starts below the half maximum; no crossing at the core")
-    _, last = _run_around(sigma, 0, HALF_MAX)
-    if last == n_samples - 1:
+    _, crossing = _crossings(r, sigma, 0, sigma_of, 1e-4 * beam.wavelength_c)
+    if crossing is None:
         raise ValueError(
             f"no crossing of the half maximum within r_max={r[-1]:g} um; widen the scan"
         )
-    crossing = _bisect(lambda radius: sigma_of(radius) - HALF_MAX, r[last], r[last + 1], 1e-4 * beam.wavelength_c)
 
     return ScanProfile(
         axis="r",
@@ -158,8 +173,6 @@ def transverse_scan(
         coords=r,
         sigma=np.asarray(sigma, dtype=float),
         fwhm=2.0 * crossing,
-        peak=float(sigma.max()),
-        peak_coord=float(r[int(np.argmax(sigma))]),
         s0=s0,
     )
 
@@ -253,12 +266,9 @@ def longitudinal_scan(
     peak_i = int(np.argmax(sigma))
     if sigma[peak_i] < HALF_MAX:
         raise ValueError("profile never reaches the half maximum")
-    xtol = 1e-4 * config.beam.wavelength_c
-    left_i, right_i = _run_around(sigma, peak_i, HALF_MAX)
-    if right_i + 1 >= n_samples or left_i == 0:
+    left, right = _crossings(z, sigma, peak_i, sigma_of, 1e-4 * config.beam.wavelength_c)
+    if left is None or right is None:
         raise ValueError("no crossing of the half maximum inside the window; widen z_range")
-    right = _bisect(lambda zz: sigma_of(zz) - HALF_MAX, z[right_i], z[right_i + 1], xtol)
-    left = _bisect(lambda zz: sigma_of(zz) - HALF_MAX, z[left_i - 1], z[left_i], xtol)
 
     return ScanProfile(
         axis="z",
@@ -266,8 +276,6 @@ def longitudinal_scan(
         coords=z,
         sigma=sigma,
         fwhm=right - left,
-        peak=float(sigma[peak_i]),
-        peak_coord=float(z[peak_i]),
         s0=s0,
         delta_offset=delta_offset,
     )
@@ -371,7 +379,7 @@ def map3d(
     )
 
 
-def _check_resolved(field_grid, min_samples: int = 4) -> None:
+def _check_resolved(field_grid) -> None:
     """Reject grids that cannot resolve the peak's half-maximum width."""
     peak = np.unravel_index(int(np.argmax(field_grid)), field_grid.shape)
     half = HALF_MAX * float(field_grid.max())
@@ -381,10 +389,10 @@ def _check_resolved(field_grid, min_samples: int = 4) -> None:
         index[axis] = slice(None)
         first, last = _run_around(field_grid[tuple(index)], peak[axis], half)
         count = last - first + 1
-        if count < min_samples:
+        if count < _MIN_SAMPLES:
             raise RuntimeError(
                 f"grid too coarse along {names[axis]}: {count} samples across the "
-                f"half-maximum width (need at least {min_samples}); refine the spacing"
+                f"half-maximum width (need at least {_MIN_SAMPLES}); refine the spacing"
             )
 
 
@@ -439,43 +447,13 @@ def extract_fwhm(coords, values, lambda_c: float) -> float:
         raise ValueError("coords and values must be equal-length 1D arrays of at least 3 samples")
     if not np.all(np.diff(coords) > 0):
         raise ValueError("coords must be strictly increasing")
-    above = values >= HALF_MAX
-    if not above.any():
+    above = np.flatnonzero(values >= HALF_MAX)
+    if not above.size:
         raise ValueError("profile maximum is below the half-maximum level")
-    a, b = _run_around(values, int(np.argmax(above)), HALF_MAX)
-    if np.count_nonzero(above) > b - a + 1:
+    if above[-1] - above[0] + 1 > above.size:
         raise ValueError("multiple peaks above the half maximum; restrict the window to one period")
-    if a == 0 or b == values.size - 1:
+    left, right = _crossings(coords, values, int(above[0]), lambda xx: np.interp(xx, coords, values), 1e-4 * lambda_c)
+    if left is None or right is None:
         raise ValueError("no crossing of the half maximum inside the window")
-
-    xtol = 1e-4 * lambda_c
-
-    def interp(i: int, j: int):
-        return lambda xx: values[i] + (values[j] - values[i]) * (xx - coords[i]) / (
-            coords[j] - coords[i]
-        ) - HALF_MAX
-
-    left = _bisect(interp(a - 1, a), float(coords[a - 1]), float(coords[a]), xtol)
-    right = _bisect(interp(b, b + 1), float(coords[b]), float(coords[b + 1]), xtol)
     return right - left
 
-
-__all__ = [
-    "MODE_NONE",
-    "MODE_PARTIAL",
-    "MODE_PERFECT",
-    "OFFSET_CALIBRATED",
-    "OFFSET_DETUNED",
-    "HALF_MAX",
-    "ScanProfile",
-    "Map3D",
-    "map_window",
-    "transverse_scan",
-    "oam_broadening_scan",
-    "analytic_a_r",
-    "analytic_a_z",
-    "longitudinal_scan",
-    "map3d",
-    "iso_extents",
-    "extract_fwhm",
-]

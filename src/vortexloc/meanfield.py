@@ -649,24 +649,3 @@ def blockade_boundary(
     )
     return BlockadeBoundary(angles=angles, distances=distances, points=points)
 
-
-__all__ = [
-    "MASK_LOCAL",
-    "MASK_ATOM",
-    "REFERENCE_SPACING",
-    "FAST_SPACING",
-    "QuadratureSpec",
-    "ShiftQuadrature",
-    "ShiftGrid",
-    "BlockadeBoundary",
-    "blockade_radius",
-    "superatom_count",
-    "local_linewidth",
-    "masked_kernel_sum",
-    "shift_at",
-    "shift_profile",
-    "localized_point",
-    "s0_integral",
-    "calibrated_offset",
-    "blockade_boundary",
-]

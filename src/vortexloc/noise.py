@@ -126,8 +126,6 @@ def noisy_transverse_scan(
         coords=x,
         sigma=mean,
         fwhm=fwhm,
-        peak=float(mean.max()),
-        peak_coord=float(x[int(np.argmax(mean))]),
         s0=s0,
         delta_offset=delta_offset,
     )
@@ -139,13 +137,3 @@ def spread_at(scan: NoisyScan, x_value: float) -> float:
     i = int(np.argmin(np.abs(scan.profile.coords - x_value)))
     return float(scan.spread[i])
 
-
-__all__ = [
-    "KIND_INTENSITY",
-    "KIND_FREQUENCY",
-    "NoiseSpec",
-    "NoisyScan",
-    "trajectory_rng",
-    "noisy_transverse_scan",
-    "spread_at",
-]

@@ -271,16 +271,3 @@ def write_sidecar(path: str, manifest: RunManifest, summary: dict) -> str:
         handle.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return path
 
-
-__all__ = [
-    "PACKAGE_NAME",
-    "PACKAGE_VERSION",
-    "RunManifest",
-    "config_echo",
-    "fmt_number",
-    "render_value",
-    "render_csv",
-    "render_json",
-    "write_table",
-    "write_sidecar",
-]

@@ -52,5 +52,3 @@ def pairwise_sum(values: Iterable):
         level = nxt
     return level[0]
 
-
-__all__ = ["block_ranges", "map_ordered", "pairwise_sum"]

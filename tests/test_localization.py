@@ -1,8 +1,10 @@
 """Transverse/longitudinal localization profiles, 3D maps, width extraction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vortexloc import make_config
@@ -16,6 +18,7 @@ from vortexloc.localization import (
     MODE_PERFECT,
     OFFSET_CALIBRATED,
     OFFSET_DETUNED,
+    ScanProfile,
     analytic_a_r,
     analytic_a_z,
     extract_fwhm,
@@ -24,6 +27,8 @@ from vortexloc.localization import (
     map3d,
     map_window,
     oam_broadening_scan,
+    _crossings,
+    _interp_crossing,
     _run_around,
     transverse_scan,
 )
@@ -187,6 +192,10 @@ def test_longitudinal_scan_is_locked_to_the_node(fast_calibration):
     a_z = analytic_a_z(_core_w(cfg), cfg.detuning.delta_c0, lam)
     assert profile.fwhm == pytest.approx(a_z, rel=0.01)
     assert profile.mode == OFFSET_CALIBRATED
+    # the peak is read off the samples, not stored: of two equal maxima, the first
+    assert {"peak", "peak_coord"}.isdisjoint(f.name for f in dataclasses.fields(ScanProfile))
+    twin = ScanProfile("z", OFFSET_CALIBRATED, coords=np.arange(5.0), sigma=np.array([0.2, 1.0, 0.3, 1.0, 0.1]), fwhm=None)
+    assert (twin.peak, twin.peak_coord) == (1.0, 1.0)
 
 
 def test_longitudinal_window_may_sit_on_any_period(fast_calibration):
@@ -364,6 +373,9 @@ def test_extract_fwhm_on_a_lorentzian():
     x = np.linspace(-0.1, 0.1, 4001)
     fwhm = extract_fwhm(x, 1.0 / (1.0 + (x / h) ** 2), CFG.beam.wavelength_c)
     assert fwhm == pytest.approx(2.0 * h, abs=1e-3 * 2 * h)
+    # a sample on the half maximum is itself the crossing, at either end of the run
+    for values in ([0.0, 1.0, 0.5, 0.0], [0.0, 0.5, 1.0, 0.0]):
+        assert extract_fwhm(np.arange(4.0), values, 1.0) == pytest.approx(1.5, abs=1e-4)
 
 
 def test_extract_fwhm_rejects_degenerate_profiles():
@@ -403,3 +415,27 @@ def test_run_search_equals_the_outward_walk(values, data):
     values = np.array(values)
     i = data.draw(st.integers(0, values.size - 1))
     assert _run_around(values, i, HALF_MAX) == _outward_walk(values, i, HALF_MAX)
+
+
+# samples on the level or at least 1e-3 from it, so each crossing is well conditioned
+_CLEAR_OF_HALF = st.one_of(st.just(HALF_MAX), st.floats(0.0, HALF_MAX - 1e-3), st.floats(HALF_MAX + 1e-3, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_CLEAR_OF_HALF, min_size=1, max_size=30), data=st.data())
+def test_crossings_lie_within_xtol_of_the_linear_crossing(values, data):
+    values = np.array(values)
+    steps = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=values.size - 1, max_size=values.size - 1))
+    coords = np.cumsum([0.0, *steps])
+    above = np.flatnonzero(values >= HALF_MAX)
+    assume(above.size)
+    i = int(data.draw(st.sampled_from(above)))
+    xtol = 1e-6
+    left, right = _crossings(coords, values, i, lambda x: np.interp(x, coords, values), xtol)
+    start, end = _outward_walk(values, i, HALF_MAX)
+    assert (left is None) == (start == 0)
+    assert (right is None) == (end == values.size - 1)
+    for got, j in ((left, start - 1), (right, end)):
+        if got is not None:
+            exact = _interp_crossing(coords[j], coords[j + 1], values[j], values[j + 1], HALF_MAX)
+            assert abs(got - exact) <= xtol
