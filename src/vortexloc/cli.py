@@ -293,6 +293,8 @@ def _cmd_map3d(args, config, quadrature):
 
 
 def _cmd_shift(args, config, quadrature):
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     lam = config.beam.wavelength_c
     if args.axis == "radial":
         max_um = args.max_um if args.max_um is not None else 0.5 * config.beam.waist_w0

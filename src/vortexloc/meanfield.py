@@ -15,11 +15,13 @@ I_p / B, with B quadratic in the two-photon detuning t = Delta_p + Delta_c(z):
 population I_p / B (N_sa = 1 there). A resonant probe has Q = 0. All
 frequencies are rad/us, lengths um.
 
-`masked_kernel_sum` sums each lattice row by panels of whole detuning
-periods: cut or near panels cell by cell, and far, wholly unblocked panels
-from the moments of 1/B on one unit of periods per row, by a 20-term Taylor series
-of D^-6 (a panel is at most 1/4 of its distance from the atom wide, which
-bounds the truncation below 1.1e-13 of the panel's sum). The mask is the
+`masked_kernel_sum` splits each lattice row into panels of whole detuning
+periods. Far, wholly unblocked (r, z) tiles of 2^k rows by one panel are
+summed by a 2-D Taylor series of D^-6 from moments of r/B; far, wholly
+unblocked panels of one row by a 1-D series from moments of 1/B; near
+panels, and the unit of a panel that the blockade edge crosses, cell by
+cell. A tile or panel is at most 1/4 of its distance from the atom across,
+which bounds the truncation below 1.1e-13 of its own sum. The mask is the
 exact cell compare d2 < R_b^2, a tie unblocked. `masked_kernel_sum` and
 `shift_at` take one Position, giving a float, or a sequence of Positions
 that share one z, giving a 1-D array: the atoms of a batch share one
@@ -59,6 +61,11 @@ _MAX_FOLD_PERIODS = 8
 # small enough to stay in L2; atoms, moment columns and cut-panel rows are
 # chunked to fit.
 _BLOCK_FLOATS = 1 << 16
+_TILE_LEVELS = (4, 6, 8)  # far tiles are 2^k rows of a block tall
+_TILE_MARGIN = 1e-12  # a tile's rows clear the nearest-cell compare by this relative margin
+# Tile sums are evaluated this many at a time; a block with fewer than a
+# quarter of that leaves its tiles to one pass per call.
+_TILE_PASS = 1 << 12
 _CALIBRATION_REL_TOL = 1e-3  # fixed-point stop: |delta step| <= this times |s_0|
 _REFINE_TOL = 1e-3  # blockade boundary crossings are bisected to this width, um
 # Default lattice spacings, multiples of lambda_c: the reference lattice, and the
@@ -202,6 +209,48 @@ _BINOMIAL = np.array([[math.comb(n, j) for n in range(_TAYLOR_TERMS)] for j in r
 _ORDER_GAP = np.maximum(np.arange(_TAYLOR_TERMS) - np.arange(_TAYLOR_TERMS)[:, None], 0)  # n - j at [j, n]
 
 
+def _tile_constants(n_terms: int) -> tuple[np.ndarray, int, np.ndarray, list]:
+    """The 2-D tile series: its Horner ranks, and the map from a tile's moments to its coefficients.
+
+    A tile sums sum_{m+n<N} p_mn M_mn, with p_mn the Taylor coefficients of
+    ((A + x)^2 + (C + y)^2)^-3 about the tile centre and M_mn = sum w x^m y^n,
+    w = r / B. With W = A + iC, xi = x + iy and q = -1/W, (W + xi)^-3 =
+    W^-3 sum_k c_k q^k xi^k, c_k = C(k + 2, 2), so the same sum, degree by
+    degree, is D^-6 Re sum_j conj(q)^j sum_k D^-2k H_kj over 2k + j < N, with
+    H_kj = (2 - [j = 0]) c_k c_{k+j} sum w xi^k conj(xi)^(k+j): 110 complex
+    coefficients for N = 20 in place of 210 p_mn.
+
+    Returns the largest k of each j; the number of H columns, ordered by j,
+    then k; the flat [m, n] indices of the scaled moments S_mn = kappa_n M_mn
+    with m + n < N, ordered by degree; and, per degree d, the slice of those
+    moments, the H columns of that degree and the real matrix between them
+    (real parts first, then imaginary).
+    """
+    binomial = _BINOMIAL.T  # C(k, m) at [k, m]
+    # (x + iy)^k (x - iy)^l = sum_n i^n s[k, l, n] x^(k+l-n) y^n
+    s = np.zeros((n_terms, n_terms, 2 * n_terms - 1))
+    for b in range(n_terms):
+        s[:, :, b : b + n_terms] += ((-1) ** b * binomial[:, b])[None, :, None] * binomial[:, None, :]
+    ranks = (n_terms - 1 - np.arange(n_terms)) // 2
+    j = np.repeat(np.arange(n_terms), ranks + 1)
+    k = np.concatenate([np.arange(rank + 1) for rank in ranks])
+    c = (np.arange(n_terms) + 1) * (np.arange(n_terms) + 2) / 2.0
+    scale = np.where(j > 0, 2.0, 1.0) * c[k] * c[k + j]
+    degree_map = []
+    for d in range(n_terms):
+        col = np.flatnonzero(2 * k + j == d)
+        n = np.arange(d + 1)
+        # i^n is 1, i, -1, -i: even n feed the real parts, odd n the imaginary ones
+        weights = (s[k[col], k[col] + j[col]][:, n] * scale[col, None] * np.array([1, 1, -1, -1])[n % 4] / _KAPPA[n]).T
+        even = n[:, None] % 2 == 0
+        degree_map.append((slice(d * (d + 1) // 2, (d + 1) * (d + 2) // 2), col, np.hstack((weights * even, weights * ~even))))
+    triangle = np.concatenate([(d - np.arange(d + 1)) * n_terms + np.arange(d + 1) for d in range(n_terms)])
+    return ranks, len(j), triangle, degree_map
+
+
+_TILE_RANKS, _TILE_COLUMNS, _TILE_TRIANGLE, _TILE_MAP = _tile_constants(_TAYLOR_TERMS)
+
+
 def _powers(x: np.ndarray) -> np.ndarray:
     """x^n for n < _TAYLOR_TERMS, one row per offset."""
     return np.asarray(x, dtype=float)[:, None] ** np.arange(_TAYLOR_TERMS)
@@ -247,45 +296,83 @@ def _panel_layout(n_units: int, unit: float, extent_z: float, a2: float) -> list
 
 
 @dataclass(frozen=True)
-class _PanelGroup:
-    """Panels of one width (cells): start cells, centres and nearest/farthest dz^2."""
+class _Layout:
+    """The panels of one level, by start cell, with what the kernel tests and sums them by.
+
+    `lo` and `hi` are each panel's smallest and largest (z - z_j)^2. A panel
+    is a Taylor panel when a^2 + C^2 >= `admit2`, (4 * width)^2 (inf for the
+    cells past the last whole unit, which are summed cell by cell). Its
+    scaled moments come from `bases[row]`: where 1/B repeats unit by unit,
+    one row per width, the basis that moves one unit's moments to the panel
+    centre; else one row per panel, the scaled powers of its cell offsets.
+    """
 
     starts: np.ndarray
-    width: int
+    widths: np.ndarray  # cells
     centre: np.ndarray  # z offset of each panel centre from the atom, um
-    lo: np.ndarray  # smallest (z - z_j)^2 over each panel's cells
-    hi: np.ndarray  # largest
-    admit2: float  # (_PANEL_RATIO * width)^2: a Taylor panel needs a^2 + C^2 at least this
-    basis: np.ndarray | None  # moments = 1/B times this (see masked_kernel_sum); None: cells only
+    lo: np.ndarray
+    hi: np.ndarray
+    admit2: np.ndarray
+    row: np.ndarray
+    bases: list
 
 
-def _panel_series(d: np.ndarray, taylor: np.ndarray, group: _PanelGroup, moments: np.ndarray) -> np.ndarray:
-    """Sum over the panels marked in `taylor` of sum_n M_n p_n, per (atom, row).
+def _panel_series(d: np.ndarray, centre: np.ndarray, moments: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """sum_n M_n p_n of each (atom, panel, row) entry.
 
-    `d` holds a^2 = (r - r_j)^2 with shape (atoms, 1, rows) and `moments`
-    the scaled moments, shape (N, panels or 1, rows). The series is summed
-    backward (Clenshaw): b_n = M_n + c b_{n+1} + g_{n+1} e b_{n+2}, and the
-    sum is e^3 b_0. Unmarked panels get e = 0, so they add exactly 0.
+    `d` holds each entry's a^2 = (r - r_j)^2, `centre` its panel centre's
+    offset C, and `moments[n, at]` its scaled moments. The series is summed
+    backward (Clenshaw): b_n = M_n + c b_{n+1} + g_{n+1} e b_{n+2}, with
+    e = 1/(a^2 + C^2) and c = C e, and the sum is e^3 b_0.
     """
-    centre = group.centre[:, None]
-    e = d + centre * centre
-    np.copyto(e, np.inf, where=~taylor)
-    np.reciprocal(e, out=e)
+    e = np.reciprocal(d + centre * centre)
     c = e * centre
     b1 = np.zeros_like(e)
     b2 = np.zeros_like(e)
     tmp = np.empty_like(e)
+    term = np.empty_like(e)
     for n in range(_TAYLOR_TERMS - 1, -1, -1):
         np.multiply(b2, e, out=tmp)
         np.multiply(tmp, _G[n + 1], out=tmp)
         np.multiply(b1, c, out=b2)
         np.add(b2, tmp, out=b2)
-        np.add(b2, moments[n], out=b2)
+        np.add(b2, np.take(moments[n], at, out=term), out=b2)
         b1, b2 = b2, b1
     np.multiply(e, e, out=tmp)
     np.multiply(tmp, e, out=tmp)
-    np.multiply(b1, tmp, out=b1)
-    return b1.sum(axis=1)
+    return np.multiply(b1, tmp, out=b1)
+
+
+def _tile_sums(a: np.ndarray, c: np.ndarray, tile: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """Each entry's tile sum D^-6 Re sum_j conj(q)^j sum_k D^-2k H_kj (`_tile_constants`).
+
+    `a` and `c` are the tile centre's offsets r_c - r_j and z_c - z_j from
+    the atom, and `tile` the entry's row of `moments`, which holds each
+    tile's scaled moments S_mn by degree. Horner in conj(q) = -(a + ic)/D^2
+    outside and in D^-2 inside, _TILE_PASS entries at a time; the arithmetic
+    is elementwise, so an entry's sum does not depend on the other entries.
+    """
+    coefficients = np.empty((_TILE_COLUMNS, len(moments)), dtype=complex)
+    for part, col, weights in _TILE_MAP:
+        both = (moments[:, part] @ weights).T
+        coefficients[col] = both[: len(col)] + 1j * both[len(col) :]
+    out = np.empty(len(a))
+    for s0 in range(0, len(a), _TILE_PASS):
+        part = slice(s0, s0 + _TILE_PASS)
+        rho = 1.0 / (a[part] * a[part] + c[part] * c[part])
+        q_bar = -(a[part] * rho) - 1j * (c[part] * rho)
+        acc, poly, term = np.zeros_like(q_bar), np.empty_like(q_bar), np.empty_like(q_bar)
+        col = _TILE_COLUMNS
+        for rank in _TILE_RANKS[::-1]:
+            np.multiply(acc, q_bar, out=acc)
+            col -= rank + 1
+            np.take(coefficients[col + rank], tile[part], out=poly)
+            for k in range(rank - 1, -1, -1):
+                np.multiply(poly, rho, out=poly)
+                np.add(poly, np.take(coefficients[col + k], tile[part], out=term), out=poly)
+            np.add(acc, poly, out=acc)
+        out[part] = rho * rho * rho * acc.real
+    return out
 
 
 def masked_kernel_sum(
@@ -298,12 +385,13 @@ def masked_kernel_sum(
     """The bare lattice sum K = sum r / (D^6_planar * B) * dr * dz over unblocked cells.
 
     The physical shift is 2 pi C6 rho I_p K, so linearity of s in the C6 and
-    rho prefactors is exact by construction once B is fixed. Each row's z
-    sum is split into panels; the r-weighted rows are summed per fixed
-    256-row block, and the blocks combine in a fixed pairwise tree, so the
-    result is bit-identical for any `threads`. One Position gives a float;
-    a sequence of Positions sharing one z gives a 1-D array, each entry
-    bit-identical to its single-position call.
+    rho prefactors is exact by construction once B is fixed. The r-weighted
+    sums are formed per fixed 256-row block, and the blocks combine in a
+    fixed pairwise tree, so the result is bit-identical for any `threads`.
+    One Position gives a float; a sequence of Positions sharing one z gives
+    a 1-D array, each entry bit-identical to its single-position call: each
+    choice below depends on that atom and block only, and each atom's terms
+    are added in a fixed order.
 
     Panels. The z column is cut into units: the fewest whole cells spanning
     whole detuning periods (100 cells on the 0.01/0.03 lambda_c lattices, 25
@@ -312,14 +400,28 @@ def masked_kernel_sum(
     from the atom wide, where a = r - r_j and C is the panel centre's z
     offset; the cells past the last whole unit form one more panel. An atom
     uses, in each 256-row block, the layout built for a = unit * 2^k with the
-    largest k its nearest row in the block allows (a = 0 within one unit),
-    so the layout depends on that atom and block only.
+    largest k its nearest row in the block allows (a = 0 within one unit).
 
     Exact mask. A cell is blocked when (r - r_j)^2 + (z - z_j)^2 < R_b^2,
     the float compare of the cell-by-cell sum; a tie counts as unblocked.
     The float sum is monotone, so a panel is wholly unblocked exactly when
     its nearest cell is, and wholly blocked exactly when its farthest cell
     is. Wholly blocked panels are skipped.
+
+    Far tiles. A tile is an aligned group of h = 2^k rows (k = 4, 6, 8) of a
+    block by one panel of width w. An atom sums it as one term when it is
+    far, sqrt(h^2 + w^2) <= D/4 with D the distance to its centre, and
+    wholly unblocked: each row clears the nearest-cell compare by a relative
+    1e-12, so the exact compare holds too (rows nearer the edge stay with
+    the panels). Tiles are taken largest first, and the rows they take leave
+    the panels. A tile is sum_{m+n<20} p_mn M_mn (`_tile_constants`), the
+    moments M_mn of r/B about its centre built from the rows' panel moments.
+    Truncation bound: with rho^2 = (W + xi)(conj(W) + conj(xi)), W = A + iC
+    and xi = x + iy, the degree-d part of rho^-6 is at most
+    D^-6 C(d+5, 5) |xi/D|^d, as sum_{k+l=d} C(k+2, 2) C(l+2, 2) = C(d+5, 5);
+    |xi| <= D/8 leaves the panels' bound, below 1.1e-13 of the tile's sum.
+    A block with at least _TILE_PASS/4 tile terms sums them in one pass;
+    the other blocks' tiles share one pass per call.
 
     Far panels. A wholly unblocked panel of width w with a^2 + C^2 >= (4 w)^2
     is summed as sum_{n<N} M_n p_n with N = 20: p_n are the Taylor
@@ -333,9 +435,14 @@ def masked_kernel_sum(
     the dropped terms are at most sum_{n>=20} C(n+5, 5) 8^-n < 6e-14 times
     D^-6 sum(1/B), below 1.1e-13 of the panel's own sum.
 
-    Near panels, panels cut by the blockade edge and the last partial unit
-    run the cell-by-cell chain 1 / (B d2 d2 d2) with the blocked cells
-    removed.
+    Cut far panels. Where 1/B repeats unit by unit, a far panel that the
+    blockade edge cuts skips its wholly blocked units, sums the unit the
+    edge crosses cell by cell, and sums the units beyond it as aligned
+    pieces of 2^m units, one series each. A piece is at most half the panel,
+    so it is far too.
+
+    Near panels, the other cut panels and the last partial unit run the
+    cell-by-cell chain 1 / (B d2 d2 d2) with the blocked cells removed.
     """
     if mask not in _MASKS:
         raise ValueError(f"unknown blockade mask '{mask}'")
@@ -373,50 +480,56 @@ def masked_kernel_sum(
     folded = folded or np.array_equal(t_col[q:], t_col[:-q])
     n_units, unit = n_z // q, q * dz
     unit_powers = _powers((np.arange(q) - 0.5 * (q - 1)) * dz)
+    unit_starts = np.arange(max(n_units, 1)) * q
+    unit_lo, unit_hi = np.minimum.reduceat(dz2_col, unit_starts), np.maximum.reduceat(dz2_col, unit_starts)
 
-    def panel_groups(a2: float) -> list[_PanelGroup]:
+    def piece(units: int) -> np.ndarray:
+        # the scaled basis that moves one unit's moments to the centre of `units` units
+        offsets = (np.arange(units) - 0.5 * (units - 1)) * unit
+        return _BINOMIAL * np.sum(_powers(offsets), axis=0)[_ORDER_GAP] * _KAPPA
+
+    def layout(a2: float) -> _Layout:
         spans = sorted((j0 * q, j1 * q) for j0, j1 in _panel_layout(n_units, unit, quad.extent_z, a2))
         if n_units * q < n_z:
             spans.append((n_units * q, n_z))
         starts, stops = np.array(spans).T
-        lo, hi = np.minimum.reduceat(dz2_col, starts), np.maximum.reduceat(dz2_col, starts)
-        groups = []
-        for width in sorted(set(stops - starts)):
-            if width % q:  # the cells past the last whole unit: cell by cell only
-                admit2, basis = np.inf, None
-            elif folded:  # binomial shift of one unit's moments to the panel centre
-                offsets = (np.arange(width // q) - 0.5 * (width // q - 1)) * unit
-                shift = np.sum(_powers(offsets), axis=0)[_ORDER_GAP]
-                admit2, basis = (_PANEL_RATIO * width * dz) ** 2, _BINOMIAL * shift * _KAPPA
-            else:  # scaled powers of the panel's own cell offsets
-                admit2 = (_PANEL_RATIO * width * dz) ** 2
-                basis = _powers((np.arange(width) - 0.5 * (width - 1)) * dz) * _KAPPA
-            sel = stops - starts == width
-            centre = -0.5 * quad.extent_z + (starts[sel] + 0.5 * width) * dz
-            groups.append(_PanelGroup(starts[sel], int(width), centre, lo[sel], hi[sel], admit2, basis))
-        return groups
+        widths = stops - starts
+        whole = widths % q == 0
+        if folded:  # one moment row per width: one unit's moments moved to the panel centre
+            kinds = sorted(set(widths[whole]))
+            row, bases = np.searchsorted(kinds, widths), [piece(w // q) for w in kinds]
+        else:  # one per panel: scaled powers of its own cell offsets
+            shared = {w: _powers((np.arange(w) - 0.5 * (w - 1)) * dz) * _KAPPA for w in set(widths[whole])}
+            row, bases = np.arange(len(starts)), [shared.get(w) for w in widths]
+        return _Layout(
+            starts,
+            widths,
+            -0.5 * quad.extent_z + (starts + 0.5 * widths) * dz,
+            np.minimum.reduceat(dz2_col, starts),
+            np.maximum.reduceat(dz2_col, starts),
+            np.where(whole, (_PANEL_RATIO * widths * dz) ** 2, np.inf),
+            row,
+            bases,
+        )
 
     # An atom whose nearest row in a block is at least unit * 2^level away
     # sums that block on the coarser layout of that level (-1: nearer).
     blocks = block_ranges(n_r, _BLOCK_ROWS)
     gaps = np.array([np.maximum(0.0, np.maximum(r[i0] - r_atoms, r_atoms - r[i1 - 1])) for i0, i1 in blocks])
     levels = np.floor(np.log2(np.maximum(gaps, 0.5 * unit) / unit)).astype(int)
-    layouts = {level: panel_groups((unit * 2.0**level) ** 2 if level >= 0 else 0.0) for level in set(levels.flat)}
-    widest = max(group.width for groups in layouts.values() for group in groups)
+    layouts = {level: layout((unit * 2.0**level) ** 2 if level >= 0 else 0.0) for level in set(levels.flat)}
+    tile_powers = {k: _powers((np.arange(1 << k) - 0.5 * ((1 << k) - 1)) * dr).T for k in _TILE_LEVELS}
 
-    def one_block(index: int) -> np.ndarray:
+    def one_block(index: int):
         i0, i1 = blocks[index]
         n = i1 - i0
-        coeffs = (b_p[i0:i1, None], b_q[i0:i1, None], b_r[i0:i1, None])
-        dr2 = (r[i0:i1] - r_atoms[:, None]) ** 2
+        r_block = r[i0:i1]
+        coeffs = (b_p[i0:i1], b_q[i0:i1], b_r[i0:i1])
+        dr2 = (r_block - r_atoms[:, None]) ** 2
         rb2_block = rb2[:, i0:i1]
         row_sums = np.zeros((n_atoms, n))
-        # one scratch buffer per block, reused by every chunk below: fresh
-        # temporaries this size would be mmapped or trimmed and page-faulted anew
-        scratch = np.empty(max(_BLOCK_FLOATS, 2 * widest))
-
-        def table(rows: int, cols: int) -> np.ndarray:
-            return scratch[: rows * cols].reshape(rows, cols)
+        buffer = np.empty(_BLOCK_FLOATS // 4)  # reused by cell_moments and at_least
+        cached = {}
 
         def cell_moments(k0: int, basis: np.ndarray) -> np.ndarray:
             # sum over cells k0 + i of (1/B) basis[i], per row, in column chunks;
@@ -424,64 +537,214 @@ def masked_kernel_sum(
             # faster than elementwise passes on tables this narrow
             out = np.zeros((n, basis.shape[1]))
             pqr = np.column_stack(coeffs)
-            cols = max(1, _BLOCK_FLOATS // n)
+            cols = max(1, len(buffer) // n)
             for c0 in range(0, len(basis), cols):
                 c1 = min(c0 + cols, len(basis))
                 t = t_col[k0 + c0 : k0 + c1]
-                inv_b = np.matmul(pqr, np.stack((np.ones_like(t), t, t * t)), out=table(n, c1 - c0))
+                inv_b = np.matmul(pqr, np.stack((np.ones_like(t), t, t * t)), out=buffer[: n * (c1 - c0)].reshape(n, -1))
                 out += np.reciprocal(inv_b, out=inv_b) @ basis[c0:c1]
             return out
 
-        if folded and n_units:
-            unit_moments = cell_moments(0, unit_powers)
+        def unit_moments() -> np.ndarray:
+            if "unit" not in cached:
+                cached["unit"] = cell_moments(0, unit_powers)
+            return cached["unit"]
 
-        def moments_of(group: _PanelGroup) -> np.ndarray:
-            # scaled moments about each panel centre, shape (N, panels or 1, rows)
-            if folded:
-                return np.ascontiguousarray((unit_moments @ group.basis).T)[:, None, :]
-            return np.stack([cell_moments(k0, group.basis).T for k0 in group.starts], axis=1)
+        def piece_moments(count: int) -> np.ndarray:
+            # scaled moments about their centre of pieces of 1, 2, 4, ... units, flat
+            # at [n, m * rows + row] for pieces of 2^m units
+            if len(cached.get("pieces", ())) < count * n:
+                cached["pieces"] = np.concatenate([(unit_moments() @ piece(1 << m)).T for m in range(count)], axis=1)
+            return cached["pieces"]
 
-        def cell_sums(a_idx, r_idx, k0: int, width: int) -> np.ndarray:
-            # the cell-by-cell chain on the given (atom, row) pairs of one panel
-            sums = np.empty(len(a_idx))
-            step = max(1, len(scratch) // (2 * width))
-            cols = slice(k0, k0 + width)
-            for s0 in range(0, len(a_idx), step):
-                a_s, r_s = a_idx[s0 : s0 + step], r_idx[s0 : s0 + step]
-                d2, term = table(2 * len(a_s), width).reshape(2, len(a_s), width)
-                np.add(dr2[a_s, r_s][:, None], dz2_col[cols], out=d2)
-                np.copyto(d2, np.inf, where=d2 < rb2_block[a_s, r_s][:, None])
-                b_values(*(c[r_s] for c in coeffs), t_col[cols], out=term)
+        def at_least(x: np.ndarray, y: np.ndarray, bound: np.ndarray) -> np.ndarray:
+            # x + y >= bound as booleans, shape (atoms, panels, rows), the float sum
+            # formed a few atoms at a time in `buffer`
+            out = np.empty((len(x), len(y), n), dtype=bool)
+            step = max(1, len(buffer) // (len(y) * n))
+            for s0 in range(0, len(x), step):
+                part = buffer[: len(x[s0 : s0 + step]) * len(y) * n].reshape(-1, len(y), n)
+                np.add(x[s0 : s0 + step], y, out=part)
+                np.greater_equal(part, bound[s0 : s0 + step], out=out[s0 : s0 + step])
+            return out
+
+        def cells(a_e, r_e, c0_e, width: int) -> np.ndarray:
+            # the cell-by-cell chain 1 / (B d2 d2 d2) over `width` cells from c0 of
+            # each (atom, row) entry, blocked cells dropped; one column per entry
+            # while computing, one row per entry to sum
+            out = np.empty(len(a_e))
+            step = max(1, _BLOCK_FLOATS // (8 * width))
+            for s0 in range(0, len(a_e), step):
+                a_s, r_s = a_e[s0 : s0 + step], r_e[s0 : s0 + step]
+                cols = c0_e[s0 : s0 + step] + np.arange(width)[:, None]
+                d2 = dz2_col[cols] + dr2[a_s, r_s]
+                np.copyto(d2, np.inf, where=d2 < rb2_block[a_s, r_s])
+                term = b_values(*(c[r_s] for c in coeffs), t_col[cols], out=np.empty(d2.shape))
                 for _ in range(3):
                     np.multiply(term, d2, out=term)
                 np.reciprocal(term, out=term)  # 1 / (B d2^3), 0 on blocked cells
-                np.sum(term, axis=1, out=sums[s0 : s0 + step])
-            return sums
+                np.sum(np.ascontiguousarray(term.T), axis=1, out=out[s0 : s0 + step])
+            return out
+
+        def series(d_e, centre_e, table, at) -> np.ndarray:
+            # _panel_series a few thousand entries at a time
+            out = np.empty(len(d_e))
+            for s0 in range(0, len(d_e), _BLOCK_FLOATS // 16):
+                part = slice(s0, s0 + _BLOCK_FLOATS // 16)
+                out[part] = _panel_series(d_e[part], centre_e[part], table, at[part])
+            return out
+
+        # tiles fit in the whole 2^k-row groups of the block
+        tile_levels = [k for k in _TILE_LEVELS if n >> k]
+        g_min = n >> tile_levels[0] if tile_levels else 0
+        tile_atoms, tile_a, tile_c, tile_ids, tile_moments = [], [], [], [], []
+        n_tiles = 0
 
         for level in sorted(set(levels[index])):
             in_level = np.flatnonzero(levels[index] == level)
-            for group in layouts[level]:
-                moments = None
-                chunk = max(1, _BLOCK_FLOATS // (8 * n * len(group.starts)))
-                for c0 in range(0, len(in_level), chunk):
-                    idx = in_level[c0 : c0 + chunk]
-                    d = dr2[idx, None, :]
-                    rb2_chunk = rb2_block[idx, None, :]
-                    taylor = d + group.lo[:, None] >= rb2_chunk
-                    taylor &= d + (group.centre * group.centre)[:, None] >= group.admit2
-                    if taylor.any():
-                        if moments is None:
-                            moments = moments_of(group)
-                        row_sums[idx] += _panel_series(d, taylor, group, moments)
-                    cut = d + group.hi[:, None] >= rb2_chunk
-                    cut &= ~taylor
-                    for i in np.flatnonzero(cut.any(axis=(0, 2))):
-                        a_idx, r_idx = np.nonzero(cut[:, i, :])
-                        row_sums[idx[a_idx], r_idx] += cell_sums(idx[a_idx], r_idx, group.starts[i], group.width)
-        np.multiply(row_sums, r[i0:i1], out=row_sums)
-        return row_sums.sum(axis=1)
+            lay = layouts[level]
+            n_panels = len(lay.starts)
+            c2 = lay.centre * lay.centre
+            moments = {}
 
-    block_sums = map_ordered(one_block, range(len(blocks)), threads=threads)
+            def series_moments() -> np.ndarray:
+                # scaled moments of each row about each panel centre, flat at [n, row of
+                # moments * rows + row]
+                if "series" not in moments:
+                    if folded:
+                        rows = [unit_moments() @ basis for basis in lay.bases]
+                    else:
+                        rows = [np.zeros((n, _TAYLOR_TERMS)) if b is None else cell_moments(k0, b) for k0, b in zip(lay.starts, lay.bases)]
+                    moments["series"] = np.concatenate([m.T for m in rows], axis=1)
+                return moments["series"]
+
+            # far tiles, largest first, for every atom of the level: a row clears the
+            # nearest-cell compare of each panel whose lo is at least its threshold
+            d = dr2 if len(in_level) == n_atoms else dr2[in_level]
+            rb2_level = np.broadcast_to((rb_rows[in_level] if mask == MASK_ATOM else rb_rows[:, i0:i1]) ** 2, d.shape)
+            cover = np.zeros((len(in_level), n_panels, 0), dtype=bool)
+            if tile_levels:
+                thr = rb2_level * (1.0 + _TILE_MARGIN)
+                thr -= d
+                thr[d >= rb2_level] = -np.inf
+                thrs = [thr[:, : g_min << tile_levels[0]].reshape(len(in_level), g_min, -1).max(axis=2)]
+                for k in tile_levels[1:]:
+                    thrs.append(thrs[-1][:, : (n >> k) << (k - tile_levels[0])].reshape(len(in_level), n >> k, -1).max(axis=2))
+                for k, thr in reversed(list(zip(tile_levels, thrs))):
+                    size, g = 1 << k, n >> k
+                    centres = 0.5 * (r_block[: g * size : size] + r_block[size - 1 : g * size : size])
+                    a_off = centres - r_atoms[in_level, None]
+                    far2 = np.where(np.isinf(lay.admit2), np.inf, 16.0 * (size * size * dr * dr + (lay.widths * dz) ** 2) - c2)
+                    ok = lay.lo[:, None] >= thr[:, None, :]
+                    ok &= (a_off * a_off)[:, None, :] >= far2[:, None]
+                    prev = np.repeat(cover, 1 << (_TILE_LEVELS[1] - _TILE_LEVELS[0]), axis=2)
+                    ok[:, :, : prev.shape[2]] &= ~prev
+                    if ok.any():
+                        ai, pi, gi = np.nonzero(ok)
+                        tile = lay.row[pi] * g + gi
+                        marked = np.zeros(len(lay.bases) * g, dtype=bool)
+                        marked[tile] = True
+                        used, which = np.flatnonzero(marked), (np.cumsum(marked) - 1)[tile]
+                        rows = (used % g)[:, None] * size + np.arange(size)
+                        weighted = series_moments()[:, (used // g)[:, None] * n + rows] * r_block[rows]
+                        tile_moments.append(np.matmul(tile_powers[k], weighted.transpose(1, 2, 0)).reshape(len(used), -1)[:, _TILE_TRIANGLE])
+                        tile_atoms.append(in_level[ai])
+                        tile_a.append(a_off[ai, gi])
+                        tile_c.append(lay.centre[pi])
+                        tile_ids.append(n_tiles + which)
+                        n_tiles += len(used)
+                    ok[:, :, : prev.shape[2]] |= prev
+                    cover = ok
+            # the panels left to test row by row: not tiled throughout for every atom,
+            # and not surely blocked on every row
+            if tile_levels and g_min << tile_levels[0] == n:
+                left = ~cover.all(axis=(0, 2))
+            else:
+                left = np.ones(n_panels, dtype=bool)
+            left &= lay.hi >= -float((d - rb2_level).max()) - _TILE_MARGIN * float(rb2_level.max())
+            sub = np.flatnonzero(left)
+            if not len(sub):
+                continue
+            lo, hi, sub_c2, admit2 = lay.lo[sub, None], lay.hi[sub, None], c2[sub, None], lay.admit2[sub, None]
+            chunk = max(1, min(_BLOCK_FLOATS // (len(sub) * n), _BLOCK_FLOATS // (32 * n)))
+            for c0 in range(0, len(in_level), chunk):
+                idx = in_level[c0 : c0 + chunk]
+                a_n = len(idx)
+                dd, rr = d[c0 : c0 + chunk, None, :], rb2_level[c0 : c0 + chunk, None, :]
+
+                def add(ai, ri, sums):
+                    row_sums[idx] += np.bincount(ai * n + ri, sums, minlength=a_n * n).reshape(a_n, n)
+
+                far = at_least(dd, sub_c2, np.broadcast_to(admit2, (a_n, len(sub), 1)))
+                taylor = at_least(dd, lo, rr)
+                taylor &= far
+                cut = at_least(dd, hi, rr)
+                cut &= ~taylor
+                if cover.shape[2]:  # rows a tile sums are neither Taylor nor cut rows
+                    for flags in (taylor, cut):
+                        flags[:, :, : g_min << tile_levels[0]].reshape(a_n, len(sub), g_min, -1)[...] &= ~cover[c0 : c0 + chunk, sub, :, None]
+                # each (atom, row) adds its panels' sums in this order: Taylor panels,
+                # cut far panels (series, then edge cells), then the other cut panels
+                ai, si, ri = np.nonzero(taylor)
+                if len(ai):
+                    p = sub[si]
+                    add(ai, ri, series(d[c0 + ai, ri], lay.centre[p], series_moments(), lay.row[p] * n + ri))
+                if folded:
+                    # cut far panels: wholly blocked units are skipped, the unit that the
+                    # blockade edge crosses is summed cell by cell, and the units beyond it
+                    # by one series per aligned piece of 2^m units
+                    ai, si, ri = np.nonzero(cut & far)
+                    cut &= ~far
+                    if len(ai):
+                        p = sub[si]
+                        d_e, rb_e = d[c0 + ai, ri], rb2_level[c0 + ai, ri]
+                        units, first, upward = lay.widths[p] // q, lay.starts[p] // q, lay.centre[p] > 0
+                        blocked = np.zeros(len(ai), dtype=int)
+                        for u in range(int(units.max())):
+                            blocked += (d_e + unit_hi[np.minimum(first + u, n_units - 1)] < rb_e) & (u < units)
+                        edge = np.where(upward, blocked, units - 1 - blocked)
+                        crossed = d_e + unit_lo[first + edge] < rb_e
+                        # the units beyond the edge: [start, units) above the atom, [0, count) below
+                        start = np.where(upward, edge + crossed, 0)
+                        count = np.where(upward, units - start, edge + 1 - crossed)
+                        parts = []
+                        for m in range(int(units.max()).bit_length()):
+                            on = np.flatnonzero((count >> m) & 1)
+                            begin = np.where(upward, start + (count & ((1 << m) - 1)), (count >> (m + 1)) << (m + 1))[on]
+                            centre = lay.centre[p[on]] + (begin + 0.5 * (1 << m) - 0.5 * units[on]) * unit
+                            parts.append((on, centre, m * n + ri[on]))
+                        on, centre, at = (np.concatenate(x) for x in zip(*parts))
+                        add(ai[on], ri[on], series(d_e[on], centre, piece_moments(len(parts)), at))
+                        on = np.flatnonzero(crossed)
+                        add(ai[on], ri[on], cells(idx[ai[on]], ri[on], (first[on] + edge[on]) * q, q))
+                # near cut panels (and, where 1/B does not repeat, every cut panel) cell by cell
+                ai, si, ri = np.nonzero(cut)
+                for width in sorted(set(lay.widths[sub[si]].tolist())):
+                    on = np.flatnonzero(lay.widths[sub[si]] == width)
+                    add(ai[on], ri[on], cells(idx[ai[on]], ri[on], lay.starts[sub[si[on]]], width))
+        np.multiply(row_sums, r_block, out=row_sums)
+        block = row_sums.sum(axis=1)
+        if not tile_atoms:
+            return block, None
+        # sum the tiles here when there are enough of them for one vectorised pass,
+        # else with those of the other blocks
+        tiles = tuple(np.concatenate(x) for x in (tile_atoms, tile_a, tile_c, tile_ids, tile_moments))
+        if len(tiles[0]) < _TILE_PASS // 4:
+            return block, tiles
+        block += np.bincount(tiles[0], _tile_sums(*tiles[1:]), minlength=n_atoms)
+        return block, None
+
+    results = map_ordered(one_block, range(len(blocks)), threads=threads)
+    block_sums = np.array([rows for rows, _ in results])  # (blocks, atoms)
+    pending = [(index, tiles) for index, (_, tiles) in enumerate(results) if tiles is not None]
+    if pending:
+        # the few tiles of the other blocks in one pass; each (block, atom) adds its own in order
+        offsets = np.cumsum([0] + [len(tiles[4]) for _, tiles in pending[:-1]])
+        keys = np.concatenate([index * n_atoms + tiles[0] for index, tiles in pending])
+        a_e, c_e = (np.concatenate([tiles[i] for _, tiles in pending]) for i in (1, 2))
+        ids = np.concatenate([offset + tiles[3] for offset, (_, tiles) in zip(offsets, pending)])
+        moments = np.concatenate([tiles[4] for _, tiles in pending])
+        block_sums += np.bincount(keys, _tile_sums(a_e, c_e, ids, moments), minlength=block_sums.size).reshape(block_sums.shape)
     total = pairwise_sum(block_sums) * dr * dz
     return float(total[0]) if isinstance(atom_pos, Position) else total
 

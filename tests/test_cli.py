@@ -691,8 +691,9 @@ def test_shift_without_samples_is_bad_input(monkeypatch, capsys):
         raise AssertionError("no quadrature may run")
 
     monkeypatch.setattr(meanfield, "shift_at", forbidden)
-    code, out, err = run(["shift", "--samples", "0", "--grid-spacing", "1"], capsys)
-    assert code == 2
-    assert out == ""
-    message = err.strip().splitlines()[-1]
-    assert message.startswith("vortex-localize shift: error in shift_profile: positions must be a non-empty")
+    for samples in ("0", "-1"):
+        code, out, err = run(["shift", "--samples", samples, "--grid-spacing", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        message = err.strip().splitlines()
+        assert message == [f"vortex-localize shift: error in shift_profile: --samples must be at least 1, got {samples}"]
