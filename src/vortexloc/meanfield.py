@@ -21,7 +21,9 @@ summed by a 2-D Taylor series of D^-6 from moments of r/B; far, wholly
 unblocked panels of one row by a 1-D series from moments of 1/B; near
 panels, and the unit of a panel that the blockade edge crosses, cell by
 cell. A tile or panel is at most 1/4 of its distance from the atom across,
-which bounds the truncation below 1.1e-13 of its own sum. The mask is the
+which bounds the truncation below 1.1e-13 of its own sum. The series and
+the panel layout live in `farfield`, which loads with the first quadrature
+rather than with every command. The mask is the
 exact cell compare d2 < R_b^2, a tie unblocked. `masked_kernel_sum` and
 `shift_at` take one Position, giving a float, or a sequence of Positions
 that share one z, giving a 1-D array: the atoms of a batch share one
@@ -52,20 +54,12 @@ MASK_ATOM = "atom"
 _MASKS = (MASK_LOCAL, MASK_ATOM)
 
 _BLOCK_ROWS = 256  # fixed row partition; never depends on worker count
-# Far panels are summed from moments: a panel is at most 1/_PANEL_RATIO of its
-# distance from the atom wide, and its Taylor series keeps _TAYLOR_TERMS terms.
-_PANEL_RATIO = 4.0
-_TAYLOR_TERMS = 20
-_MAX_FOLD_PERIODS = 8
 # Float temporaries of one block stay within about this many elements (512 kB),
 # small enough to stay in L2; atoms, moment columns and cut-panel rows are
 # chunked to fit.
 _BLOCK_FLOATS = 1 << 16
-_TILE_LEVELS = (4, 6, 8)  # far tiles are 2^k rows of a block tall
+_TILE_LEVELS = (4, 6, 8)  # far tiles are 2^k rows of a block tall, k increasing
 _TILE_MARGIN = 1e-12  # a tile's rows clear the nearest-cell compare by this relative margin
-# Tile sums are evaluated this many at a time; a block with fewer than a
-# quarter of that leaves its tiles to one pass per call.
-_TILE_PASS = 1 << 12
 _CALIBRATION_REL_TOL = 1e-3  # fixed-point stop: |delta step| <= this times |s_0|
 _REFINE_TOL = 1e-3  # blockade boundary crossings are bisected to this width, um
 # Default lattice spacings, multiples of lambda_c: the reference lattice, and the
@@ -187,194 +181,6 @@ def _blockade_rows(config: SystemConfig, r: np.ndarray):
     return rb, b_coefficients(ip, ic, superatom_count(rb, config.medium.density_rho) * ip, delta_p, gamma)
 
 
-def _series_constants(n_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Moment scales kappa_n and coefficients g_n of the rescaled Taylor recurrence.
-
-    The Taylor coefficients p_n of (a^2 + (C + x)^2)^-3 about x = 0 obey
-    (a^2 + C^2)(n + 1) p_{n+1} = -2C(n + 3) p_n - (n + 5) p_{n-1}. Writing
-    p_n = kappa_n pt_n with kappa_{n+1} = -2 (n + 3)/(n + 1) kappa_n leaves
-    pt_{n+1} = c pt_n + g_n e pt_{n-1}, where e = 1/(a^2 + C^2), c = C e,
-    pt_0 = e^3 and pt_1 = c pt_0; the moments carry the kappa_n.
-    """
-    kappa = np.ones(n_terms + 2)
-    for n in range(n_terms + 1):
-        kappa[n + 1] = -2.0 * (n + 3) / (n + 1) * kappa[n]
-    g = [0.0] + [-(n + 5) / (n + 1) * kappa[n - 1] / kappa[n + 1] for n in range(1, n_terms + 1)]
-    return kappa[:n_terms], np.array(g)
-
-
-_KAPPA, _G = _series_constants(_TAYLOR_TERMS)
-# moments about a centre shifted by delta: M'_n = sum_j C(n, j) delta^(n - j) M_j
-_BINOMIAL = np.array([[math.comb(n, j) for n in range(_TAYLOR_TERMS)] for j in range(_TAYLOR_TERMS)], dtype=float)
-_ORDER_GAP = np.maximum(np.arange(_TAYLOR_TERMS) - np.arange(_TAYLOR_TERMS)[:, None], 0)  # n - j at [j, n]
-
-
-def _tile_constants(n_terms: int) -> tuple[np.ndarray, int, np.ndarray, list]:
-    """The 2-D tile series: its Horner ranks, and the map from a tile's moments to its coefficients.
-
-    A tile sums sum_{m+n<N} p_mn M_mn, with p_mn the Taylor coefficients of
-    ((A + x)^2 + (C + y)^2)^-3 about the tile centre and M_mn = sum w x^m y^n,
-    w = r / B. With W = A + iC, xi = x + iy and q = -1/W, (W + xi)^-3 =
-    W^-3 sum_k c_k q^k xi^k, c_k = C(k + 2, 2), so the same sum, degree by
-    degree, is D^-6 Re sum_j conj(q)^j sum_k D^-2k H_kj over 2k + j < N, with
-    H_kj = (2 - [j = 0]) c_k c_{k+j} sum w xi^k conj(xi)^(k+j): 110 complex
-    coefficients for N = 20 in place of 210 p_mn.
-
-    Returns the largest k of each j; the number of H columns, ordered by j,
-    then k; the flat [m, n] indices of the scaled moments S_mn = kappa_n M_mn
-    with m + n < N, ordered by degree; and, per degree d, the slice of those
-    moments, the H columns of that degree and the real matrix between them
-    (real parts first, then imaginary).
-    """
-    binomial = _BINOMIAL.T  # C(k, m) at [k, m]
-    # (x + iy)^k (x - iy)^l = sum_n i^n s[k, l, n] x^(k+l-n) y^n
-    s = np.zeros((n_terms, n_terms, 2 * n_terms - 1))
-    for b in range(n_terms):
-        s[:, :, b : b + n_terms] += ((-1) ** b * binomial[:, b])[None, :, None] * binomial[:, None, :]
-    ranks = (n_terms - 1 - np.arange(n_terms)) // 2
-    j = np.repeat(np.arange(n_terms), ranks + 1)
-    k = np.concatenate([np.arange(rank + 1) for rank in ranks])
-    c = (np.arange(n_terms) + 1) * (np.arange(n_terms) + 2) / 2.0
-    scale = np.where(j > 0, 2.0, 1.0) * c[k] * c[k + j]
-    degree_map = []
-    for d in range(n_terms):
-        col = np.flatnonzero(2 * k + j == d)
-        n = np.arange(d + 1)
-        # i^n is 1, i, -1, -i: even n feed the real parts, odd n the imaginary ones
-        weights = (s[k[col], k[col] + j[col]][:, n] * scale[col, None] * np.array([1, 1, -1, -1])[n % 4] / _KAPPA[n]).T
-        even = n[:, None] % 2 == 0
-        degree_map.append((slice(d * (d + 1) // 2, (d + 1) * (d + 2) // 2), col, np.hstack((weights * even, weights * ~even))))
-    triangle = np.concatenate([(d - np.arange(d + 1)) * n_terms + np.arange(d + 1) for d in range(n_terms)])
-    return ranks, len(j), triangle, degree_map
-
-
-_TILE_RANKS, _TILE_COLUMNS, _TILE_TRIANGLE, _TILE_MAP = _tile_constants(_TAYLOR_TERMS)
-
-
-def _powers(x: np.ndarray) -> np.ndarray:
-    """x^n for n < _TAYLOR_TERMS, one row per offset."""
-    return np.asarray(x, dtype=float)[:, None] ** np.arange(_TAYLOR_TERMS)
-
-
-def _unit_cells(period: float, dz: float) -> tuple[int, bool]:
-    """Cells per unit, and whether 1/B repeats unit by unit.
-
-    A unit is the fewest whole cells that span a whole number of detuning
-    periods (at most _MAX_FOLD_PERIODS), to 4 ulp; otherwise it is the cells
-    of about one period, and 1/B does not repeat.
-    """
-    for m in range(1, _MAX_FOLD_PERIODS + 1):
-        q = round(m * period / dz)
-        if q >= 1 and abs(q * dz - m * period) <= 4.0 * np.spacing(m * period):
-            return q, True
-    return max(1, round(period / dz)), False
-
-
-def _panel_layout(n_units: int, unit: float, extent_z: float, a2: float) -> list[tuple[int, int]]:
-    """Panels [j0, j1) of 2^m whole units, walking out from the atom on both sides.
-
-    Each panel is the widest power of two of units that is at most
-    1/_PANEL_RATIO of its distance sqrt(a2 + C^2) from the atom, for rows at
-    least sqrt(a2) from it; units too close for any width stay single.
-    """
-
-    def fits(j0: int, j1: int) -> bool:
-        centre = -0.5 * extent_z + 0.5 * (j0 + j1) * unit
-        return 0 <= j0 and j1 <= n_units and (_PANEL_RATIO * (j1 - j0) * unit) ** 2 <= a2 + centre * centre
-
-    split = next((j for j in range(n_units) if -0.5 * extent_z + (j + 0.5) * unit >= 0.0), n_units)
-    panels = []
-    for sign, end in ((1, n_units), (-1, 0)):  # outward above the atom, then below it
-        j = split
-        while j != end:
-            size = 1
-            while fits(*sorted((j, j + 2 * sign * size))):
-                size *= 2
-            panels.append(tuple(sorted((j, j + sign * size))))
-            j += sign * size
-    return panels
-
-
-@dataclass(frozen=True)
-class _Layout:
-    """The panels of one level, by start cell, with what the kernel tests and sums them by.
-
-    `lo` and `hi` are each panel's smallest and largest (z - z_j)^2. A panel
-    is a Taylor panel when a^2 + C^2 >= `admit2`, (4 * width)^2 (inf for the
-    cells past the last whole unit, which are summed cell by cell). Its
-    scaled moments come from `bases[row]`: where 1/B repeats unit by unit,
-    one row per width, the basis that moves one unit's moments to the panel
-    centre; else one row per panel, the scaled powers of its cell offsets.
-    """
-
-    starts: np.ndarray
-    widths: np.ndarray  # cells
-    centre: np.ndarray  # z offset of each panel centre from the atom, um
-    lo: np.ndarray
-    hi: np.ndarray
-    admit2: np.ndarray
-    row: np.ndarray
-    bases: list
-
-
-def _panel_series(d: np.ndarray, centre: np.ndarray, moments: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """sum_n M_n p_n of each (atom, panel, row) entry.
-
-    `d` holds each entry's a^2 = (r - r_j)^2, `centre` its panel centre's
-    offset C, and `moments[n, at]` its scaled moments. The series is summed
-    backward (Clenshaw): b_n = M_n + c b_{n+1} + g_{n+1} e b_{n+2}, with
-    e = 1/(a^2 + C^2) and c = C e, and the sum is e^3 b_0.
-    """
-    e = np.reciprocal(d + centre * centre)
-    c = e * centre
-    b1 = np.zeros_like(e)
-    b2 = np.zeros_like(e)
-    tmp = np.empty_like(e)
-    term = np.empty_like(e)
-    for n in range(_TAYLOR_TERMS - 1, -1, -1):
-        np.multiply(b2, e, out=tmp)
-        np.multiply(tmp, _G[n + 1], out=tmp)
-        np.multiply(b1, c, out=b2)
-        np.add(b2, tmp, out=b2)
-        np.add(b2, np.take(moments[n], at, out=term), out=b2)
-        b1, b2 = b2, b1
-    np.multiply(e, e, out=tmp)
-    np.multiply(tmp, e, out=tmp)
-    return np.multiply(b1, tmp, out=b1)
-
-
-def _tile_sums(a: np.ndarray, c: np.ndarray, tile: np.ndarray, moments: np.ndarray) -> np.ndarray:
-    """Each entry's tile sum D^-6 Re sum_j conj(q)^j sum_k D^-2k H_kj (`_tile_constants`).
-
-    `a` and `c` are the tile centre's offsets r_c - r_j and z_c - z_j from
-    the atom, and `tile` the entry's row of `moments`, which holds each
-    tile's scaled moments S_mn by degree. Horner in conj(q) = -(a + ic)/D^2
-    outside and in D^-2 inside, _TILE_PASS entries at a time; the arithmetic
-    is elementwise, so an entry's sum does not depend on the other entries.
-    """
-    coefficients = np.empty((_TILE_COLUMNS, len(moments)), dtype=complex)
-    for part, col, weights in _TILE_MAP:
-        both = (moments[:, part] @ weights).T
-        coefficients[col] = both[: len(col)] + 1j * both[len(col) :]
-    out = np.empty(len(a))
-    for s0 in range(0, len(a), _TILE_PASS):
-        part = slice(s0, s0 + _TILE_PASS)
-        rho = 1.0 / (a[part] * a[part] + c[part] * c[part])
-        q_bar = -(a[part] * rho) - 1j * (c[part] * rho)
-        acc, poly, term = np.zeros_like(q_bar), np.empty_like(q_bar), np.empty_like(q_bar)
-        col = _TILE_COLUMNS
-        for rank in _TILE_RANKS[::-1]:
-            np.multiply(acc, q_bar, out=acc)
-            col -= rank + 1
-            np.take(coefficients[col + rank], tile[part], out=poly)
-            for k in range(rank - 1, -1, -1):
-                np.multiply(poly, rho, out=poly)
-                np.add(poly, np.take(coefficients[col + k], tile[part], out=term), out=poly)
-            np.add(acc, poly, out=acc)
-        out[part] = rho * rho * rho * acc.real
-    return out
-
-
 def masked_kernel_sum(
     atom_pos: Position | Sequence[Position],
     config: SystemConfig,
@@ -414,23 +220,25 @@ def masked_kernel_sum(
     wholly unblocked: each row clears the nearest-cell compare by a relative
     1e-12, so the exact compare holds too (rows nearer the edge stay with
     the panels). Tiles are taken largest first, and the rows they take leave
-    the panels. A tile is sum_{m+n<20} p_mn M_mn (`_tile_constants`), the
-    moments M_mn of r/B about its centre built from the rows' panel moments.
+    the panels. A tile is sum_{m+n<20} p_mn M_mn (`farfield._tile_constants`),
+    the moments M_mn of r/B about its centre built from the rows' panel
+    moments.
     Truncation bound: with rho^2 = (W + xi)(conj(W) + conj(xi)), W = A + iC
     and xi = x + iy, the degree-d part of rho^-6 is at most
     D^-6 C(d+5, 5) |xi/D|^d, as sum_{k+l=d} C(k+2, 2) C(l+2, 2) = C(d+5, 5);
     |xi| <= D/8 leaves the panels' bound, below 1.1e-13 of the tile's sum.
-    A block with at least _TILE_PASS/4 tile terms sums them in one pass;
-    the other blocks' tiles share one pass per call.
+    A block with at least _TILE_PASS tile terms sums them in a pass of its
+    own; the other blocks' tiles (a single position has a few per block)
+    share one pass after the last block.
 
     Far panels. A wholly unblocked panel of width w with a^2 + C^2 >= (4 w)^2
     is summed as sum_{n<N} M_n p_n with N = 20: p_n are the Taylor
-    coefficients of (a^2 + (C + x)^2)^-3 (`_series_constants`), M_n = sum
-    (1/B) x^n the moments of the panel's cells about its centre. Where 1/B
-    repeats unit by unit (whole periods to 4 ulp, or B the same on every
-    unit, as in constant mode) 1/B is evaluated on one unit per row, and its
-    moments are shifted binomially to each panel width; otherwise each
-    panel's moments come from its own cells. Truncation bound: the poles
+    coefficients of (a^2 + (C + x)^2)^-3 (`farfield._series_constants`),
+    M_n = sum (1/B) x^n the moments of the panel's cells about its centre.
+    Where 1/B repeats unit by unit (whole periods to 4 ulp, or B the same on
+    every unit, as in constant mode) 1/B is evaluated on one unit per row,
+    and its moments are shifted binomially to each panel width; otherwise
+    each panel's moments come from its own cells. Truncation bound: the poles
     sit at distance D, so |p_n| <= C(n+5, 5) D^(-6-n), and with |x| <= D/8
     the dropped terms are at most sum_{n>=20} C(n+5, 5) 8^-n < 6e-14 times
     D^-6 sum(1/B), below 1.1e-13 of the panel's own sum.
@@ -438,14 +246,18 @@ def masked_kernel_sum(
     Cut far panels. Where 1/B repeats unit by unit, a far panel that the
     blockade edge cuts skips its wholly blocked units, sums the unit the
     edge crosses cell by cell, and sums the units beyond it as aligned
-    pieces of 2^m units, one series each. A piece is at most half the panel,
-    so it is far too.
+    pieces of 2^m units, one series each (`farfield._cut_pieces`).
 
     Near panels, the other cut panels and the last partial unit run the
     cell-by-cell chain 1 / (B d2 d2 d2) with the blocked cells removed.
     """
     if mask not in _MASKS:
         raise ValueError(f"unknown blockade mask '{mask}'")
+    # loaded with the first quadrature, not by every command
+    from .farfield import (
+        _TAYLOR_TERMS, _TILE_PASS, _TILE_TRIANGLE, _cut_pieces, _layout, _panel_series, _piece, _powers, _tile_sums, _unit_cells,
+    )
+
     atoms = [atom_pos] if isinstance(atom_pos, Position) else list(atom_pos)
     if not atoms or any(atom.z != atoms[0].z for atom in atoms):
         raise ValueError("atom positions must be one Position or a non-empty sequence sharing one z")
@@ -483,41 +295,15 @@ def masked_kernel_sum(
     unit_starts = np.arange(max(n_units, 1)) * q
     unit_lo, unit_hi = np.minimum.reduceat(dz2_col, unit_starts), np.maximum.reduceat(dz2_col, unit_starts)
 
-    def piece(units: int) -> np.ndarray:
-        # the scaled basis that moves one unit's moments to the centre of `units` units
-        offsets = (np.arange(units) - 0.5 * (units - 1)) * unit
-        return _BINOMIAL * np.sum(_powers(offsets), axis=0)[_ORDER_GAP] * _KAPPA
-
-    def layout(a2: float) -> _Layout:
-        spans = sorted((j0 * q, j1 * q) for j0, j1 in _panel_layout(n_units, unit, quad.extent_z, a2))
-        if n_units * q < n_z:
-            spans.append((n_units * q, n_z))
-        starts, stops = np.array(spans).T
-        widths = stops - starts
-        whole = widths % q == 0
-        if folded:  # one moment row per width: one unit's moments moved to the panel centre
-            kinds = sorted(set(widths[whole]))
-            row, bases = np.searchsorted(kinds, widths), [piece(w // q) for w in kinds]
-        else:  # one per panel: scaled powers of its own cell offsets
-            shared = {w: _powers((np.arange(w) - 0.5 * (w - 1)) * dz) * _KAPPA for w in set(widths[whole])}
-            row, bases = np.arange(len(starts)), [shared.get(w) for w in widths]
-        return _Layout(
-            starts,
-            widths,
-            -0.5 * quad.extent_z + (starts + 0.5 * widths) * dz,
-            np.minimum.reduceat(dz2_col, starts),
-            np.maximum.reduceat(dz2_col, starts),
-            np.where(whole, (_PANEL_RATIO * widths * dz) ** 2, np.inf),
-            row,
-            bases,
-        )
-
     # An atom whose nearest row in a block is at least unit * 2^level away
     # sums that block on the coarser layout of that level (-1: nearer).
     blocks = block_ranges(n_r, _BLOCK_ROWS)
     gaps = np.array([np.maximum(0.0, np.maximum(r[i0] - r_atoms, r_atoms - r[i1 - 1])) for i0, i1 in blocks])
     levels = np.floor(np.log2(np.maximum(gaps, 0.5 * unit) / unit)).astype(int)
-    layouts = {level: layout((unit * 2.0**level) ** 2 if level >= 0 else 0.0) for level in set(levels.flat)}
+    layouts = {
+        level: _layout((unit * 2.0**level) ** 2 if level >= 0 else 0.0, quad.extent_z, dz, q, dz2_col, folded)
+        for level in set(levels.flat)
+    }
     tile_powers = {k: _powers((np.arange(1 << k) - 0.5 * ((1 << k) - 1)) * dr).T for k in _TILE_LEVELS}
 
     def one_block(index: int):
@@ -554,7 +340,7 @@ def masked_kernel_sum(
             # scaled moments about their centre of pieces of 1, 2, 4, ... units, flat
             # at [n, m * rows + row] for pieces of 2^m units
             if len(cached.get("pieces", ())) < count * n:
-                cached["pieces"] = np.concatenate([(unit_moments() @ piece(1 << m)).T for m in range(count)], axis=1)
+                cached["pieces"] = np.concatenate([(unit_moments() @ _piece(1 << m, unit)).T for m in range(count)], axis=1)
             return cached["pieces"]
 
         def at_least(x: np.ndarray, y: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -594,10 +380,12 @@ def masked_kernel_sum(
                 out[part] = _panel_series(d_e[part], centre_e[part], table, at[part])
             return out
 
-        # tiles fit in the whole 2^k-row groups of the block
-        tile_levels = [k for k in _TILE_LEVELS if n >> k]
-        g_min = n >> tile_levels[0] if tile_levels else 0
-        tile_atoms, tile_a, tile_c, tile_ids, tile_moments = [], [], [], [], []
+        # tiles fit in the whole 2^k-row groups of the block; `cover` marks, per atom
+        # and panel, the g_min groups of 2^fine rows that a tile takes
+        fine = _TILE_LEVELS[0]
+        tile_levels, g_min = [k for k in _TILE_LEVELS if n >> k], n >> fine
+        tile_atoms, tile_a, tile_c = [np.empty(0, dtype=int)], [np.empty(0)], [np.empty(0)]
+        tile_ids, tile_moments = [np.empty(0, dtype=int)], [np.empty((0, len(_TILE_TRIANGLE)))]
         n_tiles = 0
 
         for level in sorted(set(levels[index])):
@@ -622,42 +410,39 @@ def masked_kernel_sum(
             # nearest-cell compare of each panel whose lo is at least its threshold
             d = dr2 if len(in_level) == n_atoms else dr2[in_level]
             rb2_level = np.broadcast_to((rb_rows[in_level] if mask == MASK_ATOM else rb_rows[:, i0:i1]) ** 2, d.shape)
-            cover = np.zeros((len(in_level), n_panels, 0), dtype=bool)
+            cover = np.zeros((len(in_level), n_panels, g_min), dtype=bool)
             if tile_levels:
                 thr = rb2_level * (1.0 + _TILE_MARGIN)
                 thr -= d
                 thr[d >= rb2_level] = -np.inf
-                thrs = [thr[:, : g_min << tile_levels[0]].reshape(len(in_level), g_min, -1).max(axis=2)]
-                for k in tile_levels[1:]:
-                    thrs.append(thrs[-1][:, : (n >> k) << (k - tile_levels[0])].reshape(len(in_level), n >> k, -1).max(axis=2))
-                for k, thr in reversed(list(zip(tile_levels, thrs))):
-                    size, g = 1 << k, n >> k
-                    centres = 0.5 * (r_block[: g * size : size] + r_block[size - 1 : g * size : size])
-                    a_off = centres - r_atoms[in_level, None]
-                    far2 = np.where(np.isinf(lay.admit2), np.inf, 16.0 * (size * size * dr * dr + (lay.widths * dz) ** 2) - c2)
-                    ok = lay.lo[:, None] >= thr[:, None, :]
-                    ok &= (a_off * a_off)[:, None, :] >= far2[:, None]
-                    prev = np.repeat(cover, 1 << (_TILE_LEVELS[1] - _TILE_LEVELS[0]), axis=2)
-                    ok[:, :, : prev.shape[2]] &= ~prev
-                    if ok.any():
-                        ai, pi, gi = np.nonzero(ok)
-                        tile = lay.row[pi] * g + gi
-                        marked = np.zeros(len(lay.bases) * g, dtype=bool)
-                        marked[tile] = True
-                        used, which = np.flatnonzero(marked), (np.cumsum(marked) - 1)[tile]
-                        rows = (used % g)[:, None] * size + np.arange(size)
-                        weighted = series_moments()[:, (used // g)[:, None] * n + rows] * r_block[rows]
-                        tile_moments.append(np.matmul(tile_powers[k], weighted.transpose(1, 2, 0)).reshape(len(used), -1)[:, _TILE_TRIANGLE])
-                        tile_atoms.append(in_level[ai])
-                        tile_a.append(a_off[ai, gi])
-                        tile_c.append(lay.centre[pi])
-                        tile_ids.append(n_tiles + which)
-                        n_tiles += len(used)
-                    ok[:, :, : prev.shape[2]] |= prev
-                    cover = ok
+                thr = thr[:, : g_min << fine].reshape(len(in_level), g_min, -1).max(axis=2)
+            for k in reversed(tile_levels):
+                size, g, per = 1 << k, n >> k, 1 << (k - fine)
+                centres = 0.5 * (r_block[: g * size : size] + r_block[size - 1 : g * size : size])
+                a_off = centres - r_atoms[in_level, None]
+                far2 = np.where(np.isinf(lay.admit2), np.inf, 16.0 * (size * size * dr * dr + (lay.widths * dz) ** 2) - c2)
+                ok = lay.lo[:, None] >= thr[:, : g * per].reshape(len(in_level), 1, g, per).max(axis=3)
+                ok &= (a_off * a_off)[:, None, :] >= far2[:, None]
+                ok &= ~cover[:, :, : g * per].reshape(len(in_level), n_panels, g, per).any(axis=3)
+                if ok.any():
+                    ai, pi, gi = np.nonzero(ok)
+                    tile = lay.row[pi] * g + gi
+                    marked = np.zeros(len(lay.bases) * g, dtype=bool)
+                    marked[tile] = True
+                    used, which = np.flatnonzero(marked), (np.cumsum(marked) - 1)[tile]
+                    rows = (used % g)[:, None] * size + np.arange(size)
+                    weighted = (series_moments()[:, (used // g)[:, None] * n + rows] * r_block[rows]).transpose(1, 2, 0)
+                    tile_moments.append(np.matmul(tile_powers[k], weighted).reshape(len(used), -1)[:, _TILE_TRIANGLE])
+                    del weighted
+                    tile_atoms.append(in_level[ai])
+                    tile_a.append(a_off[ai, gi])
+                    tile_c.append(lay.centre[pi])
+                    tile_ids.append(n_tiles + which)
+                    n_tiles += len(used)
+                    cover[:, :, : g * per] |= np.repeat(ok, per, axis=2)
             # the panels left to test row by row: not tiled throughout for every atom,
             # and not surely blocked on every row
-            if tile_levels and g_min << tile_levels[0] == n:
+            if g_min << fine == n:
                 left = ~cover.all(axis=(0, 2))
             else:
                 left = np.ones(n_panels, dtype=bool)
@@ -680,9 +465,9 @@ def masked_kernel_sum(
                 taylor &= far
                 cut = at_least(dd, hi, rr)
                 cut &= ~taylor
-                if cover.shape[2]:  # rows a tile sums are neither Taylor nor cut rows
+                if g_min:  # rows a tile sums are neither Taylor nor cut rows
                     for flags in (taylor, cut):
-                        flags[:, :, : g_min << tile_levels[0]].reshape(a_n, len(sub), g_min, -1)[...] &= ~cover[c0 : c0 + chunk, sub, :, None]
+                        flags[:, :, : g_min << fine].reshape(a_n, len(sub), g_min, -1)[...] &= ~cover[c0 : c0 + chunk, sub, :, None]
                 # each (atom, row) adds its panels' sums in this order: Taylor panels,
                 # cut far panels (series, then edge cells), then the other cut panels
                 ai, si, ri = np.nonzero(taylor)
@@ -697,26 +482,13 @@ def masked_kernel_sum(
                     cut &= ~far
                     if len(ai):
                         p = sub[si]
-                        d_e, rb_e = d[c0 + ai, ri], rb2_level[c0 + ai, ri]
-                        units, first, upward = lay.widths[p] // q, lay.starts[p] // q, lay.centre[p] > 0
-                        blocked = np.zeros(len(ai), dtype=int)
-                        for u in range(int(units.max())):
-                            blocked += (d_e + unit_hi[np.minimum(first + u, n_units - 1)] < rb_e) & (u < units)
-                        edge = np.where(upward, blocked, units - 1 - blocked)
-                        crossed = d_e + unit_lo[first + edge] < rb_e
-                        # the units beyond the edge: [start, units) above the atom, [0, count) below
-                        start = np.where(upward, edge + crossed, 0)
-                        count = np.where(upward, units - start, edge + 1 - crossed)
-                        parts = []
-                        for m in range(int(units.max()).bit_length()):
-                            on = np.flatnonzero((count >> m) & 1)
-                            begin = np.where(upward, start + (count & ((1 << m) - 1)), (count >> (m + 1)) << (m + 1))[on]
-                            centre = lay.centre[p[on]] + (begin + 0.5 * (1 << m) - 0.5 * units[on]) * unit
-                            parts.append((on, centre, m * n + ri[on]))
-                        on, centre, at = (np.concatenate(x) for x in zip(*parts))
-                        add(ai[on], ri[on], series(d_e[on], centre, piece_moments(len(parts)), at))
+                        d_e, units = d[c0 + ai, ri], lay.widths[p] // q
+                        edge, crossed, on, centre, size = _cut_pieces(
+                            d_e, rb2_level[c0 + ai, ri], units, lay.starts[p] // q, lay.centre[p], unit_lo, unit_hi, unit
+                        )
+                        add(ai[on], ri[on], series(d_e[on], centre, piece_moments(int(units.max()).bit_length()), size * n + ri[on]))
                         on = np.flatnonzero(crossed)
-                        add(ai[on], ri[on], cells(idx[ai[on]], ri[on], (first[on] + edge[on]) * q, q))
+                        add(ai[on], ri[on], cells(idx[ai[on]], ri[on], edge[on] * q, q))
                 # near cut panels (and, where 1/B does not repeat, every cut panel) cell by cell
                 ai, si, ri = np.nonzero(cut)
                 for width in sorted(set(lay.widths[sub[si]].tolist())):
@@ -724,26 +496,25 @@ def masked_kernel_sum(
                     add(ai[on], ri[on], cells(idx[ai[on]], ri[on], lay.starts[sub[si[on]]], width))
         np.multiply(row_sums, r_block, out=row_sums)
         block = row_sums.sum(axis=1)
-        if not tile_atoms:
-            return block, None
-        # sum the tiles here when there are enough of them for one vectorised pass,
-        # else with those of the other blocks
-        tiles = tuple(np.concatenate(x) for x in (tile_atoms, tile_a, tile_c, tile_ids, tile_moments))
-        if len(tiles[0]) < _TILE_PASS // 4:
-            return block, tiles
-        block += np.bincount(tiles[0], _tile_sums(*tiles[1:]), minlength=n_atoms)
-        return block, None
+        tiles = [np.concatenate(x) for x in (tile_atoms, tile_a, tile_c, tile_ids, tile_moments)]
+        del tile_atoms, tile_a, tile_c, tile_ids, tile_moments
+        if len(tiles[0]) >= _TILE_PASS:
+            # a full pass of its own, so that a batch's terms do not all wait in memory
+            block += np.bincount(tiles[0], _tile_sums(*tiles[1:]), minlength=n_atoms)
+            tiles = [x[:0] for x in tiles]
+        # the other blocks' tile terms, by block-local tile id, are summed after the last block
+        return (block, *tiles)
 
     results = map_ordered(one_block, range(len(blocks)), threads=threads)
-    block_sums = np.array([rows for rows, _ in results])  # (blocks, atoms)
-    pending = [(index, tiles) for index, (_, tiles) in enumerate(results) if tiles is not None]
-    if pending:
-        # the few tiles of the other blocks in one pass; each (block, atom) adds its own in order
-        offsets = np.cumsum([0] + [len(tiles[4]) for _, tiles in pending[:-1]])
-        keys = np.concatenate([index * n_atoms + tiles[0] for index, tiles in pending])
-        a_e, c_e = (np.concatenate([tiles[i] for _, tiles in pending]) for i in (1, 2))
-        ids = np.concatenate([offset + tiles[3] for offset, (_, tiles) in zip(offsets, pending)])
-        moments = np.concatenate([tiles[4] for _, tiles in pending])
+    block_sums = np.array([result[0] for result in results])  # (blocks, atoms)
+    # the remaining tile terms in one pass; each (block, atom) adds its own in order
+    offsets = np.cumsum([0] + [len(result[5]) for result in results])
+    keys, a_e, c_e, ids, moments = (
+        np.concatenate(x)
+        for x in zip(*[(i * n_atoms + ai, a, c, offsets[i] + ti, m) for i, (_, ai, a, c, ti, m) in enumerate(results)])
+    )
+    del results  # the blocks' own copies of the tile terms
+    if len(keys):
         block_sums += np.bincount(keys, _tile_sums(a_e, c_e, ids, moments), minlength=block_sums.size).reshape(block_sums.shape)
     total = pairwise_sum(block_sums) * dr * dz
     return float(total[0]) if isinstance(atom_pos, Position) else total

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import halved
-from vortexloc import make_config, meanfield
+from vortexloc import farfield, make_config, meanfield
 from vortexloc.bloch import b_coefficients, b_values, linewidth_from
 from vortexloc.config import TWO_PI, Position
 from vortexloc.fields import _bisect, control_envelope, detuning_profile
@@ -241,7 +241,7 @@ def test_a_cell_exactly_on_the_blockade_sphere_is_unblocked(monkeypatch, mask):
         ic = control_envelope(r, config.beam) ** 2
         return rb, b_coefficients(ip, ic, nsa_ip, config.probe.delta_p, config.medium.gamma)
 
-    real_series = meanfield._panel_series
+    real_series = farfield._panel_series
     taylor_centres = []  # series of the atom's own row, row 10, where a^2 = 0
 
     def recording_series(d, centre, moments, at):
@@ -249,7 +249,7 @@ def test_a_cell_exactly_on_the_blockade_sphere_is_unblocked(monkeypatch, mask):
         return real_series(d, centre, moments, at)
 
     monkeypatch.setattr(meanfield, "_blockade_rows", binary_exact_radius)
-    monkeypatch.setattr(meanfield, "_panel_series", recording_series)
+    monkeypatch.setattr(farfield, "_panel_series", recording_series)
     quad = QuadratureSpec(24.0, 24.0625, 0.0625, 0.0625)  # 384 x 385
     pos = Position(r=10.5 * 0.0625, z=0.375)
     got = masked_kernel_sum(pos, CFG, quad, mask=mask)
@@ -261,16 +261,16 @@ def test_a_cell_exactly_on_the_blockade_sphere_is_unblocked(monkeypatch, mask):
     assert 2.71875 in taylor_centres
 
 
-def _counted_tile_terms(monkeypatch) -> list:
-    """The number of tile terms of each `_tile_sums` pass the kernel makes from now on."""
+def _counted_tiles(monkeypatch) -> list:
+    """The (terms, tiles) of each `_tile_sums` pass the kernel makes from now on."""
     passes = []
-    real_sums = meanfield._tile_sums
+    real_sums = farfield._tile_sums
 
     def counting(a, c, tile, moments):
-        passes.append(len(a))
+        passes.append((len(a), len(moments)))
         return real_sums(a, c, tile, moments)
 
-    monkeypatch.setattr(meanfield, "_tile_sums", counting)
+    monkeypatch.setattr(farfield, "_tile_sums", counting)
     return passes
 
 
@@ -287,28 +287,28 @@ def _counted_tile_terms(monkeypatch) -> list:
 )
 def test_tiled_kernel_matches_the_per_cell_chain(monkeypatch, quad, kwargs, mask):
     cfg = make_config(**kwargs)
-    passes = _counted_tile_terms(monkeypatch)
+    passes = _counted_tiles(monkeypatch)
     for r_j, z_j in ((0.0, 0.75), (0.41, 0.61), (7.3, 1.093)):
         pos = Position(r=r_j * LAM, z=z_j * LAM)
-        before = sum(passes)
+        before = len(passes)
         got = masked_kernel_sum(pos, cfg, quad, mask=mask)
-        assert sum(passes) > before
+        assert len(passes) > before
         assert got == pytest.approx(_per_cell_kernel(pos, cfg, quad, mask), rel=1e-12, abs=0.0)
 
 
 def _tile_moments(x, y, weights):
     """The scaled moments S_mn = sum w x^m kappa_n y^n of one tile, as `_tile_sums` takes them."""
-    rows = weights @ (meanfield._powers(y) * meanfield._KAPPA)
-    return (meanfield._powers(x).T @ rows).reshape(1, -1)[:, meanfield._TILE_TRIANGLE]
+    rows = weights @ (farfield._powers(y) * farfield._KAPPA)
+    return (farfield._powers(x).T @ rows).reshape(1, -1)[:, farfield._TILE_TRIANGLE]
 
 
 def test_a_one_row_tile_sums_as_its_panel_series():
     y = (np.arange(64) - 31.5) * 0.02
     inv_b = np.random.default_rng(7).uniform(0.5, 2.0, 64)
-    row = inv_b @ (meanfield._powers(y) * meanfield._KAPPA)
+    row = inv_b @ (farfield._powers(y) * farfield._KAPPA)
     for a, c in ((0.0, 9.0), (5.0, -7.0), (8.0, 0.3), (-6.0, 6.5)):
-        tile = meanfield._tile_sums(np.array([a]), np.array([c]), np.array([0]), _tile_moments(np.zeros(1), y, 3.3 * inv_b[None, :]))
-        panel = 3.3 * meanfield._panel_series(np.array([a * a]), np.array([c]), row[:, None], np.array([0]))
+        tile = farfield._tile_sums(np.array([a]), np.array([c]), np.array([0]), _tile_moments(np.zeros(1), y, 3.3 * inv_b[None, :]))
+        panel = 3.3 * farfield._panel_series(np.array([a * a]), np.array([c]), row[:, None], np.array([0]))
         assert tile[0] == pytest.approx(panel[0], rel=1e-15, abs=0.0)
 
 
@@ -322,22 +322,40 @@ def test_a_tile_at_a_quarter_of_its_distance_is_within_the_truncation_bound():
     for angle in np.arange(8) * math.pi / 4 + 0.3:
         a, c = distance * math.cos(angle), distance * math.sin(angle)
         direct = np.sum(r[:, None] * inv_b / ((a + x[:, None]) ** 2 + (c + y) ** 2) ** 3)
-        tile = meanfield._tile_sums(np.array([a]), np.array([c]), np.array([0]), moments)[0]
+        tile = farfield._tile_sums(np.array([a]), np.array([c]), np.array([0]), moments)[0]
         assert abs(tile - direct) <= 1.1e-13 * direct
 
 
+def test_a_tile_sum_does_not_depend_on_the_other_tiles_of_its_pass():
+    # a pass of 40 tiles against each tile alone, where a matrix product or a
+    # complex multiply could round differently on one row or a short array
+    rng = np.random.default_rng(3)
+    moments = rng.normal(size=(40, len(farfield._TILE_TRIANGLE))) * np.exp(-0.3 * np.arange(len(farfield._TILE_TRIANGLE)))
+    a, c = rng.uniform(5.0, 10.0, 40), rng.uniform(-10.0, 10.0, 40)
+    together = farfield._tile_sums(a, c, np.arange(40), moments)
+    alone = [farfield._tile_sums(a[i : i + 1], c[i : i + 1], np.array([0]), moments[i : i + 1])[0] for i in range(40)]
+    assert np.array_equal(together, alone)
+
+
+# 48 atoms on a lattice where some blocks of the batch hold a full tile pass of
+# their own; and a 100-row lattice on which some single positions sum exactly one tile
+@pytest.mark.parametrize(
+    "quad, radii, own_pass, one_tile",
+    [
+        (QuadratureSpec.scaled(LAM, 0.08), np.linspace(0.0, 3.0, 48), True, False),
+        (QuadratureSpec.scaled(LAM, 0.2, 20.0), np.linspace(0.0, 18.0, 10), False, True),
+    ],
+)
 @pytest.mark.parametrize("threads", [1, 2])
-def test_batched_tiles_equal_the_per_position_loop(monkeypatch, threads):
-    # 48 atoms give every block enough tile terms for a pass of its own, while a
-    # single position leaves its few to the one pass of the call
-    quad = QuadratureSpec.scaled(LAM, 0.08)
-    atoms = _at_node(*np.linspace(0.0, 3.0, 48))
-    passes = _counted_tile_terms(monkeypatch)
+def test_batched_tiles_equal_the_per_position_loop(monkeypatch, quad, radii, own_pass, one_tile, threads):
+    atoms = _at_node(*radii)
+    passes = _counted_tiles(monkeypatch)
     got = masked_kernel_sum(atoms, CFG, quad, threads=threads)
-    assert min(passes) >= meanfield._TILE_PASS // 4
+    assert (max(passes)[0] >= farfield._TILE_PASS) == own_pass
     del passes[:]
     oracle = np.array([masked_kernel_sum(p, CFG, quad) for p in atoms])
-    assert len(passes) == len(atoms) and max(passes) < meanfield._TILE_PASS // 4
+    assert len(passes) <= len(atoms) and max(passes)[0] < farfield._TILE_PASS  # at most one shared pass a call
+    assert (min(tiles for _, tiles in passes) == 1) == one_tile
     assert np.array_equal(got, oracle)
 
 

@@ -146,15 +146,15 @@ def test_the_fingerprint_falls_back_to_hashlib_without_a_builtin_sha256():
     assert seen == ["4435c55141f2", True]
 
 
-def _optional_modules_after(argv: list[str], out: Path) -> list[str]:
-    """The OPTIONAL_MODULES in sys.modules after cli.main(argv) writes to `out` in a fresh interpreter."""
+def _optional_modules_after(argv: list[str], out: Path, modules=OPTIONAL_MODULES) -> list[str]:
+    """The `modules` in sys.modules after cli.main(argv) writes to `out` in a fresh interpreter."""
     code = textwrap.dedent(
         f"""
         import contextlib, io, json, sys
         from vortexloc import cli
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main({[*argv, "--out", str(out)]!r}) == 0
-        print(json.dumps([m for m in {OPTIONAL_MODULES!r} if m in sys.modules]))
+        print(json.dumps([m for m in {modules!r} if m in sys.modules]))
         """
     )
     return _child(code)
@@ -172,6 +172,15 @@ def _optional_modules_after(argv: list[str], out: Path) -> list[str]:
 )
 def test_a_command_loads_no_optional_module_it_does_not_run(argv, tmp_path):
     assert _optional_modules_after(argv, tmp_path / "out.csv") == []
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [(["steady"], []), (["calibrate-delta", "--grid-spacing", "0.16"], ["vortexloc.farfield"])],
+    ids=["steady", "calibrate-delta"],
+)
+def test_only_a_shift_quadrature_loads_the_far_field_series(argv, loaded, tmp_path):
+    assert _optional_modules_after(argv, tmp_path / "out.csv", ("vortexloc.farfield",)) == loaded
 
 
 def test_two_threads_load_the_thread_pool(tmp_path):
