@@ -305,6 +305,18 @@ def test_steady_time_input_validation():
         steady_time(drive_at_intensity_ratio(180.0), rel_tol=0.01, t_budget=0.5)
 
 
+def test_steady_time_refuses_more_steps_than_its_cap_before_integrating(monkeypatch):
+    # with the cap lowered to 1000 steps, 1000 steps run and reach the band,
+    # and one step more is refused before the integrator is called
+    drive = drive_at_intensity_ratio(10.0)
+    dt = 0.04 / bloch._fastest_scale(drive)
+    monkeypatch.setattr(bloch, "_MAX_STEPS", 1000)
+    assert steady_time(drive, t_budget=1000 * dt, dt=dt) < 1000 * dt
+    monkeypatch.setattr(bloch, "_rk4_samples", None)
+    with pytest.raises(ValueError, match=r"t_budget / dt asks for 1e\+03 steps; at most 1e\+03 are integrated"):
+        steady_time(drive, t_budget=1000.5 * dt, dt=dt)
+
+
 def _stepwise_steady_time(drive, rel_tol, t_budget):
     """Oracle: steady_time's band-exit rule over the per-step RK4 loop."""
     dt = 0.04 / bloch._fastest_scale(drive)

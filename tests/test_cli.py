@@ -651,6 +651,21 @@ def test_bad_input_prints_only_the_error(argv, tmp_path, capsys):
     assert not out_file.exists()
 
 
+# both asked for more RK4 steps than any run finishes, and ran on without end
+@pytest.mark.parametrize(
+    "argv, steps",
+    [(["--budget-us", "1e300"], "9.5e+302"), (["--dt-us", "1e-300", "--budget-us", "1"], "1e+300")],
+    ids=["budget", "dt"],
+)
+def test_steady_time_refuses_a_run_of_too_many_steps(argv, steps, tmp_path, capsys):
+    out_file = tmp_path / "out.csv"
+    code, out, err = run(["steady-time", *argv, "--out", str(out_file)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"vortex-localize steady-time: error in steady_time: t_budget / dt asks for {steps} steps; at most 2e+08 are integrated\n"
+    assert not out_file.exists()
+
+
 def test_steady_takes_no_azimuth(monkeypatch, capsys):
     _forbid_handlers(monkeypatch)
     with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import halved
-from vortexloc import farfield, make_config, meanfield
+from vortexloc import kernel, make_config, meanfield
 from vortexloc.bloch import b_coefficients, b_values, linewidth_from
 from vortexloc.config import TWO_PI, Position
 from vortexloc.fields import _bisect, control_envelope, detuning_profile
@@ -167,16 +167,37 @@ LAT05 = QuadratureSpec.scaled(LAM, 0.05)  # 2000 x 2000, 20 cells per detuning p
 LAT03 = QuadratureSpec.scaled(LAM, 0.03)  # 3333 x 3333, 100 cells per three periods
 
 
+def _counted(monkeypatch, name: str, count) -> list:
+    """count(arguments, result) of each call of `kernel.<name>` the kernel makes from now on."""
+    seen = []
+    real = getattr(kernel, name)
+
+    def counting(*args):
+        result = real(*args)
+        seen.append(count(args, result))
+        return result
+
+    monkeypatch.setattr(kernel, name, counting)
+    return seen
+
+
+def _counted_pieces(monkeypatch) -> list:
+    """The number of cut-panel pieces of each `_cut_pieces` split."""
+    return _counted(monkeypatch, "_cut_pieces", lambda args, split: int(np.count_nonzero(split[2])))
+
+
 @pytest.mark.parametrize("delta_p", [0.0, 2.5])
 @pytest.mark.parametrize("mask", [MASK_LOCAL, MASK_ATOM])
 @pytest.mark.parametrize("kappa", [10.0, 180.0, 500.0])
-def test_panel_kernel_matches_the_per_cell_chain(kappa, mask, delta_p):
+def test_panel_kernel_matches_the_per_cell_chain(monkeypatch, kappa, mask, delta_p):
     cfg = make_config(kappa=kappa, delta_p_mhz=delta_p)
+    pieces = _counted_pieces(monkeypatch)
     # on a row centre, off the grid, and far out in r
     for r_j in (10.5 * LAT05.spacing_r, 0.123456 * LAM, 3.7 * LAM):
         pos = Position(r=r_j, z=0.75 * LAM)
         expected = _per_cell_kernel(pos, cfg, LAT05, mask)
         assert masked_kernel_sum(pos, cfg, LAT05, mask=mask) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert sum(pieces) > 0  # 1/B repeats every 20 cells, so cut far panels sum their far side as pieces
 
 
 # lattices where 1/B repeats every 20 or every 100 cells, and where it does not
@@ -193,12 +214,16 @@ def test_panel_kernel_matches_the_per_cell_chain(kappa, mask, delta_p):
     ],
 )
 @pytest.mark.parametrize("mask", [MASK_LOCAL, MASK_ATOM])
-def test_panel_kernel_matches_the_per_cell_chain_on_any_lattice(quad, kwargs, mask):
+def test_panel_kernel_matches_the_per_cell_chain_on_any_lattice(monkeypatch, quad, kwargs, mask):
     cfg = make_config(**kwargs)
+    pieces = _counted_pieces(monkeypatch)
     for r_j, z_j in ((0.0, 0.75), (0.41, 0.61), (2.5, 1.093)):
         pos = Position(r=r_j * LAM, z=z_j * LAM)
         expected = _per_cell_kernel(pos, cfg, quad, mask)
         assert masked_kernel_sum(pos, cfg, quad, mask=mask) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    # cut far panels are split into pieces exactly where 1/B repeats unit by unit
+    folded = quad in (LAT03, LAT05) or kwargs.get("detuning_mode") == "constant"
+    assert (sum(pieces) > 0) == folded
 
 
 @pytest.mark.parametrize("mask", [MASK_LOCAL, MASK_ATOM])
@@ -241,7 +266,7 @@ def test_a_cell_exactly_on_the_blockade_sphere_is_unblocked(monkeypatch, mask):
         ic = control_envelope(r, config.beam) ** 2
         return rb, b_coefficients(ip, ic, nsa_ip, config.probe.delta_p, config.medium.gamma)
 
-    real_series = farfield._panel_series
+    real_series = kernel._panel_series
     taylor_centres = []  # series of the atom's own row, row 10, where a^2 = 0
 
     def recording_series(d, centre, moments, at):
@@ -249,7 +274,7 @@ def test_a_cell_exactly_on_the_blockade_sphere_is_unblocked(monkeypatch, mask):
         return real_series(d, centre, moments, at)
 
     monkeypatch.setattr(meanfield, "_blockade_rows", binary_exact_radius)
-    monkeypatch.setattr(farfield, "_panel_series", recording_series)
+    monkeypatch.setattr(kernel, "_panel_series", recording_series)
     quad = QuadratureSpec(24.0, 24.0625, 0.0625, 0.0625)  # 384 x 385
     pos = Position(r=10.5 * 0.0625, z=0.375)
     got = masked_kernel_sum(pos, CFG, quad, mask=mask)
@@ -262,16 +287,8 @@ def test_a_cell_exactly_on_the_blockade_sphere_is_unblocked(monkeypatch, mask):
 
 
 def _counted_tiles(monkeypatch) -> list:
-    """The (terms, tiles) of each `_tile_sums` pass the kernel makes from now on."""
-    passes = []
-    real_sums = farfield._tile_sums
-
-    def counting(a, c, tile, moments):
-        passes.append((len(a), len(moments)))
-        return real_sums(a, c, tile, moments)
-
-    monkeypatch.setattr(farfield, "_tile_sums", counting)
-    return passes
+    """The (terms, tiles) of each `_tile_sums` pass."""
+    return _counted(monkeypatch, "_tile_sums", lambda args, sums: (len(args[0]), len(args[3])))
 
 
 # folded lattices of 20 and of 100 cells per unit, a period that does not
@@ -298,17 +315,17 @@ def test_tiled_kernel_matches_the_per_cell_chain(monkeypatch, quad, kwargs, mask
 
 def _tile_moments(x, y, weights):
     """The scaled moments S_mn = sum w x^m kappa_n y^n of one tile, as `_tile_sums` takes them."""
-    rows = weights @ (farfield._powers(y) * farfield._KAPPA)
-    return (farfield._powers(x).T @ rows).reshape(1, -1)[:, farfield._TILE_TRIANGLE]
+    rows = weights @ (kernel._powers(y) * kernel._KAPPA)
+    return (kernel._powers(x).T @ rows).reshape(1, -1)[:, kernel._TILE_TRIANGLE]
 
 
 def test_a_one_row_tile_sums_as_its_panel_series():
     y = (np.arange(64) - 31.5) * 0.02
     inv_b = np.random.default_rng(7).uniform(0.5, 2.0, 64)
-    row = inv_b @ (farfield._powers(y) * farfield._KAPPA)
+    row = inv_b @ (kernel._powers(y) * kernel._KAPPA)
     for a, c in ((0.0, 9.0), (5.0, -7.0), (8.0, 0.3), (-6.0, 6.5)):
-        tile = farfield._tile_sums(np.array([a]), np.array([c]), np.array([0]), _tile_moments(np.zeros(1), y, 3.3 * inv_b[None, :]))
-        panel = 3.3 * farfield._panel_series(np.array([a * a]), np.array([c]), row[:, None], np.array([0]))
+        tile = kernel._tile_sums(np.array([a]), np.array([c]), np.array([0]), _tile_moments(np.zeros(1), y, 3.3 * inv_b[None, :]))
+        panel = 3.3 * kernel._panel_series(np.array([a * a]), np.array([c]), row[:, None], np.array([0]))
         assert tile[0] == pytest.approx(panel[0], rel=1e-15, abs=0.0)
 
 
@@ -322,18 +339,45 @@ def test_a_tile_at_a_quarter_of_its_distance_is_within_the_truncation_bound():
     for angle in np.arange(8) * math.pi / 4 + 0.3:
         a, c = distance * math.cos(angle), distance * math.sin(angle)
         direct = np.sum(r[:, None] * inv_b / ((a + x[:, None]) ** 2 + (c + y) ** 2) ** 3)
-        tile = farfield._tile_sums(np.array([a]), np.array([c]), np.array([0]), moments)[0]
+        tile = kernel._tile_sums(np.array([a]), np.array([c]), np.array([0]), moments)[0]
         assert abs(tile - direct) <= 1.1e-13 * direct
+
+
+@pytest.mark.parametrize("centre", [16.0, 10.0, 3.0, -16.0, -7.0])
+def test_a_cut_panels_piece_is_within_the_truncation_bound(centre):
+    # a panel of 8 units of 25 cells, 4 um wide at exactly a quarter of its
+    # distance 16 um from the atom, its blockade edge in each unit in turn
+    q, dz, units = 25, 0.02, 8
+    unit = q * dz
+    inv_b = np.random.default_rng(5).uniform(0.5, 2.0, q)
+    z = centre + (np.arange(units * q) - 0.5 * (units * q - 1)) * dz
+    unit_lo, unit_hi = (z * z).reshape(units, q).min(axis=1), (z * z).reshape(units, q).max(axis=1)
+    d = 256.0 - centre * centre
+    unit_moments = inv_b @ kernel._powers((np.arange(q) - 0.5 * (q - 1)) * dz)
+    for k in range(units):
+        rb2 = d + 0.5 * (unit_lo[k] + unit_hi[k])
+        args = (np.array([d]), np.array([rb2]), np.array([units]), np.array([0]), np.array([centre]), unit_lo, unit_hi, unit)
+        edge, crossed, count, offset = (x[0] for x in kernel._cut_pieces(*args))
+        assert edge == k and crossed
+        beyond = np.arange(k + 1, units) if centre > 0 else np.arange(k)
+        assert count == len(beyond)
+        if not count:
+            continue
+        cells = (beyond[:, None] * q + np.arange(q)).ravel()
+        direct = np.sum(np.tile(inv_b, count) / (d + z[cells] ** 2) ** 3)
+        moments = unit_moments @ kernel._piece(count, unit)
+        piece = kernel._panel_series(np.array([d]), np.array([offset]), moments[:, None], np.array([0]))[0]
+        assert abs(piece - direct) <= 1.1e-13 * direct
 
 
 def test_a_tile_sum_does_not_depend_on_the_other_tiles_of_its_pass():
     # a pass of 40 tiles against each tile alone, where a matrix product or a
     # complex multiply could round differently on one row or a short array
     rng = np.random.default_rng(3)
-    moments = rng.normal(size=(40, len(farfield._TILE_TRIANGLE))) * np.exp(-0.3 * np.arange(len(farfield._TILE_TRIANGLE)))
+    moments = rng.normal(size=(40, len(kernel._TILE_TRIANGLE))) * np.exp(-0.3 * np.arange(len(kernel._TILE_TRIANGLE)))
     a, c = rng.uniform(5.0, 10.0, 40), rng.uniform(-10.0, 10.0, 40)
-    together = farfield._tile_sums(a, c, np.arange(40), moments)
-    alone = [farfield._tile_sums(a[i : i + 1], c[i : i + 1], np.array([0]), moments[i : i + 1])[0] for i in range(40)]
+    together = kernel._tile_sums(a, c, np.arange(40), moments)
+    alone = [kernel._tile_sums(a[i : i + 1], c[i : i + 1], np.array([0]), moments[i : i + 1])[0] for i in range(40)]
     assert np.array_equal(together, alone)
 
 
@@ -351,10 +395,10 @@ def test_batched_tiles_equal_the_per_position_loop(monkeypatch, quad, radii, own
     atoms = _at_node(*radii)
     passes = _counted_tiles(monkeypatch)
     got = masked_kernel_sum(atoms, CFG, quad, threads=threads)
-    assert (max(passes)[0] >= farfield._TILE_PASS) == own_pass
+    assert (max(passes)[0] >= kernel._TILE_PASS) == own_pass
     del passes[:]
     oracle = np.array([masked_kernel_sum(p, CFG, quad) for p in atoms])
-    assert len(passes) <= len(atoms) and max(passes)[0] < farfield._TILE_PASS  # at most one shared pass a call
+    assert len(passes) <= len(atoms) and max(passes)[0] < kernel._TILE_PASS  # at most one shared pass a call
     assert (min(tiles for _, tiles in passes) == 1) == one_tile
     assert np.array_equal(got, oracle)
 

@@ -174,13 +174,20 @@ def test_a_command_loads_no_optional_module_it_does_not_run(argv, tmp_path):
     assert _optional_modules_after(argv, tmp_path / "out.csv") == []
 
 
+# map3d and noise with a given s0, and an uncompensated scan, run no quadrature
 @pytest.mark.parametrize(
     "argv, loaded",
-    [(["steady"], []), (["calibrate-delta", "--grid-spacing", "0.16"], ["vortexloc.farfield"])],
-    ids=["steady", "calibrate-delta"],
+    [
+        (["steady"], []),
+        (["map3d", "--s0-mhz", "0.415"], []),
+        (["noise", "--s0-mhz", "0.415", "--trajectories", "2"], []),
+        (["scan-r", "--mode", "none"], []),
+        (["calibrate-delta", "--grid-spacing", "0.16"], ["vortexloc.kernel"]),
+    ],
+    ids=["steady", "map3d", "noise", "scan-r-none", "calibrate-delta"],
 )
 def test_only_a_shift_quadrature_loads_the_far_field_series(argv, loaded, tmp_path):
-    assert _optional_modules_after(argv, tmp_path / "out.csv", ("vortexloc.farfield",)) == loaded
+    assert _optional_modules_after(argv, tmp_path / "out.csv", ("vortexloc.kernel",)) == loaded
 
 
 def test_two_threads_load_the_thread_pool(tmp_path):
