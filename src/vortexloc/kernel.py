@@ -279,20 +279,10 @@ def _panel_series(d: np.ndarray, centre: np.ndarray, moments: np.ndarray, at: np
     """
     e = np.reciprocal(d + centre * centre)
     c = e * centre
-    b1 = np.zeros_like(e)
-    b2 = np.zeros_like(e)
-    tmp = np.empty_like(e)
-    term = np.empty_like(e)
+    b1 = b2 = np.zeros_like(e)
     for n in range(_TAYLOR_TERMS - 1, -1, -1):
-        np.multiply(b2, e, out=tmp)
-        np.multiply(tmp, _G[n + 1], out=tmp)
-        np.multiply(b1, c, out=b2)
-        np.add(b2, tmp, out=b2)
-        np.add(b2, np.take(moments[n], at, out=term), out=b2)
-        b1, b2 = b2, b1
-    np.multiply(e, e, out=tmp)
-    np.multiply(tmp, e, out=tmp)
-    return np.multiply(b1, tmp, out=b1)
+        b1, b2 = b1 * c + b2 * e * _G[n + 1] + moments[n][at], b1
+    return b1 * (e * e * e)
 
 
 def _tile_sums(a: np.ndarray, c: np.ndarray, tile: np.ndarray, moments: np.ndarray) -> np.ndarray:
@@ -390,7 +380,8 @@ def kernel_plan(r_atoms: np.ndarray, z_j: float, config: SystemConfig, quad: mea
         )
 
     q, folded = _unit_cells(config.detuning.period, dz)
-    folded = folded or np.array_equal(t_col[q:], t_col[:-q])
+    # a column shorter than one unit has nothing to fold
+    folded = n_z >= q and (folded or np.array_equal(t_col[q:], t_col[:-q]))
     n_units, unit = n_z // q, q * dz
     unit_powers = _powers((np.arange(q) - 0.5 * (q - 1)) * dz)
     unit_starts = np.arange(max(n_units, 1)) * q
@@ -415,7 +406,6 @@ def kernel_plan(r_atoms: np.ndarray, z_j: float, config: SystemConfig, quad: mea
         dr2 = (r_block - r_atoms[:, None]) ** 2
         rb2_block = rb2[:, i0:i1]
         row_sums = np.zeros((n_atoms, n))
-        buffer = np.empty(_BLOCK_FLOATS // 4)  # reused by cell_moments and at_least
 
         def cell_moments(k0: int, basis: np.ndarray) -> np.ndarray:
             # sum over cells k0 + i of (1/B) basis[i], per row, in column chunks;
@@ -423,23 +413,11 @@ def kernel_plan(r_atoms: np.ndarray, z_j: float, config: SystemConfig, quad: mea
             # faster than elementwise passes on tables this narrow
             out = np.zeros((n, basis.shape[1]))
             pqr = np.column_stack(coeffs)
-            cols = max(1, len(buffer) // n)
+            cols = max(1, _BLOCK_FLOATS // (4 * n))
             for c0 in range(0, len(basis), cols):
                 c1 = min(c0 + cols, len(basis))
                 t = t_col[k0 + c0 : k0 + c1]
-                inv_b = np.matmul(pqr, np.stack((np.ones_like(t), t, t * t)), out=buffer[: n * (c1 - c0)].reshape(n, -1))
-                out += np.reciprocal(inv_b, out=inv_b) @ basis[c0:c1]
-            return out
-
-        def at_least(x: np.ndarray, y: np.ndarray, bound: np.ndarray) -> np.ndarray:
-            # x + y >= bound as booleans, shape (atoms, panels, rows), the float sum
-            # formed a few atoms at a time in `buffer`
-            out = np.empty((len(x), len(y), n), dtype=bool)
-            step = max(1, len(buffer) // (len(y) * n))
-            for s0 in range(0, len(x), step):
-                part = buffer[: len(x[s0 : s0 + step]) * len(y) * n].reshape(-1, len(y), n)
-                np.add(x[s0 : s0 + step], y, out=part)
-                np.greater_equal(part, bound[s0 : s0 + step], out=out[s0 : s0 + step])
+                out += np.reciprocal(pqr @ np.stack((np.ones_like(t), t, t * t))) @ basis[c0:c1]
             return out
 
         def cells(a_e, r_e, c0_e, width: int) -> np.ndarray:
@@ -458,14 +436,6 @@ def kernel_plan(r_atoms: np.ndarray, z_j: float, config: SystemConfig, quad: mea
                     np.multiply(term, d2, out=term)
                 np.reciprocal(term, out=term)  # 1 / (B d2^3), 0 on blocked cells
                 np.sum(np.ascontiguousarray(term.T), axis=1, out=out[s0 : s0 + step])
-            return out
-
-        def series(d_e, centre_e, table, at) -> np.ndarray:
-            # _panel_series a few thousand entries at a time
-            out = np.empty(len(d_e))
-            for s0 in range(0, len(d_e), _BLOCK_FLOATS // 16):
-                part = slice(s0, s0 + _BLOCK_FLOATS // 16)
-                out[part] = _panel_series(d_e[part], centre_e[part], table, at[part])
             return out
 
         unit_moments = cell_moments(0, unit_powers) if folded else None
@@ -535,6 +505,8 @@ def kernel_plan(r_atoms: np.ndarray, z_j: float, config: SystemConfig, quad: mea
             if not len(sub):
                 continue
             lo, hi, sub_c2, admit2 = lay.lo[sub, None], lay.hi[sub, None], c2[sub, None], lay.admit2[sub, None]
+            # at most _BLOCK_FLOATS (atom, panel, row) entries and 8 atoms of a full block
+            # at a time: this bounds the masks and the series temporaries of a chunk
             chunk = max(1, min(_BLOCK_FLOATS // (len(sub) * n), _BLOCK_FLOATS // (32 * n)))
             for c0 in range(0, len(in_level), chunk):
                 idx = in_level[c0 : c0 + chunk]
@@ -544,10 +516,10 @@ def kernel_plan(r_atoms: np.ndarray, z_j: float, config: SystemConfig, quad: mea
                 def add(ai, ri, sums):
                     row_sums[idx] += np.bincount(ai * n + ri, sums, minlength=a_n * n).reshape(a_n, n)
 
-                far = at_least(dd, sub_c2, np.broadcast_to(admit2, (a_n, len(sub), 1)))
-                taylor = at_least(dd, lo, rr)
+                far = dd + sub_c2 >= admit2
+                taylor = dd + lo >= rr
                 taylor &= far
-                cut = at_least(dd, hi, rr)
+                cut = dd + hi >= rr
                 cut &= ~taylor
                 if g_min:  # rows a tile sums are neither Taylor nor cut rows
                     for flags in (taylor, cut):
@@ -557,7 +529,7 @@ def kernel_plan(r_atoms: np.ndarray, z_j: float, config: SystemConfig, quad: mea
                 ai, si, ri = np.nonzero(taylor)
                 if len(ai):
                     p = sub[si]
-                    add(ai, ri, series(d[c0 + ai, ri], lay.centre[p], series_moments, lay.row[p] * n + ri))
+                    add(ai, ri, _panel_series(d[c0 + ai, ri], lay.centre[p], series_moments, lay.row[p] * n + ri))
                 if folded:
                     # cut far panels: wholly blocked units are skipped, the unit that the
                     # blockade edge crosses is summed cell by cell, and the units beyond it
@@ -576,7 +548,7 @@ def kernel_plan(r_atoms: np.ndarray, z_j: float, config: SystemConfig, quad: mea
                             kinds = sorted(set(count[on].tolist()))
                             pieces = np.concatenate([(unit_moments @ _piece(k, unit)).T for k in kinds], axis=1)
                             at = np.searchsorted(kinds, count[on]) * n + ri[on]
-                            add(ai[on], ri[on], series(d_e[on], centre[on], pieces, at))
+                            add(ai[on], ri[on], _panel_series(d_e[on], centre[on], pieces, at))
                         on = np.flatnonzero(crossed)
                         add(ai[on], ri[on], cells(idx[ai[on]], ri[on], edge[on] * q, q))
                 # near cut panels (and, where 1/B does not repeat, every cut panel) cell by cell

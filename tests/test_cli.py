@@ -712,3 +712,21 @@ def test_shift_without_samples_is_bad_input(monkeypatch, capsys):
         assert out == ""
         message = err.strip().splitlines()
         assert message == [f"vortex-localize shift: error in shift_profile: --samples must be at least 1, got {samples}"]
+
+
+def test_a_z_column_shorter_than_one_unit_is_summed_cell_by_cell(tmp_path, capsys):
+    # 12 cells of the 0.04 lattice along z, under one 25-cell unit: the column used
+    # to be folded onto that unit, and numpy's matmul failed on the mismatch
+    lattice = ["--grid-spacing", "0.04", "--grid-extent", "0.5"]
+    code, out, err = run(["calibrate-delta", "--kappa", "180", *lattice, "--out", str(tmp_path / "c.csv")], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "vortex-localize calibrate-delta: error in calibrate_delta: quadrature domain too small: "
+        "estimated truncation tail 100.00% exceeds the allowed 1.00%\n"
+    )
+    out_file = tmp_path / "shift.csv"
+    code, _, _ = run(["shift", "--axis", "radial", *lattice, "--samples", "3", "--tail-tol", "1", "--out", str(out_file)], capsys)
+    assert code == 0
+    # the 0.24 um lattice lies inside the blockade sphere of every row, so all is blocked
+    assert _column(out_file.read_text(), "s_mhz") == ["0", "0", "0"]

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from oracles import halved
 from vortexloc import kernel, make_config, meanfield
 from vortexloc.bloch import b_coefficients, b_values, linewidth_from
-from vortexloc.config import TWO_PI, Position
+from vortexloc.config import TWO_PI, Position, with_delta_shift
 from vortexloc.fields import _bisect, control_envelope, detuning_profile
 from vortexloc.meanfield import (
     MASK_ATOM,
@@ -165,6 +166,7 @@ def _per_cell_kernel(atom_pos, config, quad, mask, tie_blocked=False):
 
 LAT05 = QuadratureSpec.scaled(LAM, 0.05)  # 2000 x 2000, 20 cells per detuning period
 LAT03 = QuadratureSpec.scaled(LAM, 0.03)  # 3333 x 3333, 100 cells per three periods
+SHORT = QuadratureSpec(100.0 * LAM, 0.5 * LAM, 0.05 * LAM, 0.05 * LAM)  # 2000 x 10, under one 20-cell unit
 
 
 def _counted(monkeypatch, name: str, count) -> list:
@@ -202,7 +204,8 @@ def test_panel_kernel_matches_the_per_cell_chain(monkeypatch, kappa, mask, delta
 
 # lattices where 1/B repeats every 20 or every 100 cells, and where it does not
 # repeat at all: 9.09 cells per period (ODD), an incommensurate period, and
-# constant detuning, which repeats on any unit
+# constant detuning, which repeats on any unit; a z column shorter than one
+# unit is not folded
 @pytest.mark.parametrize(
     "quad, kwargs",
     [
@@ -211,6 +214,7 @@ def test_panel_kernel_matches_the_per_cell_chain(monkeypatch, kappa, mask, delta
         (COARSE, {"kappa": 180.0, "period_um": 0.4567}),
         (LAT05, {"kappa": 180.0, "detuning_mode": "constant", "delta_c_const_mhz": 30.0}),
         (ODD, {"kappa": 10.0, "detuning_mode": "constant", "delta_c_const_mhz": 30.0}),
+        (SHORT, {"kappa": 180.0}),
     ],
 )
 @pytest.mark.parametrize("mask", [MASK_LOCAL, MASK_ATOM])
@@ -401,6 +405,21 @@ def test_batched_tiles_equal_the_per_position_loop(monkeypatch, quad, radii, own
     assert len(passes) <= len(atoms) and max(passes)[0] < kernel._TILE_PASS  # at most one shared pass a call
     assert (min(tiles for _, tiles in passes) == 1) == one_tile
     assert np.array_equal(got, oracle)
+
+
+def test_a_batch_keeps_its_temporaries_within_a_few_megabytes():
+    # profile's batch: 101 radii across 1.5 w0 on the 0.04 lattice. The 8-atom cap on
+    # the atom chunk, the explicit frees and the tile pass's chunks hold its traced
+    # peak at 2.8 MB (numpy 2.4.6); without the cap it is 7.0 MB
+    cfg = make_config(kappa=317.42)
+    atoms = _at_node(*np.linspace(0.0, 1.5 * cfg.beam.waist_w0 / LAM, 101))
+    tracemalloc.start()
+    try:
+        masked_kernel_sum(atoms, cfg, QuadratureSpec.scaled(LAM, 0.04))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("mask", [MASK_LOCAL, MASK_ATOM])
@@ -650,15 +669,19 @@ def test_too_small_domain_raises():
 @pytest.mark.parametrize("kappa", [10.0, 180.0, 500.0])
 def test_tail_estimate_bounds_what_a_four_times_larger_domain_adds(kappa, period_um):
     # the far field the estimate stands for, summed: the 400 lambda_c lattice holds
-    # the 100 lambda_c one cell for cell. Six cases of 2.5e5 and 4e6 cells, about
-    # 0.15 s in all on a 2-core Xeon; the estimate is 3.2 to 15 times what is missed.
+    # the 100 lambda_c one cell for cell. Six cases of two masks on 2.5e5 and 4e6
+    # cells, about 0.3 s in all on a 2-core Xeon; the estimate is 2.7 to 15 times
+    # what is missed. Delta_p is left at 0: at Delta_p = -5 MHz, kappa 500 and
+    # period 0.48 the estimate falls below what is missed (CHANGES.md, FOUND)
     cfg = make_config(kappa=kappa, period_um=period_um)
     domain = QuadratureSpec.scaled(LAM, 0.2)
+    wide = QuadratureSpec.scaled(LAM, 0.2, extent_multiple=400.0)
     pos = localized_point(cfg)
-    s = shift_at(pos, cfg, ShiftQuadrature(domain, tail_tol=1.0))
-    s_wide = shift_at(pos, cfg, ShiftQuadrature(QuadratureSpec.scaled(LAM, 0.2, extent_multiple=400.0), tail_tol=1.0))
-    missed = (s_wide - s) / s_wide
-    assert 0.0 < missed <= meanfield._tail_fraction(cfg, domain, np.array([s]))[0]
+    for mask in (MASK_LOCAL, MASK_ATOM):
+        s = shift_at(pos, cfg, ShiftQuadrature(domain, mask=mask, tail_tol=1.0))
+        s_wide = shift_at(pos, cfg, ShiftQuadrature(wide, mask=mask, tail_tol=1.0))
+        missed = (s_wide - s) / s_wide
+        assert 0.0 < missed <= meanfield._tail_fraction(cfg, domain, np.array([s]))[0], mask
 
 
 def test_aliased_longitudinal_lattice_fails_the_convergence_check():
@@ -713,6 +736,23 @@ def test_calibrated_offset_is_self_consistent(fast_calibration):
     s0, delta = fast_calibration(10.0)
     assert delta == CFG.detuning.delta_c0 + s0
     assert delta / TWO_PI == pytest.approx(37.77, rel=0.02)
+
+
+@pytest.mark.parametrize("kappa", [10.0, 180.0, 500.0])
+def test_calibration_stops_within_its_tolerance_of_the_fixed_point(kappa, fast_calibration):
+    # the oracle iterates delta <- Delta_c0 + s0(delta) on, from the returned delta,
+    # until a step is at most 1e-12 of s0; the returned delta lies 1.9e-5, 9.9e-8
+    # and 2.5e-9 of s0 from it at kappa 10, 180 and 500
+    s0, delta = fast_calibration(kappa)
+    cfg = make_config(kappa=kappa)
+    fixed, step = delta, math.inf
+    for _ in range(20):
+        s = s0_integral(with_delta_shift(cfg, fixed), quadrature=ShiftQuadrature(FAST))
+        fixed, step = cfg.detuning.delta_c0 + s, cfg.detuning.delta_c0 + s - fixed
+        if abs(step) <= 1e-12 * abs(s):
+            break
+    assert abs(step) <= 1e-12 * abs(s)
+    assert abs(delta - fixed) <= meanfield._CALIBRATION_REL_TOL * abs(s0)
 
 
 def test_calibrated_shift_shrinks_with_saturation(fast_calibration):
