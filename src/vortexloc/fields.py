@@ -25,6 +25,11 @@ def envelope_peak_radius(beam: BeamConfig) -> float:
     return beam.waist_w0 * math.sqrt(abs(beam.winding_l) / 2.0)
 
 
+# exp(-u*u) is exactly 0.0 for |u| >= _U_FAR, so the envelope is 0.0 there;
+# r/W0 is clipped to it, where u**|l| and u*u cannot overflow.
+_U_FAR = 28.0
+
+
 def control_envelope(r, beam: BeamConfig, amplitude=None):
     """Real control amplitude amp * (r/W0)^|l| * exp(-r^2/W0^2), at one radius or on a grid.
 
@@ -33,7 +38,7 @@ def control_envelope(r, beam: BeamConfig, amplitude=None):
     of per-position values (noisy beams). Every consumer of Omega_c goes
     through here, so equal inputs give bit-equal intensities.
     """
-    u = np.asarray(r, dtype=float) / beam.waist_w0
+    u = np.clip(np.asarray(r, dtype=float) / beam.waist_w0, -_U_FAR, _U_FAR)
     amp = beam.omega_c0 if amplitude is None else amplitude
     env = amp * u ** abs(beam.winding_l) * np.exp(-u * u)
     if np.ndim(r) == 0 and np.ndim(env) == 0:

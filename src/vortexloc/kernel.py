@@ -69,7 +69,6 @@ from . import meanfield
 from .bloch import b_values
 from .config import SystemConfig
 from .fields import detuning_profile
-from .parallel import block_ranges
 
 _BLOCK_ROWS = 256  # fixed row partition; never depends on worker count
 # Float temporaries of one block stay within about this many elements (512 kB),
@@ -389,7 +388,7 @@ def kernel_plan(r_atoms: np.ndarray, z_j: float, config: SystemConfig, quad: mea
 
     # An atom whose nearest row in a block is at least unit * 2^level away
     # sums that block on the coarser layout of that level (-1: nearer).
-    blocks = block_ranges(n_r, _BLOCK_ROWS)
+    blocks = [(i0, min(i0 + _BLOCK_ROWS, n_r)) for i0 in range(0, n_r, _BLOCK_ROWS)]
     gaps = np.array([np.maximum(0.0, np.maximum(r[i0] - r_atoms, r_atoms - r[i1 - 1])) for i0, i1 in blocks])
     levels = np.floor(np.log2(np.maximum(gaps, 0.5 * unit) / unit)).astype(int)
     layouts = {

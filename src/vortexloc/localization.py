@@ -31,6 +31,9 @@ OFFSET_DETUNED = "detuned"  # delta - Delta_c0 = 2 s_0
 
 HALF_MAX = 0.5
 _MIN_SAMPLES = 4  # samples a map needs across each half-maximum width
+# The most samples per axis map3d takes: a 201^3 map peaks near 460 MB and
+# writes a 450 MB CSV or a 900 MB JSON file.
+_MAX_SAMPLES_PER_AXIS = 201
 
 @dataclass(frozen=True)
 class ScanProfile:
@@ -137,28 +140,23 @@ def transverse_scan(
         # bisection reads back, and each new bisection radius adds one
         s_grid = shift_at([Position(r=float(rj), z=z_loc) for rj in r], config, quadrature)
         known = dict(zip(r.tolist(), s_grid.tolist()))
-
-        def s_of(radius: float) -> float:
-            radius = float(radius)
-            if radius not in known:
-                known[radius] = shift_at(Position(r=radius, z=z_loc), config, quadrature)
-            return known[radius]
-
         s0 = float(s_grid[0])
-        two_photon = dp + (s0 - s_grid)
-    else:
-        # 'perfect' tracking cancels s exactly, so both remaining modes reduce
-        # to the unshifted two-photon resonance profile.
-        two_photon = dp
 
-    def sigma_of(radius: float) -> float:
+    def sigma_of(radius):
+        """sigma_rr at one radius, or at each radius of an array."""
         env = control_envelope(radius, beam)
-        at_radius = dp + (s0 - s_of(radius)) if mode == MODE_PARTIAL else dp
-        return float(steady_population(config, env * env, at_radius))
+        if mode != MODE_PARTIAL:
+            # 'perfect' tracking cancels s exactly, so both remaining modes
+            # reduce to the unshifted two-photon resonance profile.
+            return steady_population(config, env * env, dp)
+        radii = np.ravel(radius).tolist()
+        for x in radii:
+            if x not in known:
+                known[x] = shift_at(Position(r=x, z=z_loc), config, quadrature)
+        s = np.reshape([known[x] for x in radii], np.shape(radius))
+        return steady_population(config, env * env, dp + (s0 - s))
 
-    env = control_envelope(r, beam)
-    sigma = steady_population(config, env * env, two_photon)
-
+    sigma = sigma_of(r)
     if sigma[0] < HALF_MAX:
         raise ValueError("profile starts below the half maximum; no crossing at the core")
     _, crossing = _crossings(r, sigma, 0, sigma_of, 1e-4 * beam.wavelength_c)
@@ -326,6 +324,8 @@ def map3d(
     n = operator.index(samples_per_axis)  # a float count is a TypeError
     if n < 2:
         raise ValueError("need at least 2 samples per axis")
+    if n > _MAX_SAMPLES_PER_AXIS:
+        raise ValueError(f"samples_per_axis must be at most {_MAX_SAMPLES_PER_AXIS}, got {n}")
     if delta_offset_mode not in (OFFSET_CALIBRATED, OFFSET_DETUNED):
         raise ValueError(f"unknown delta offset mode '{delta_offset_mode}'")
 

@@ -29,14 +29,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .bloch import b_coefficients, b_values, linewidth_from
 from .config import STANDING_WAVE, TWO_PI, Position, SystemConfig, with_delta_shift
 from .fields import _bisect, control_envelope, detuning_profile
-from .parallel import map_ordered, pairwise_sum
 
 # Blockade-mask variants: the radius can follow the local linewidth at each
 # candidate neighbor's radius (anisotropic, the default: it is the variant
@@ -53,6 +52,9 @@ _REFINE_TOL = 1e-3  # blockade boundary crossings are bisected to this width, um
 REFERENCE_SPACING = 0.01
 FAST_SPACING = 0.02
 FOUR_THIRDS_PI = 4.0 * math.pi / 3.0
+# The most directions blockade_boundary marches: each direction's 1023-point
+# row and its temporaries take about 37 kB, so 4096 of them peak near 190 MB.
+_MAX_DIRECTIONS = 4096
 
 
 @dataclass(frozen=True)
@@ -165,6 +167,38 @@ def _blockade_rows(config: SystemConfig, r: np.ndarray):
     ic = env * env
     rb = blockade_radius(linewidth_from(ip, ic, delta_p, gamma), config.medium.c6)
     return rb, b_coefficients(ip, ic, superatom_count(rb, config.medium.density_rho) * ip, delta_p, gamma)
+
+
+def map_ordered(fn: Callable, items: Sequence, threads: int = 1) -> list:
+    """fn of each item, in input order; more than one thread maps them on a pool.
+
+    Threads do not pay off for the shift kernel, whose blocks are mostly small
+    numpy calls under the interpreter lock: `BENCH_6.json` measured 2 threads
+    at 0.70 times the speed of one (`parallel.speedup_2t`). `concurrent.futures`
+    is imported only when a pool starts, so a one-thread run loads neither it
+    nor the `logging` it brings (about 1.1 MB).
+    """
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
+def pairwise_sum(values: Iterable):
+    """Sum of scalars or equal-shape arrays by a fixed binary tree over their order.
+
+    The tree's shape depends only on the number of terms, so terms computed
+    by different workers always combine identically.
+    """
+    level = [v if isinstance(v, np.ndarray) else float(v) for v in values]
+    if not level:
+        return 0.0
+    while len(level) > 1:
+        pairs = [level[i] + level[i + 1] for i in range(0, len(level) - 1, 2)]
+        level = pairs + level[-1:] if len(level) % 2 else pairs
+    return level[0]
 
 
 def masked_kernel_sum(
@@ -336,6 +370,8 @@ def blockade_boundary(
     """
     if resolution < 8:
         raise ValueError("resolution must be at least 8 directions")
+    if resolution > _MAX_DIRECTIONS:
+        raise ValueError(f"resolution must be at most {_MAX_DIRECTIONS} directions, got {resolution}")
     c6 = config.medium.c6
     if c6 <= 0:
         raise ValueError("blockade boundary requires c6 > 0")

@@ -19,8 +19,7 @@ from .bloch import steady_population
 from .config import SystemConfig
 from .fields import control_envelope
 from .localization import ScanProfile, _axis_two_photon, _radius_grid, _resolve_offsets, extract_fwhm
-from .meanfield import ShiftQuadrature, localized_point
-from .parallel import pairwise_sum
+from .meanfield import ShiftQuadrature, localized_point, pairwise_sum
 
 KIND_INTENSITY = "intensity"
 KIND_FREQUENCY = "frequency"
@@ -97,17 +96,23 @@ def noisy_transverse_scan(
 
     sigmas = []
     clamp_count = 0
-    for index in range(spec.trajectories):
-        draws = trajectory_rng(spec.seed, index).normal(0.0, scale, size=x.size)
-        if intensity:
-            amplitudes = beam.omega_c0 + draws
-            clamp_count += int(np.count_nonzero(amplitudes < 0.0))
-            env = control_envelope(u, beam, amplitude=np.maximum(amplitudes, 0.0))
-            two_photon = on_node
-        else:
-            env = control_envelope(u, beam)
-            two_photon = on_node + draws
-        sigmas.append(np.asarray(steady_population(config, env * env, two_photon), dtype=float))
+    try:
+        # a draw whose square overflows would average in as NaN (intensity)
+        # or as a numpy-warned 0 (frequency)
+        with np.errstate(over="raise", invalid="raise"):
+            for index in range(spec.trajectories):
+                draws = trajectory_rng(spec.seed, index).normal(0.0, scale, size=x.size)
+                if intensity:
+                    amplitudes = beam.omega_c0 + draws
+                    clamp_count += int(np.count_nonzero(amplitudes < 0.0))
+                    env = control_envelope(u, beam, amplitude=np.maximum(amplitudes, 0.0))
+                    two_photon = on_node
+                else:
+                    env = control_envelope(u, beam)
+                    two_photon = on_node + draws
+                sigmas.append(np.asarray(steady_population(config, env * env, two_photon), dtype=float))
+    except FloatingPointError:
+        raise ValueError(f"{spec.kind} noise of std_dev {spec.std_dev:g} overflows the steady population") from None
 
     base = sigmas[0]
     n_traj = float(spec.trajectories)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from vortexloc import cli, make_config, meanfield, noise, parallel
+from vortexloc import cli, localization, make_config, meanfield, noise
 from vortexloc.bloch import LocalDrive, steady_sigma_rr
 from vortexloc.cli import build_parser, main, parse_config
 from vortexloc.config import TWO_PI, Position
@@ -133,6 +133,58 @@ def test_scan_r_reports_the_narrow_width(tmp_path, capsys):
     assert len(payload["columns"]["r_um"]) == 201
     assert "duration" not in json.dumps(payload)
     assert "fwhm_um=" in out
+
+
+def test_a_partial_scan_r_quadratures_its_grid_once_and_each_new_bisection_radius_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(atoms, config, quadrature):
+        calls.append(atoms)
+        return meanfield.shift_at(atoms, config, quadrature)
+
+    monkeypatch.setattr(localization, "shift_at", counted)
+    argv = ["scan-r", "--mode", "partial", "--grid-spacing", "0.2", "--samples", "100", "--out", str(tmp_path / "s.csv")]
+    assert run(argv, capsys)[0] == 0
+    cfg = make_config()
+    r = np.linspace(0.0, 1.5 * cfg.beam.waist_w0, 100)
+    grid, *bisection = calls
+    assert [atom.r for atom in grid] == r.tolist()
+    assert all(isinstance(atom, Position) for atom in bisection)
+    radii = [atom.r for atom in bisection]
+    assert len(set(radii)) == len(radii) and not set(radii) & set(r.tolist())
+    # the crossing's grid step, halved down to 1e-4 lambda_c, one new radius a halving
+    i = int(np.searchsorted(r, radii[0]))
+    assert all(r[i - 1] < x < r[i] for x in radii)
+    assert len(radii) == math.ceil(math.log2((r[1] - r[0]) / (1e-4 * cfg.beam.wavelength_c)))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # far outside the beam the control envelope is 0, where it was NaN (|l| = 2) or warned (|l| = 1)
+        (["steady", "--r-um", "1e200", "--config", "l2.ini"], None),
+        (["blockade", "--r-um", "1e300"], None),
+        (["noise", "--kind", "intensity", "--std", "1e300", "--trajectories", "2", "--s0-mhz", "0.4"],
+         "error in noisy_transverse_scan: intensity noise of std_dev 1e+300 overflows the steady population"),
+        (["blockade", "--resolution", "100000000000"],
+         "error in blockade_boundary: resolution must be at most 4096 directions, got 100000000000"),
+        (["map3d", "--samples-per-axis", "100000", "--s0-mhz", "0.4"],
+         "error in map3d: samples_per_axis must be at most 201, got 100000"),
+    ],
+    ids=["steady-far-l2", "blockade-far", "noise-overflow", "blockade-directions", "map3d-samples"],
+)
+def test_far_radii_run_finite_and_oversized_runs_are_refused_by_name(argv, message, tmp_path, capsys):
+    (tmp_path / "l2.ini").write_text("[beam]\nwinding_l = 2\n", encoding="utf-8")
+    argv = [str(tmp_path / a) if a.endswith(".ini") else a for a in argv]
+    out_file = tmp_path / "out.csv"
+    code, out, err = run([*argv, "--out", str(out_file)], capsys)
+    if message is None:
+        assert code == 0
+        assert "nan" not in out and "nan" not in out_file.read_text()
+    else:
+        assert code == 2
+        assert err == f"vortex-localize {argv[0]}: {message}\n"
+        assert not out_file.exists()
 
 
 def test_zero_noise_run_matches_the_deterministic_scan(tmp_path, capsys):
@@ -315,7 +367,6 @@ def test_out_of_range_threads_are_rejected_before_any_work(threads, monkeypatch,
     def forbidden(*args, **kwargs):
         raise AssertionError("no worker may start and no handler may run")
 
-    monkeypatch.setattr(parallel, "map_ordered", forbidden)
     monkeypatch.setattr(meanfield, "map_ordered", forbidden)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", forbidden)
     _forbid_handlers(monkeypatch)

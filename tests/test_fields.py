@@ -45,6 +45,28 @@ def test_higher_winding_darkens_the_core_faster():
     assert control_envelope(1e-3, beam2) < control_envelope(1e-3, BEAM) * 1e-2
 
 
+@pytest.mark.parametrize("winding", [1, 2, 3])
+def test_the_envelope_keeps_every_finite_value_and_is_zero_far_outside_the_beam(winding):
+    beam = with_winding(CFG, winding).beam
+    u = np.concatenate(([0.0], np.geomspace(1e-3, 1e300, 2001), np.linspace(26.0, 29.0, 301)))
+    r = u * beam.waist_w0
+
+    def before(r):  # the expression before the clip, which overflowed far out
+        u = np.asarray(r, dtype=float) / beam.waist_w0
+        with np.errstate(all="ignore"):
+            return beam.omega_c0 * u ** abs(beam.winding_l) * np.exp(-u * u)
+
+    # an array and each of its elements alone, which can take other numpy paths
+    for got, want in (
+        (control_envelope(r, beam), before(r)),
+        (np.array([control_envelope(x, beam) for x in r.tolist()]), np.array([before(x) for x in r.tolist()])),
+    ):
+        finite = np.isfinite(want)
+        assert np.array_equal(got[finite], want[finite])
+        assert np.all(got[~finite] == 0.0)
+        assert finite.all() == (winding == 1)  # at |l| >= 2 the range reaches where it gave NaN
+
+
 def test_eta_vanishes_at_the_core_and_matches_the_amplitude_ratio():
     cfg = make_config(kappa=10.0)
     assert eta_of_radius(0.0, cfg) == 0.0

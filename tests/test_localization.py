@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vortexloc import make_config
+from vortexloc import localization, make_config
 from vortexloc.bloch import linewidth_from, sigma_rr_steady
 from vortexloc.config import TWO_PI, Position
 from vortexloc.fields import control_envelope
@@ -366,6 +366,18 @@ def test_map_axes_step_from_the_lower_extent_by_the_sample_count(fast_calibratio
     # a fractional count would step past the upper extent
     with pytest.raises(TypeError):
         map3d(CFG, extents=extents, samples_per_axis=30.5, s0=s0)
+
+
+def test_map3d_refuses_more_samples_per_axis_than_its_cap_before_allocating(monkeypatch):
+    # with the cap lowered to 31, a 31^3 map is made, and 32 samples per axis
+    # are refused before the window, the offsets or the envelope are computed
+    config, s0 = make_config(kappa=180.0), TWO_PI * 0.415
+    monkeypatch.setattr(localization, "_MAX_SAMPLES_PER_AXIS", 31)
+    assert map3d(config, samples_per_axis=31, s0=s0).field.shape == (31, 31, 31)
+    for name in ("map_window", "_resolve_offsets", "control_envelope"):
+        monkeypatch.setattr(localization, name, None)
+    with pytest.raises(ValueError, match=r"^samples_per_axis must be at most 31, got 32$"):
+        map3d(config, samples_per_axis=32, s0=s0)
 
 
 def test_extract_fwhm_on_a_lorentzian():

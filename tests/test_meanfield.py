@@ -906,6 +906,17 @@ def test_boundary_equals_the_scalar_march_oracle(kappa, r_um, resolution):
     assert np.array_equal(got.distances, _scalar_march_boundary(pos, config, resolution))
 
 
+def test_blockade_boundary_refuses_more_directions_than_its_cap_before_marching(monkeypatch):
+    # with the cap lowered to 16 directions, 16 are marched, and one more is
+    # refused before the march reads a linewidth
+    pos = Position(r=0.0, z=localized_point(CFG).z)
+    monkeypatch.setattr(meanfield, "_MAX_DIRECTIONS", 16)
+    assert blockade_boundary(pos, CFG, resolution=16).distances.size == 16
+    monkeypatch.setattr(meanfield, "local_linewidth", None)
+    with pytest.raises(ValueError, match=r"^resolution must be at most 16 directions, got 17$"):
+        blockade_boundary(pos, CFG, resolution=17)
+
+
 @pytest.mark.parametrize("kappa, r_um", [(300.0, 0.0), (150.0, 0.71)])
 def test_boundary_bisects_all_directions_as_each_alone(kappa, r_um):
     # the one array bisection gives each direction what a scalar bisection of

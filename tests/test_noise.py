@@ -1,5 +1,7 @@
 """Monte-Carlo drive-noise robustness: reproducibility and peak survival."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,13 @@ def test_noisy_scan_input_validation(fast_calibration):
     for x_max in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="x_max must be finite"):
             noisy_transverse_scan(CFG180, spec, x_max=x_max, s0=s0)
+
+
+@pytest.mark.parametrize("kind, std_dev", [(KIND_INTENSITY, 1e300), (KIND_FREQUENCY, 1e200)])
+def test_a_noise_level_that_overflows_is_refused_by_name(kind, std_dev):
+    s0 = TWO_PI * 0.4
+    with pytest.raises(ValueError, match=re.escape(f"{kind} noise of std_dev {std_dev:g} overflows the steady population")):
+        noisy_transverse_scan(CFG180, NoiseSpec(kind=kind, std_dev=std_dev, trajectories=2), s0=s0)
+    # a level whose squared amplitudes stay finite still averages to finite numbers
+    scan = noisy_transverse_scan(CFG180, NoiseSpec(kind=kind, std_dev=1e150, trajectories=2), s0=s0)
+    assert np.isfinite(scan.profile.sigma).all() and np.isfinite(scan.spread).all()

@@ -1,4 +1,4 @@
-"""Deterministic reduction and ordered parallel mapping."""
+"""meanfield's deterministic reduction and ordered parallel mapping."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vortexloc.parallel import block_ranges, map_ordered, pairwise_sum
+from vortexloc.meanfield import map_ordered, pairwise_sum
 
 
 @given(st.lists(st.floats(min_value=-1e9, max_value=1e9, allow_nan=False), max_size=300))
@@ -27,18 +27,6 @@ def test_pairwise_sum_reduces_identical_array_terms_exactly():
     arr = np.array([1.0, 2.0, 4.0])
     total = pairwise_sum([arr.copy() for _ in range(8)])
     assert np.array_equal(total, 8.0 * arr)
-
-
-@given(st.integers(min_value=0, max_value=5000), st.integers(min_value=1, max_value=512))
-def test_block_ranges_partition_the_index_space(n, block):
-    ranges = block_ranges(n, block)
-    if n == 0:
-        assert ranges == []
-        return
-    assert ranges[0][0] == 0
-    assert ranges[-1][1] == n
-    assert all(0 < hi - lo <= block for lo, hi in ranges)
-    assert all(ranges[k][1] == ranges[k + 1][0] for k in range(len(ranges) - 1))
 
 
 @pytest.mark.parametrize("threads", [1, 3])
