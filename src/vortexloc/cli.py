@@ -35,30 +35,14 @@ if not any(var in os.environ for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREA
 import numpy as np
 
 from . import bloch, localization, meanfield, noise, output
-from .config import Position, SystemConfig, angular_from_mhz, make_config, mhz_from_angular
+from .config import PARAMETERS, Position, SystemConfig, angular_from_mhz, make_config, mhz_from_angular
 from .fields import envelope_peak_radius, eta_of_radius, radius_at_eta
 from .localization import MODE_NONE, MODE_PARTIAL, MODE_PERFECT, OFFSET_CALIBRATED, OFFSET_DETUNED
 from .meanfield import MASK_ATOM, MASK_LOCAL, REFERENCE_SPACING, QuadratureSpec, ShiftQuadrature
 
-# Where each (section, key) accepted in config files goes: a make_config
-# kwarg for the physics sections, else the dest of the flag it stands in for.
+# The config-file keys that stand in for a flag: (section, key) -> (flag dest,
+# type). The physics keys, which go to make_config, are config.PARAMETERS.
 _CONFIG_KEYS: dict[tuple[str, str], tuple[str, type]] = {
-    ("beam", "omega_c0"): ("omega_c0_mhz", float),
-    ("beam", "waist_w0"): ("waist_w0_um", float),
-    ("beam", "winding_l"): ("winding_l", int),
-    ("beam", "wavelength_c"): ("wavelength_c_um", float),
-    ("probe", "omega_p0"): ("omega_p0_mhz", float),
-    ("probe", "kappa"): ("kappa", float),
-    ("probe", "delta_p"): ("delta_p_mhz", float),
-    ("detuning", "mode"): ("detuning_mode", str),
-    ("detuning", "delta_c_const"): ("delta_c_const_mhz", float),
-    ("detuning", "delta_c0"): ("delta_c0_mhz", float),
-    ("detuning", "delta_shift"): ("delta_shift_mhz", float),
-    ("detuning", "period"): ("period_um", float),
-    ("medium", "gamma_e"): ("gamma_e_mhz", float),
-    ("medium", "gamma_r"): ("gamma_r_mhz", float),
-    ("medium", "density_rho"): ("density_rho_um3", float),
-    ("medium", "c6"): ("c6_mhz_um6", float),
     ("quadrature", "spacing"): ("grid_spacing", float),
     ("quadrature", "extent"): ("grid_extent", float),
     ("noise", "kind"): ("kind", str),
@@ -66,7 +50,6 @@ _CONFIG_KEYS: dict[tuple[str, str], tuple[str, type]] = {
     ("noise", "trajectories"): ("trajectories", int),
     ("noise", "seed"): ("seed", int),
 }
-_PHYSICS_SECTIONS = ("beam", "probe", "detuning", "medium")
 
 # Defaults of the flags a config file may also set; the flags themselves
 # default to None so that a file value can tell "unset" from "set".
@@ -90,17 +73,18 @@ def parse_config(path: str) -> tuple[dict, dict]:
         raise ValueError(f"config file '{path}' is malformed: {exc}") from exc
     if not read:
         raise ValueError(f"config file '{path}' not found or unreadable")
+    keys = {(section, key): (keyword, cast) for section, key, keyword, cast in PARAMETERS} | _CONFIG_KEYS
     physics: dict = {}
     flags: dict = {}
     for section in parser.sections():
-        if section not in {s for s, _ in _CONFIG_KEYS}:
+        if section not in {s for s, _ in keys}:
             raise ValueError(f"unknown config section '{section}'")
         for key, raw in parser.items(section):
-            spec = _CONFIG_KEYS.get((section, key))
+            spec = keys.get((section, key))
             if spec is None:
                 raise ValueError(f"unknown config key '{key}' in section '{section}'")
             dest, cast = spec
-            (physics if section in _PHYSICS_SECTIONS else flags)[dest] = cast(raw)
+            (flags if (section, key) in _CONFIG_KEYS else physics)[dest] = cast(raw)
     return physics, flags
 
 
@@ -295,6 +279,8 @@ def _cmd_map3d(args, config, quadrature):
 def _cmd_shift(args, config, quadrature):
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if args.samples > localization._MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {localization._MAX_SAMPLES}, got {args.samples}")
     lam = config.beam.wavelength_c
     if args.axis == "radial":
         max_um = args.max_um if args.max_um is not None else 0.5 * config.beam.waist_w0
@@ -503,8 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="FILE", help="INI parameter file")
     common.add_argument("--out", metavar="FILE", help="result path (default vortex-<cmd>.<fmt>)")
     common.add_argument("--format", choices=("csv", "json"), default="csv", help="result file format")
-    common.add_argument("--kappa", type=float, help="control/probe amplitude ratio")
-    common.add_argument("--omega-p0-mhz", type=float, help="probe Rabi amplitude (MHz)")
+    amplitude = common.add_mutually_exclusive_group()  # either one sets the probe amplitude
+    amplitude.add_argument("--kappa", type=float, help="control/probe amplitude ratio")
+    amplitude.add_argument("--omega-p0-mhz", type=float, help="probe Rabi amplitude (MHz)")
 
     quadrature = argparse.ArgumentParser(add_help=False)
     quadrature.add_argument(

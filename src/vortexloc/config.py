@@ -28,6 +28,28 @@ STANDING_WAVE = "standing_wave"
 
 DEFAULT_KAPPA = 100.0
 
+# The physics parameters a config file may set and every result file echoes, in
+# echo order: (INI section = SystemConfig part, INI key = its field, except the
+# derived kappa, make_config keyword, type). A "_mhz" keyword is a frequency in MHz.
+PARAMETERS: tuple[tuple[str, str, str, type], ...] = (
+    ("beam", "omega_c0", "omega_c0_mhz", float),
+    ("beam", "waist_w0", "waist_w0_um", float),
+    ("beam", "winding_l", "winding_l", int),
+    ("beam", "wavelength_c", "wavelength_c_um", float),
+    ("probe", "omega_p0", "omega_p0_mhz", float),
+    ("probe", "kappa", "kappa", float),
+    ("probe", "delta_p", "delta_p_mhz", float),
+    ("detuning", "mode", "detuning_mode", str),
+    ("detuning", "delta_c_const", "delta_c_const_mhz", float),
+    ("detuning", "delta_c0", "delta_c0_mhz", float),
+    ("detuning", "delta_shift", "delta_shift_mhz", float),
+    ("detuning", "period", "period_um", float),
+    ("medium", "gamma_e", "gamma_e_mhz", float),
+    ("medium", "gamma_r", "gamma_r_mhz", float),
+    ("medium", "density_rho", "density_rho_um3", float),
+    ("medium", "c6", "c6_mhz_um6", float),
+)
+
 
 def angular_from_mhz(nu_mhz: float) -> float:
     """Convert a frequency given in MHz to an angular frequency in rad/us."""
@@ -220,14 +242,13 @@ def make_config(
         winding_l=winding_l,
         wavelength_c=wavelength_c_um,
     )
-    try:
-        probe = ProbeConfig(omega_p0=angular_from_mhz(omega_p0_mhz), delta_p=angular_from_mhz(delta_p_mhz))
-    except ValueError as exc:
-        if kappa is None or "overflows" not in str(exc):  # an amplitude derived from kappa names kappa
-            raise
-        raise ValueError(
-            f"kappa = {kappa!r} is too small: the probe amplitude omega_c0/kappa squared overflows when doubled"
-        ) from exc
+    omega_p0 = angular_from_mhz(omega_p0_mhz)
+    # the overflow ProbeConfig refuses, named by kappa when kappa gave the amplitude
+    _require(
+        kappa is None or not math.isfinite(omega_p0) or math.isfinite(2.0 * omega_p0 * omega_p0),
+        f"kappa = {kappa!r} is too small: the probe amplitude omega_c0/kappa squared overflows when doubled",
+    )
+    probe = ProbeConfig(omega_p0=omega_p0, delta_p=angular_from_mhz(delta_p_mhz))
     detuning = DetuningModulation(
         mode=detuning_mode,
         delta_c_const=angular_from_mhz(delta_c_const_mhz),
@@ -242,6 +263,15 @@ def make_config(
         c6=angular_from_mhz(c6_mhz_um6),
     )
     return SystemConfig(beam=beam, probe=probe, detuning=detuning, medium=medium)
+
+
+def config_echo(config: SystemConfig) -> dict[str, object]:
+    """Flat readable view of a configuration in MHz and um, keyed by make_config keyword in PARAMETERS order."""
+    echo = {}
+    for section, key, keyword, _ in PARAMETERS:
+        value = config.kappa if key == "kappa" else getattr(getattr(config, section), key)
+        echo[keyword] = mhz_from_angular(value) if "_mhz" in keyword else value
+    return echo
 
 
 def with_delta_shift(config: SystemConfig, delta_shift: float) -> SystemConfig:

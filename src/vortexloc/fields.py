@@ -92,11 +92,8 @@ def _bisect(fn, lo, hi, xtol: float):
 def detuning_profile(z, mod: DetuningModulation):
     """Local control detuning: constant value, or delta_c0*sin(2*pi*z/period) + delta_shift."""
     if mod.mode == CONSTANT:
-        if np.ndim(z) == 0:
-            return mod.delta_c_const
-        return np.full(np.shape(z), mod.delta_c_const, dtype=float)
-    value = mod.delta_c0 * np.sin(TWO_PI * np.asarray(z, dtype=float) / mod.period) + mod.delta_shift
-    if np.ndim(z) == 0:
-        return float(value)
-    return value
+        value = np.full(np.shape(z), mod.delta_c_const, dtype=float)
+    else:
+        value = mod.delta_c0 * np.sin(TWO_PI * np.asarray(z, dtype=float) / mod.period) + mod.delta_shift
+    return float(value) if np.ndim(z) == 0 else value
 

@@ -34,6 +34,9 @@ _MIN_SAMPLES = 4  # samples a map needs across each half-maximum width
 # The most samples per axis map3d takes: a 201^3 map peaks near 460 MB and
 # writes a 450 MB CSV or a 900 MB JSON file.
 _MAX_SAMPLES_PER_AXIS = 201
+# The most samples a 1-D scan or a shift profile takes: a partial scan-r
+# quadratures its radii as one batch, and a batch of 10^4 peaks at 220-310 MB.
+_MAX_SAMPLES = 10_000
 
 @dataclass(frozen=True)
 class ScanProfile:
@@ -96,10 +99,17 @@ def _axis_two_photon(config: SystemConfig, z, s0: float, delta_offset: float):
     return config.probe.delta_p + mod.delta_c0 * (np.sin(TWO_PI * np.asarray(z) / mod.period) + 1.0) + mismatch0
 
 
-def _radius_grid(config: SystemConfig, bound: float | None, n_samples: int, name: str) -> np.ndarray:
-    """n_samples radii from 0 to `bound` (default 1.5 W0); `name` is the caller's name for the bound."""
+def _check_samples(n_samples: int) -> None:
+    """Refuse a 1-D sample count below 100 or above _MAX_SAMPLES, before any array is made."""
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
+    if n_samples > _MAX_SAMPLES:
+        raise ValueError(f"n_samples must be at most {_MAX_SAMPLES}, got {n_samples}")
+
+
+def _radius_grid(config: SystemConfig, bound: float | None, n_samples: int, name: str) -> np.ndarray:
+    """n_samples radii from 0 to `bound` (default 1.5 W0); `name` is the caller's name for the bound."""
+    _check_samples(n_samples)
     if bound is None:
         bound = 1.5 * config.beam.waist_w0
     if not math.isfinite(bound):
@@ -123,7 +133,7 @@ def transverse_scan(
     quadrature's lattice (default: the fast one); 'perfect' tracks s(r)
     pointwise (which restores the mode-'none' profile). The width is twice
     the first half-maximum crossing, refined by bisection on the continuous
-    profile to 1e-4 lambda_c.
+    profile to 1e-4 lambda_c. `n_samples` lies between 100 and 10^4.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown antiblockade mode '{mode}'")
@@ -242,10 +252,9 @@ def longitudinal_scan(
 
     The detuning offset defaults to the calibrated value delta - Delta_c0 =
     s_0, which pins the peak to the standing-wave node; pass `delta_offset`
-    to detune deliberately.
+    to detune deliberately. `n_samples` lies between 100 and 10^4.
     """
-    if n_samples < 100:
-        raise ValueError("n_samples must be at least 100")
+    _check_samples(n_samples)
     s0, delta_offset, _ = _resolve_offsets(config, s0, delta_offset, quadrature)
     mod = config.detuning
     if z_range is None:

@@ -55,11 +55,14 @@ FOUR_THIRDS_PI = 4.0 * math.pi / 3.0
 # The most directions blockade_boundary marches: each direction's 1023-point
 # row and its temporaries take about 37 kB, so 4096 of them peak near 190 MB.
 _MAX_DIRECTIONS = 4096
+# The most lattice cells along r or along z: one position on a 10^6 x 10^6
+# lattice peaks near 150 MB, and 10^7 rows alone take 1 GB.
+_MAX_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Midpoint-lattice extents and spacings for the shift quadrature (um)."""
+    """Midpoint-lattice extents and spacings for the shift quadrature (um); at most 10^6 cells along r and along z."""
 
     extent_r: float
     extent_z: float
@@ -73,6 +76,9 @@ class QuadratureSpec:
                 raise ValueError(f"{name} must be a positive finite length")
         if self.spacing_r > self.extent_r or self.spacing_z > self.extent_z:
             raise ValueError("spacings must not exceed extents")
+        for axis, cells in (("r", self.extent_r / self.spacing_r), ("z", self.extent_z / self.spacing_z)):
+            if cells >= _MAX_CELLS + 0.5:  # the kernel's cell count is round(cells)
+                raise ValueError(f"extent_{axis} / spacing_{axis} must be at most {_MAX_CELLS} cells, got {cells:.6g}")
 
     @classmethod
     def scaled(cls, lambda_c: float, spacing_multiple: float, extent_multiple: float = 100.0) -> "QuadratureSpec":
@@ -299,14 +305,13 @@ def shift_profile(
     flatness = None
     if axis == "radial":
         # one batched quadrature at z_loc, with the r = 0 flatness reference
-        # appended when the positions lack it
+        # appended when some positions are near the core and none is 0
         near = positions <= 0.1 * config.beam.wavelength_c
-        add_zero = near.any() and 0.0 not in positions[near]
-        radii = np.append(positions, 0.0) if add_zero else positions
+        radii = np.append(positions, 0.0) if near.any() and 0.0 not in positions else positions
         batch = shift_at([Position(r=float(p), z=z_loc) for p in radii], config, quadrature)
         values = batch[: positions.size]
         if near.any():
-            s0 = batch[-1] if add_zero else values[near][positions[near].argmin()]
+            s0 = batch[np.argmax(radii == 0.0)]  # the first entry at r = 0
             if s0 > 0:
                 flatness = float(np.max(np.abs(values[near] - s0)) / s0)
     else:
@@ -341,11 +346,7 @@ def calibrated_offset(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if config.detuning.mode != STANDING_WAVE:
-        raise ValueError("calibration requires the standing-wave detuning mode")
     delta_c0 = config.detuning.delta_c0
-    if config.medium.c6 == 0.0:
-        return 0.0, delta_c0
     delta = config.detuning.delta_shift
     for _ in range(max_iter):
         s0 = s0_integral(with_delta_shift(config, delta), quadrature)

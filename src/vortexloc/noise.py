@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import steady_population
-from .config import SystemConfig
+from .config import SystemConfig, mhz_from_angular
 from .fields import control_envelope
 from .localization import ScanProfile, _axis_two_photon, _radius_grid, _resolve_offsets, extract_fwhm
 from .meanfield import ShiftQuadrature, localized_point, pairwise_sum
@@ -24,6 +24,9 @@ from .meanfield import ShiftQuadrature, localized_point, pairwise_sum
 KIND_INTENSITY = "intensity"
 KIND_FREQUENCY = "frequency"
 _KINDS = (KIND_INTENSITY, KIND_FREQUENCY)
+# The most trajectories x samples a scan takes: it keeps every trajectory's
+# profile, and 10^7 of them (1000 x 10^4 or 10^4 x 1000) peak near 460 MB.
+_MAX_TRAJECTORY_SAMPLES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,14 @@ def noisy_transverse_scan(
     unless `delta_offset` detunes it deliberately. Averages accumulate as
     offsets from the first trajectory, so identical trajectories average to
     the identical profile. `quadrature` serves only the s0 calibration.
+    `n_samples` lies between 100 and 10^4, and trajectories x n_samples is at
+    most 10^7.
     """
     r = _radius_grid(config, x_max, n_samples, "x_max")
+    if spec.trajectories * n_samples > _MAX_TRAJECTORY_SAMPLES:
+        raise ValueError(
+            f"trajectories x samples must be at most {_MAX_TRAJECTORY_SAMPLES}, got {spec.trajectories} x {n_samples}"
+        )
     s0, delta_offset, _ = _resolve_offsets(config, s0, delta_offset, quadrature)
     beam = config.beam
     x = np.concatenate([-r[:0:-1], r])
@@ -112,7 +121,8 @@ def noisy_transverse_scan(
                     two_photon = on_node + draws
                 sigmas.append(np.asarray(steady_population(config, env * env, two_photon), dtype=float))
     except FloatingPointError:
-        raise ValueError(f"{spec.kind} noise of std_dev {spec.std_dev:g} overflows the steady population") from None
+        level = f"{spec.std_dev:g}" if intensity else f"{spec.std_dev:g} rad/us ({mhz_from_angular(spec.std_dev):g} MHz)"
+        raise ValueError(f"{spec.kind} noise of std_dev {level} overflows the steady population") from None
 
     base = sigmas[0]
     n_traj = float(spec.trajectories)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SystemConfig, mhz_from_angular
+from .config import SystemConfig, config_echo
 
 PACKAGE_NAME = "vortex-localize"
 PACKAGE_VERSION = "0.1.0"
@@ -53,29 +53,6 @@ def render_value(value) -> str:
     if isinstance(value, (tuple, list)):
         return " ".join(render_value(v) for v in value)
     return fmt_number(value)
-
-
-def config_echo(config: SystemConfig) -> dict[str, object]:
-    """Flat readable view of a configuration in MHz and um."""
-    beam, probe, det, med = config.beam, config.probe, config.detuning, config.medium
-    return {
-        "omega_c0_mhz": mhz_from_angular(beam.omega_c0),
-        "waist_w0_um": beam.waist_w0,
-        "winding_l": beam.winding_l,
-        "wavelength_c_um": beam.wavelength_c,
-        "omega_p0_mhz": mhz_from_angular(probe.omega_p0),
-        "kappa": config.kappa,
-        "delta_p_mhz": mhz_from_angular(probe.delta_p),
-        "detuning_mode": det.mode,
-        "delta_c_const_mhz": mhz_from_angular(det.delta_c_const),
-        "delta_c0_mhz": mhz_from_angular(det.delta_c0),
-        "delta_shift_mhz": mhz_from_angular(det.delta_shift),
-        "period_um": det.period,
-        "gamma_e_mhz": mhz_from_angular(med.gamma_e),
-        "gamma_r_mhz": mhz_from_angular(med.gamma_r),
-        "density_rho_um3": med.density_rho,
-        "c6_mhz_um6": mhz_from_angular(med.c6),
-    }
 
 
 @dataclass

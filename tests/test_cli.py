@@ -11,7 +11,7 @@ import pytest
 from vortexloc import cli, localization, make_config, meanfield, noise
 from vortexloc.bloch import LocalDrive, steady_sigma_rr
 from vortexloc.cli import build_parser, main, parse_config
-from vortexloc.config import TWO_PI, Position
+from vortexloc.config import PARAMETERS, TWO_PI, Position, config_echo
 from vortexloc.localization import analytic_a_r
 from vortexloc.output import fmt_number
 
@@ -78,6 +78,37 @@ def test_parse_config_reads_all_sections(tmp_path):
         "trajectories": int,
         "seed": int,
     }
+
+
+# a value other than its default for every physics key a config file accepts
+NON_DEFAULT = {
+    "omega_c0": "70", "waist_w0": "1.25", "winding_l": "2", "wavelength_c": "0.5", "omega_p0": "0.5",
+    "kappa": "150", "delta_p": "-2", "mode": "constant", "delta_c_const": "3", "delta_c0": "25",
+    "delta_shift": "26", "period": "0.45", "gamma_e": "6.5", "gamma_r": "0.01", "density_rho": "0.5", "c6": "1.2e5",
+}
+
+
+@pytest.mark.parametrize("amplitude", ["kappa", "omega_p0"])
+def test_every_physics_key_of_a_config_file_comes_back_under_its_keyword(amplitude, tmp_path):
+    # each key of the table, with one of the two probe amplitudes, through
+    # parse_config, make_config and config_echo
+    other = {"kappa": "omega_p0", "omega_p0": "kappa"}[amplitude]
+    rows = [row for row in PARAMETERS if row[1] != other]
+    sections: dict = {}
+    for section, key, _, _ in rows:
+        sections.setdefault(section, []).append(f"{key} = {NON_DEFAULT[key]}\n")
+    path = tmp_path / "run.ini"
+    path.write_text("".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items()))
+    physics, flags = parse_config(str(path))
+    assert flags == {}
+    echo, default = config_echo(make_config(**physics)), config_echo(make_config())
+    assert list(echo) == [keyword for _, _, keyword, _ in PARAMETERS]
+    for _, key, keyword, cast in rows:
+        assert echo[keyword] != default[keyword]
+        if cast is float:
+            assert echo[keyword] == pytest.approx(float(NON_DEFAULT[key]), rel=1e-12)
+        else:
+            assert echo[keyword] == cast(NON_DEFAULT[key])
 
 
 def test_parse_config_rejects_unknown_keys(tmp_path, capsys):
@@ -170,8 +201,25 @@ def test_a_partial_scan_r_quadratures_its_grid_once_and_each_new_bisection_radiu
          "error in blockade_boundary: resolution must be at most 4096 directions, got 100000000000"),
         (["map3d", "--samples-per-axis", "100000", "--s0-mhz", "0.4"],
          "error in map3d: samples_per_axis must be at most 201, got 100000"),
+        (["noise", "--kind", "frequency", "--std", "1e200", "--trajectories", "2", "--s0-mhz", "0.4"],
+         "error in noisy_transverse_scan: frequency noise of std_dev 6.28319e+200 rad/us (1e+200 MHz) "
+         "overflows the steady population"),
+        (["scan-r", "--samples", "1000000000000"],
+         "error in transverse_scan: n_samples must be at most 10000, got 1000000000000"),
+        (["scan-z", "--kappa", "180", "--s0-mhz", "0.415", "--samples", "1000000000000"],
+         "error in longitudinal_scan: n_samples must be at most 10000, got 1000000000000"),
+        (["noise", "--s0-mhz", "0.415", "--samples", "1000000000000", "--trajectories", "1"],
+         "error in noisy_transverse_scan: n_samples must be at most 10000, got 1000000000000"),
+        (["shift", "--samples", "1000000000000", "--grid-spacing", "0.16"],
+         "error in shift_profile: --samples must be at most 10000, got 1000000000000"),
+        (["calibrate-delta", "--grid-spacing", "1e-10"],
+         "error in QuadratureSpec.scaled: extent_r / spacing_r must be at most 1000000 cells, got 1e+12"),
     ],
-    ids=["steady-far-l2", "blockade-far", "noise-overflow", "blockade-directions", "map3d-samples"],
+    ids=[
+        "steady-far-l2", "blockade-far", "noise-overflow", "blockade-directions", "map3d-samples",
+        "noise-frequency-overflow", "scan-r-samples", "scan-z-samples", "noise-samples", "shift-samples",
+        "calibrate-lattice-cells",
+    ],
 )
 def test_far_radii_run_finite_and_oversized_runs_are_refused_by_name(argv, message, tmp_path, capsys):
     (tmp_path / "l2.ini").write_text("[beam]\nwinding_l = 2\n", encoding="utf-8")
@@ -763,6 +811,50 @@ def test_shift_without_samples_is_bad_input(monkeypatch, capsys):
         assert out == ""
         message = err.strip().splitlines()
         assert message == [f"vortex-localize shift: error in shift_profile: --samples must be at least 1, got {samples}"]
+
+
+def test_shift_refuses_more_samples_than_the_scan_cap_before_allocating(monkeypatch, tmp_path, capsys):
+    # with the cap lowered to 5, five positions are quadratured, and a sixth
+    # is refused before the positions are laid out or any shift is computed
+    monkeypatch.setattr(localization, "_MAX_SAMPLES", 5)
+    out_file = tmp_path / "shift.csv"
+    code, _, _ = run(["shift", "--samples", "5", "--grid-spacing", "0.16", "--out", str(out_file)], capsys)
+    assert code == 0 and len(_column(out_file.read_text(), "s_mhz")) == 5
+    monkeypatch.setattr(meanfield, "shift_profile", None)
+    monkeypatch.setattr(np, "linspace", None)
+    for axis in ("radial", "longitudinal"):
+        code, out, err = run(["shift", "--axis", axis, "--samples", "6", "--grid-spacing", "0.16"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "vortex-localize shift: error in shift_profile: --samples must be at most 5, got 6\n"
+
+
+def test_a_finer_lattice_than_the_cell_cap_is_refused_before_any_quadrature(monkeypatch, tmp_path, capsys):
+    # with the cap lowered to the reference lattice's 10^4 cells per axis, that
+    # lattice calibrates, and a finer one is refused before the kernel runs
+    monkeypatch.setattr(meanfield, "_MAX_CELLS", 10_000)
+    argv = ["calibrate-delta", "--kappa", "180", "--out", str(tmp_path / "c.csv")]
+    assert run([*argv, "--grid-spacing", "0.01"], capsys)[0] == 0
+    monkeypatch.setattr(meanfield, "masked_kernel_sum", None)
+    code, out, err = run([*argv, "--grid-spacing", "0.00999"], capsys)
+    assert (code, out) == (2, "")
+    message = "error in QuadratureSpec.scaled: extent_r / spacing_r must be at most 10000 cells, got 10010"
+    assert err == f"vortex-localize calibrate-delta: {message}\n"
+
+
+def test_kappa_and_omega_p0_flags_are_one_choice(tmp_path, capsys):
+    # the pair exits 2 at parsing, where the second flag used to drop the first
+    out_file = tmp_path / "steady.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["steady", "--kappa", "100", "--omega-p0-mhz", "1", "--out", str(out_file)])
+    assert exc.value.code == 2
+    assert "argument --omega-p0-mhz: not allowed with argument --kappa" in capsys.readouterr().err
+    assert not out_file.exists()
+    # a file's kappa still yields to --omega-p0-mhz on the command line
+    path = tmp_path / "run.ini"
+    path.write_text("[probe]\nkappa = 180\n")
+    code, _, _ = run(["steady", "--config", str(path), "--omega-p0-mhz", "1", "--out", str(out_file)], capsys)
+    assert code == 0
+    assert "# config.kappa = 80\n" in out_file.read_text()
 
 
 def test_a_z_column_shorter_than_one_unit_is_summed_cell_by_cell(tmp_path, capsys):

@@ -380,6 +380,25 @@ def test_map3d_refuses_more_samples_per_axis_than_its_cap_before_allocating(monk
         map3d(config, samples_per_axis=32, s0=s0)
 
 
+def test_one_dimensional_scans_refuse_more_samples_than_their_cap_before_allocating(monkeypatch, fast_calibration):
+    # with the cap lowered to 120, both scans run at 120 samples, and 121 are
+    # refused before the grid, the calibration or the profile is computed
+    config = make_config(kappa=180.0)
+    s0, _ = fast_calibration(180.0)
+    monkeypatch.setattr(localization, "_MAX_SAMPLES", 120)
+    assert transverse_scan(config, n_samples=120).coords.size == 120
+    assert longitudinal_scan(config, n_samples=120, s0=s0).coords.size == 120
+    for name in ("_resolve_offsets", "control_envelope", "steady_population", "shift_at"):
+        monkeypatch.setattr(localization, name, None)
+    monkeypatch.setattr(np, "linspace", None)
+    refused = r"^n_samples must be at most 120, got 121$"
+    for mode in (MODE_NONE, MODE_PARTIAL):
+        with pytest.raises(ValueError, match=refused):
+            transverse_scan(config, mode=mode, n_samples=121)
+    with pytest.raises(ValueError, match=refused):
+        longitudinal_scan(config, n_samples=121)
+
+
 def test_extract_fwhm_on_a_lorentzian():
     h = 0.013
     x = np.linspace(-0.1, 0.1, 4001)

@@ -943,6 +943,17 @@ def test_boundary_input_validation():
         blockade_boundary(pos, make_config(c6_mhz_um6=0.0))
 
 
+def test_a_lattice_of_more_cells_than_the_cap_is_refused_where_it_is_made(monkeypatch):
+    # with the cap lowered to 10^4 cells per axis, the reference lattice sums,
+    # and one more cell along r or along z is refused by QuadratureSpec
+    # itself, so no lattice row or column is ever made
+    monkeypatch.setattr(meanfield, "_MAX_CELLS", 10_000)
+    assert shift_at(localized_point(CFG), CFG) > 0
+    for extent_r, extent_z, axis in ((100.01, 100.0, "r"), (100.0, 100.01, "z")):
+        with pytest.raises(ValueError, match=rf"^extent_{axis} / spacing_{axis} must be at most 10000 cells, got 10001$"):
+            QuadratureSpec(extent_r * LAM, extent_z * LAM, 0.01 * LAM, 0.01 * LAM)
+
+
 def test_quadrature_spec_validation():
     lam = CFG.beam.wavelength_c
     full = QuadratureSpec.scaled(lam, REFERENCE_SPACING)

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from vortexloc import make_config
+from vortexloc import make_config, noise
 from vortexloc.bloch import steady_population
 from vortexloc.config import TWO_PI
 from vortexloc.fields import control_envelope
@@ -148,11 +148,31 @@ def test_noisy_scan_input_validation(fast_calibration):
             noisy_transverse_scan(CFG180, spec, x_max=x_max, s0=s0)
 
 
-@pytest.mark.parametrize("kind, std_dev", [(KIND_INTENSITY, 1e300), (KIND_FREQUENCY, 1e200)])
-def test_a_noise_level_that_overflows_is_refused_by_name(kind, std_dev):
+@pytest.mark.parametrize(
+    "kind, std_dev, level",
+    [(KIND_INTENSITY, 1e300, "1e+300"), (KIND_FREQUENCY, 1e200, "1e+200 rad/us (1.59155e+199 MHz)")],
+    ids=["intensity-1e+300", "frequency-1e+200"],
+)
+def test_a_noise_level_that_overflows_is_refused_by_name(kind, std_dev, level):
+    # an intensity level is a fraction of the peak amplitude; a frequency level
+    # is named in rad/us, the library's unit, and in MHz, the command line's
     s0 = TWO_PI * 0.4
-    with pytest.raises(ValueError, match=re.escape(f"{kind} noise of std_dev {std_dev:g} overflows the steady population")):
+    with pytest.raises(ValueError, match=re.escape(f"{kind} noise of std_dev {level} overflows the steady population")):
         noisy_transverse_scan(CFG180, NoiseSpec(kind=kind, std_dev=std_dev, trajectories=2), s0=s0)
     # a level whose squared amplitudes stay finite still averages to finite numbers
     scan = noisy_transverse_scan(CFG180, NoiseSpec(kind=kind, std_dev=1e150, trajectories=2), s0=s0)
     assert np.isfinite(scan.profile.sigma).all() and np.isfinite(scan.spread).all()
+
+
+def test_trajectories_times_samples_above_the_cap_are_refused_before_any_draw(monkeypatch):
+    # with the cap lowered to 3 x 100, three 100-sample trajectories run, and a
+    # fourth is refused before the calibration, the draws or the envelope
+    monkeypatch.setattr(noise, "_MAX_TRAJECTORY_SAMPLES", 300)
+    s0 = TWO_PI * 0.415
+    spec = NoiseSpec(kind=KIND_INTENSITY, std_dev=0.1, trajectories=3)
+    assert noisy_transverse_scan(CFG180, spec, n_samples=100, s0=s0).spread.size == 199
+    for name in ("_resolve_offsets", "trajectory_rng", "control_envelope"):
+        monkeypatch.setattr(noise, name, None)
+    spec = NoiseSpec(kind=KIND_INTENSITY, std_dev=0.1, trajectories=4)
+    with pytest.raises(ValueError, match=r"^trajectories x samples must be at most 300, got 4 x 100$"):
+        noisy_transverse_scan(CFG180, spec, n_samples=100, s0=s0)

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortexloc import cli, make_config, output
+from vortexloc.config import config_echo
 from vortexloc.output import (
     PACKAGE_NAME,
     PACKAGE_VERSION,
     RunManifest,
     _jsonable,
-    config_echo,
     fmt_number,
     render_csv,
     render_json,

@@ -62,6 +62,17 @@ def test_every_submodule_name_the_readme_mentions_resolves():
     assert not missing, f"README names what the package lacks: {missing}"
 
 
+def test_the_readme_lists_every_config_file_key_under_its_section():
+    # each section is one README bullet, "- `[section]`: `key` (unit), ..."
+    from vortexloc.cli import _CONFIG_KEYS
+    from vortexloc.config import PARAMETERS
+
+    bullets = dict(re.findall(r"^- `\[(\w+)\]`(.*?)(?=^- |^$)", README.read_text(encoding="utf-8"), flags=re.M | re.S))
+    keys = [(section, key) for section, key, _, _ in PARAMETERS] + list(_CONFIG_KEYS)
+    missing = [f"[{section}] {key}" for section, key in keys if f"`{key}`" not in bullets.get(section, "")]
+    assert not missing, f"README does not list these config file keys: {missing}"
+
+
 def test_dir_lists_every_exported_name():
     assert set(vortexloc.__all__) <= set(dir(vortexloc))
 
